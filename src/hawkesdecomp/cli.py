@@ -15,10 +15,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io as hio
-from .covariance import covariance_grid, horizon_from_histogram
+from .covariance import covariance_grid
 from .kernels import kernel_from_dict
 from .likelihood import log_likelihood
-from .search import DecompositionConfig, NoStationaryModelError, decompose
+from .search import DecompositionConfig, NoStationaryModelError, decompose, lag_grid
 from .simulate import EventSequence, HawkesModel, simulate
 from .spectral import invert_to_kernel
 
@@ -84,8 +84,8 @@ def _cmd_estimate(args, config) -> int:
     events = _read_events_arg(args, config)
     resolution = _resolve(args, config, "resolution", int, 100)
     percentile = _resolve(args, config, "horizon_percentile", float, 0.95)
-    horizon = min(horizon_from_histogram(events, percentile), events.horizon_T / 2.0)
-    grid = covariance_grid(events, horizon / resolution, horizon)
+    horizon, delta = lag_grid(events, resolution, percentile)
+    grid = covariance_grid(events, delta, horizon)
     out = Path(args.out)
     rows = ["lag_time,nu_value"] + [
         f"{lag:.12g},{val:.12g}" for lag, val in zip(grid.lags, grid.values)
@@ -119,21 +119,24 @@ def _cmd_decompose_batch(args, config) -> int:
     cfg = _decomposition_config(args, config)
     unit = _resolve(args, config, "unit", float, 1.0)
 
-    def run(path: Path) -> str:
+    def run(path: Path) -> tuple[str, int]:
         try:
             events = hio.read_events(path, unit=unit)
             result = decompose(events, cfg)
             hio.write_result(result, out_dir / (path.stem + ".json"))
-            return f"{path.name}: {result.chosen}"
+            return f"{path.name}: {result.chosen}", EXIT_OK
         except NoStationaryModelError:
-            return f"{path.name}: no stationary model"
+            return f"{path.name}: no stationary model", EXIT_NO_STATIONARY_MODEL
         except (ValueError, OSError) as exc:
-            return f"{path.name}: invalid ({exc})"
+            return f"{path.name}: invalid ({exc})", EXIT_INVALID_INPUT
 
+    codes = set()
     with ThreadPoolExecutor(max_workers=4) as pool:
-        for line in pool.map(run, files):
+        for line, code in pool.map(run, files):
             print(line)
-    return EXIT_OK
+            codes.add(code)
+    # one result is success; with none, invalid input outranks no stationary model
+    return min(codes)
 
 
 def _cmd_score(args, config) -> int:

@@ -11,16 +11,15 @@ families (SQR, SNS) that rule out gradient methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .kernels import (
-    Exp,
+    FAMILIES,
     Kernel,
     Product,
-    Pwl,
     Sns,
     Sqr,
     StationarityVerdict,
@@ -31,8 +30,6 @@ from .kernels import (
 from .spectral import KernelEstimate
 
 __all__ = ["FitResult", "FitError", "fit_single", "fit_expansion", "residue_of"]
-
-FAMILY_TAGS = ("EXP", "PWL", "SQR", "SNS")
 
 # parameter bounds, enforced by projection inside the objective
 _P_LO, _P_HI = 1.0 + 1e-8, 10.0
@@ -65,19 +62,11 @@ def _clip_p(x):
 
 
 def _make_kernel(tag: str, params) -> Kernel:
-    if tag == "EXP":
-        return Exp(_clip(params[0]), _clip(params[1]))
-    if tag == "PWL":
-        return Pwl(_clip(params[0]), _clip(params[1]), _clip_p(params[2]))
-    if tag == "SQR":
-        return Sqr(_clip(params[0]), _clip(params[1]))
-    if tag == "SNS":
-        return Sns(_clip(params[0]), _clip(params[1]))
-    raise ValueError(f"unknown family tag {tag!r}")
-
-
-def _n_params(tag: str) -> int:
-    return 3 if tag == "PWL" else 2
+    """Kernel of family ``tag`` from its parameters in field order, each
+    clipped to its bounds.  ``__match_args__`` is the field names in order."""
+    cls = FAMILIES[tag]
+    names = cls.__match_args__
+    return cls(*[_clip_p(x) if name == "p" else _clip(x) for name, x in zip(names, params)])
 
 
 def residue_of(estimate: KernelEstimate, kernel: Kernel) -> float:
@@ -190,22 +179,6 @@ def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
     return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))
 
 
-def _family_of(kernel) -> str:
-    return {Exp: "EXP", Pwl: "PWL", Sqr: "SQR", Sns: "SNS"}[type(kernel)]
-
-
-def _base_params(kernel) -> tuple:
-    if isinstance(kernel, Exp):
-        return (kernel.alpha, kernel.beta)
-    if isinstance(kernel, Pwl):
-        return (kernel.k, kernel.c, kernel.p)
-    if isinstance(kernel, Sqr):
-        return (kernel.b, kernel.l)
-    if isinstance(kernel, Sns):
-        return (kernel.a, kernel.omega)
-    raise TypeError(f"not a base kernel: {kernel!r}")
-
-
 def _product_from_params(tag1: str, tag2: str, params) -> Product:
     """Decode a product kernel from a flat parameter vector.
 
@@ -220,7 +193,7 @@ def _product_from_params(tag1: str, tag2: str, params) -> Product:
     if tag1 == "SNS" and tag2 == "SNS":
         a1, a2, omega = params
         return Product(Sns(_clip(a1), _clip(omega)), Sns(_clip(a2), _clip(omega)))
-    n1 = _n_params(tag1)
+    n1 = len(FAMILIES[tag1].__match_args__)
     left = _make_kernel(tag1, params[:n1])
     right = _make_kernel(tag2, params[n1:])
     return Product(left, right)
@@ -263,8 +236,8 @@ def fit_expansion(
     """
     if isinstance(fixed.kernel, (Sum, Product)):
         raise ValueError("expansion requires a single-kernel fit to extend")
-    tag1 = _family_of(fixed.kernel)
-    params1 = _base_params(fixed.kernel)
+    tag1 = fixed.kernel.family
+    params1 = astuple(fixed.kernel)
 
     if op == "add":
 
@@ -277,7 +250,7 @@ def fit_expansion(
 
         starts = list(_starts(family, estimate))
         # zero-amplitude addend: keeps the expansion no worse than K1
-        null_start = [_GEN_LO] * _n_params(family)
+        null_start = [_GEN_LO] * len(FAMILIES[family].__match_args__)
         null_start[-1] = 1.0 / max(estimate.tau_max, estimate.delta)
         if family == "PWL":
             null_start[1] = 1.0

@@ -12,14 +12,23 @@ The four base families are
 A composite kernel is either a single base kernel, the sum of two base
 kernels, or the product of two base kernels.  All kernel objects are
 immutable values; every function in this module is pure.
+
+Each family is one class, listed in ``FAMILIES`` under its tag.  The class
+holds all of the family's one-kernel math as methods: ``evaluate``,
+``sup_after``, ``norm``, ``compensator``, ``support_end`` and
+``effective_support``.  Its dataclass fields, in order, are its parameters
+and its JSON keys.  The math of a product of two families is in the two pair
+tables, ``_norm_product`` here and ``likelihood._compensator_product``, and
+the optimizer's starts for a family come from ``fit._starts``.  A new family
+is a class here, its rows in both pair tables and a start rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import asdict, dataclass, fields
+from typing import Union
 
 import mpmath
 import numpy as np
@@ -33,6 +42,7 @@ __all__ = [
     "Product",
     "BaseKernel",
     "Kernel",
+    "FAMILIES",
     "StationarityVerdict",
     "SupportMismatchError",
     "evaluate",
@@ -40,10 +50,6 @@ __all__ = [
     "effective_support",
     "sup_after",
     "stationarity_norm",
-    "reduce_intraclass_product",
-    "IntraclassReduction",
-    "interclass_product_upper_bound",
-    "InterclassBound",
     "kernel_to_dict",
     "kernel_from_dict",
     "kernel_to_json",
@@ -56,68 +62,157 @@ class SupportMismatchError(ValueError):
     support endpoint (the closed forms assume L = pi/omega)."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+class _Family:
+    """Behaviour shared by the base kernel classes.
+
+    Every field must be finite and above its floor: 0, unless ``_floors``
+    names another.  ``sup_after`` and ``compensator`` take elapsed times
+    already clamped at 0.  A dataclass's ``__match_args__`` is its field
+    names in order; the optimizer builds a kernel per objective evaluation,
+    so the check reads that tuple rather than calling ``fields``.
+    """
+
+    _floors: dict = {}
+
+    def __post_init__(self):
+        for name in self.__match_args__:
+            value, floor = getattr(self, name), self._floors.get(name, 0.0)
+            if not (math.isfinite(value) and value > floor):
+                raise ValueError(f"{name} must be finite and > {floor:g}, got {value!r}")
+
+    @property
+    def family(self) -> str:
+        """The tag this kernel's class is listed under in ``FAMILIES``."""
+        return type(self).__name__.upper()
 
 
 @dataclass(frozen=True)
-class Exp:
+class Exp(_Family):
     """Exponential kernel ``alpha * exp(-beta * t)``."""
 
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        _require_positive("alpha", self.alpha)
-        _require_positive("beta", self.beta)
+    def evaluate(self, t):
+        return np.where(t >= 0, self.alpha * np.exp(-self.beta * np.maximum(t, 0.0)), 0.0)
+
+    def sup_after(self, s):
+        return self.alpha * np.exp(-self.beta * s)
+
+    def norm(self) -> float:
+        return self.alpha / self.beta
+
+    def compensator(self, s):
+        return (self.alpha / self.beta) * (1.0 - np.exp(-self.beta * s))
+
+    def support_end(self) -> float:
+        return math.inf
+
+    def effective_support(self, eps: float) -> float:
+        if self.alpha <= eps:
+            return 0.0
+        return math.log(self.alpha / eps) / self.beta
 
 
 @dataclass(frozen=True)
-class Pwl:
+class Pwl(_Family):
     """Power-law kernel ``k / (c + t)**p`` with ``p > 1``."""
 
     k: float
     c: float
     p: float
+    _floors = {"p": 1.0}
 
-    def __post_init__(self):
-        _require_positive("k", self.k)
-        _require_positive("c", self.c)
-        if not (np.isfinite(self.p) and self.p > 1):
-            raise ValueError(f"p must be > 1, got {self.p!r}")
+    def evaluate(self, t):
+        return np.where(t >= 0, self.k / (self.c + np.maximum(t, 0.0)) ** self.p, 0.0)
+
+    def sup_after(self, s):
+        return self.k / (self.c + s) ** self.p
+
+    def norm(self) -> float:
+        return self.k * self.c ** (1.0 - self.p) / (self.p - 1.0)
+
+    def compensator(self, s):
+        q = self.p - 1.0
+        return self.k * (self.c**-q - (self.c + s) ** -q) / q
+
+    def support_end(self) -> float:
+        return math.inf
+
+    def effective_support(self, eps: float) -> float:
+        edge = (self.k / eps) ** (1.0 / self.p) - self.c
+        return max(edge, 0.0)
 
 
 @dataclass(frozen=True)
-class Sqr:
+class Sqr(_Family):
     """Pulse kernel of height ``b`` supported on ``[0, l]``."""
 
     b: float
     l: float
 
-    def __post_init__(self):
-        _require_positive("b", self.b)
-        _require_positive("l", self.l)
+    def evaluate(self, t):
+        return np.where((t >= 0) & (t <= self.l), self.b, 0.0)
+
+    def sup_after(self, s):
+        return np.where(s <= self.l, self.b, 0.0)
+
+    def norm(self) -> float:
+        return self.b * self.l
+
+    def compensator(self, s):
+        return self.b * np.minimum(s, self.l)
+
+    def support_end(self) -> float:
+        return self.l
+
+    def effective_support(self, eps: float) -> float:
+        return self.support_end()
 
 
 @dataclass(frozen=True)
-class Sns:
+class Sns(_Family):
     """Half-wave sinusoid ``a * sin(omega * t)`` supported on ``[0, pi/omega]``."""
 
     a: float
     omega: float
 
-    def __post_init__(self):
-        _require_positive("a", self.a)
-        _require_positive("omega", self.omega)
+    def evaluate(self, t):
+        inside = (t >= 0) & (t <= math.pi / self.omega)
+        return np.where(inside, self.a * np.sin(self.omega * np.where(inside, t, 0.0)), 0.0)
+
+    def sup_after(self, s):
+        peak = math.pi / (2.0 * self.omega)
+        falling = np.where(s <= math.pi / self.omega, self.a * np.sin(self.omega * s), 0.0)
+        return np.where(s <= peak, self.a, falling)
+
+    def norm(self) -> float:
+        return 2.0 * self.a / self.omega
+
+    def compensator(self, s):
+        m = np.minimum(s, math.pi / self.omega)
+        return (self.a / self.omega) * (1.0 - np.cos(self.omega * m))
+
+    def support_end(self) -> float:
+        return math.pi / self.omega
+
+    def effective_support(self, eps: float) -> float:
+        return self.support_end()
 
 
 BaseKernel = Union[Exp, Pwl, Sqr, Sns]
 
-FAMILIES = (Exp, Pwl, Sqr, Sns)
-FAMILY_NAMES = {Exp: "EXP", Pwl: "PWL", Sqr: "SQR", Sns: "SNS"}
-# Fixed tie-break order used wherever two candidates have equal residue.
-FAMILY_ORDER = {Exp: 0, Pwl: 1, Sqr: 2, Sns: 3}
+# Tag -> class.  The order is the fixed tie-break order wherever two
+# candidates have equal residue, and the canonical operand order of the pair
+# tables.
+FAMILIES = {"EXP": Exp, "PWL": Pwl, "SQR": Sqr, "SNS": Sns}
+
+
+def in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKernel]:
+    """The two factors of a product in ``FAMILIES`` order, so that a pair
+    table lists each unordered pair of families once."""
+    order = list(FAMILIES.values())
+    return (b, a) if order.index(type(a)) > order.index(type(b)) else (a, b)
 
 
 @dataclass(frozen=True)
@@ -127,14 +222,44 @@ class Sum:
     left: BaseKernel
     right: BaseKernel
 
+    def evaluate(self, t):
+        return self.left.evaluate(t) + self.right.evaluate(t)
+
+    def sup_after(self, s):
+        return self.left.sup_after(s) + self.right.sup_after(s)
+
+    def norm(self) -> float:
+        return self.left.norm() + self.right.norm()
+
+    def compensator(self, s):
+        return self.left.compensator(s) + self.right.compensator(s)
+
+    def support_end(self) -> float:
+        return max(self.left.support_end(), self.right.support_end())
+
+    def effective_support(self, eps: float) -> float:
+        return max(self.left.effective_support(eps), self.right.effective_support(eps))
+
 
 @dataclass(frozen=True)
 class Product:
     """Pointwise product of two base kernels; support is the intersection of
-    the factor supports."""
+    the factor supports.  Its norm and compensator come from the pair tables."""
 
     left: BaseKernel
     right: BaseKernel
+
+    def evaluate(self, t):
+        return self.left.evaluate(t) * self.right.evaluate(t)
+
+    def sup_after(self, s):
+        return self.left.sup_after(s) * self.right.sup_after(s)
+
+    def support_end(self) -> float:
+        return min(self.left.support_end(), self.right.support_end())
+
+    def effective_support(self, eps: float) -> float:
+        return min(self.left.effective_support(eps), self.right.effective_support(eps))
 
 
 Kernel = Union[BaseKernel, Sum, Product]
@@ -166,19 +291,6 @@ def _verdict(norm_value: float, is_bound: bool = False) -> StationarityVerdict:
 # evaluation
 
 
-def _evaluate_base(kernel: BaseKernel, t: np.ndarray) -> np.ndarray:
-    if isinstance(kernel, Exp):
-        return np.where(t >= 0, kernel.alpha * np.exp(-kernel.beta * np.maximum(t, 0.0)), 0.0)
-    if isinstance(kernel, Pwl):
-        return np.where(t >= 0, kernel.k / (kernel.c + np.maximum(t, 0.0)) ** kernel.p, 0.0)
-    if isinstance(kernel, Sqr):
-        return np.where((t >= 0) & (t <= kernel.l), kernel.b, 0.0)
-    if isinstance(kernel, Sns):
-        inside = (t >= 0) & (t <= math.pi / kernel.omega)
-        return np.where(inside, kernel.a * np.sin(kernel.omega * np.where(inside, t, 0.0)), 0.0)
-    raise TypeError(f"not a base kernel: {kernel!r}")
-
-
 def evaluate(kernel: Kernel, t):
     """Evaluate the kernel at time(s) ``t``.
 
@@ -186,12 +298,7 @@ def evaluate(kernel: Kernel, t):
     scalar or an array; the result matches the input shape.
     """
     arr = np.asarray(t, dtype=float)
-    if isinstance(kernel, Sum):
-        out = _evaluate_base(kernel.left, arr) + _evaluate_base(kernel.right, arr)
-    elif isinstance(kernel, Product):
-        out = _evaluate_base(kernel.left, arr) * _evaluate_base(kernel.right, arr)
-    else:
-        out = _evaluate_base(kernel, arr)
+    out = kernel.evaluate(arr)
     if np.isscalar(t) or arr.ndim == 0:
         return float(out)
     return out
@@ -199,17 +306,7 @@ def evaluate(kernel: Kernel, t):
 
 def support_end(kernel: Kernel) -> float:
     """Right endpoint of the kernel support (``inf`` for EXP/PWL)."""
-    if isinstance(kernel, Exp) or isinstance(kernel, Pwl):
-        return math.inf
-    if isinstance(kernel, Sqr):
-        return kernel.l
-    if isinstance(kernel, Sns):
-        return math.pi / kernel.omega
-    if isinstance(kernel, Sum):
-        return max(support_end(kernel.left), support_end(kernel.right))
-    if isinstance(kernel, Product):
-        return min(support_end(kernel.left), support_end(kernel.right))
-    raise TypeError(f"not a kernel: {kernel!r}")
+    return kernel.support_end()
 
 
 def effective_support(kernel: Kernel, eps: float = 1e-12) -> float:
@@ -219,37 +316,7 @@ def effective_support(kernel: Kernel, eps: float = 1e-12) -> float:
     drops below ``eps``.  Used for history truncation in simulation and
     likelihood evaluation.
     """
-    if isinstance(kernel, Exp):
-        if kernel.alpha <= eps:
-            return 0.0
-        return math.log(kernel.alpha / eps) / kernel.beta
-    if isinstance(kernel, Pwl):
-        edge = (kernel.k / eps) ** (1.0 / kernel.p) - kernel.c
-        return max(edge, 0.0)
-    if isinstance(kernel, (Sqr, Sns)):
-        return support_end(kernel)
-    if isinstance(kernel, Sum):
-        return max(effective_support(kernel.left, eps), effective_support(kernel.right, eps))
-    if isinstance(kernel, Product):
-        return min(effective_support(kernel.left, eps), effective_support(kernel.right, eps))
-    raise TypeError(f"not a kernel: {kernel!r}")
-
-
-def _sup_after_base(kernel: BaseKernel, s: np.ndarray) -> np.ndarray:
-    s = np.maximum(s, 0.0)
-    if isinstance(kernel, Exp):
-        return kernel.alpha * np.exp(-kernel.beta * s)
-    if isinstance(kernel, Pwl):
-        return kernel.k / (kernel.c + s) ** kernel.p
-    if isinstance(kernel, Sqr):
-        return np.where(s <= kernel.l, kernel.b, 0.0)
-    if isinstance(kernel, Sns):
-        peak = math.pi / (2.0 * kernel.omega)
-        falling = np.where(
-            s <= math.pi / kernel.omega, kernel.a * np.sin(kernel.omega * s), 0.0
-        )
-        return np.where(s <= peak, kernel.a, falling)
-    raise TypeError(f"not a base kernel: {kernel!r}")
+    return kernel.effective_support(eps)
 
 
 def sup_after(kernel: Kernel, s):
@@ -261,12 +328,7 @@ def sup_after(kernel: Kernel, s):
     an array of elapsed times.
     """
     arr = np.asarray(s, dtype=float)
-    if isinstance(kernel, Sum):
-        out = _sup_after_base(kernel.left, arr) + _sup_after_base(kernel.right, arr)
-    elif isinstance(kernel, Product):
-        out = _sup_after_base(kernel.left, arr) * _sup_after_base(kernel.right, arr)
-    else:
-        out = _sup_after_base(kernel, arr)
+    out = kernel.sup_after(np.maximum(arr, 0.0))
     if np.isscalar(s) or arr.ndim == 0:
         return float(out)
     return out
@@ -274,18 +336,6 @@ def sup_after(kernel: Kernel, s):
 
 # ---------------------------------------------------------------------------
 # stationarity norms
-
-
-def _norm_single(kernel: BaseKernel) -> float:
-    if isinstance(kernel, Exp):
-        return kernel.alpha / kernel.beta
-    if isinstance(kernel, Pwl):
-        return kernel.k * kernel.c ** (1.0 - kernel.p) / (kernel.p - 1.0)
-    if isinstance(kernel, Sqr):
-        return kernel.b * kernel.l
-    if isinstance(kernel, Sns):
-        return 2.0 * kernel.a / kernel.omega
-    raise TypeError(f"not a base kernel: {kernel!r}")
 
 
 def _exp_pwl_norm(e: Exp, w: Pwl) -> float:
@@ -316,9 +366,7 @@ def _norm_product(a: BaseKernel, b: BaseKernel, support_tol: float):
 
     Returns ``(value, is_bound)``.  Dispatch is on the unordered type pair.
     """
-    # canonical order: EXP < PWL < SQR < SNS
-    if FAMILY_ORDER[type(a)] > FAMILY_ORDER[type(b)]:
-        a, b = b, a
+    a, b = in_family_order(a, b)
     if isinstance(a, Exp) and isinstance(b, Exp):
         return a.alpha * b.alpha / (a.beta + b.beta), False
     if isinstance(a, Exp) and isinstance(b, Pwl):
@@ -358,155 +406,24 @@ def stationarity_norm(kernel: Kernel, support_tol: float = 0.05) -> Stationarity
     :class:`SupportMismatchError` when the endpoints differ by more than
     ``support_tol`` relative.
     """
-    if isinstance(kernel, Sum):
-        value = _norm_single(kernel.left) + _norm_single(kernel.right)
-        return _verdict(value)
     if isinstance(kernel, Product):
         value, is_bound = _norm_product(kernel.left, kernel.right, support_tol)
         return _verdict(value, is_bound)
-    return _verdict(_norm_single(kernel))
-
-
-# ---------------------------------------------------------------------------
-# higher-order product reductions
-
-
-@dataclass(frozen=True)
-class IntraclassReduction:
-    """Result of collapsing a same-family kernel product.
-
-    ``kernel`` is the reduced single kernel when one exists (EXP and SQR
-    exactly, PWL as a flagged lower bound); for SNS no single-family
-    reduction exists and only the product amplitude is reported.
-    """
-
-    kernel: BaseKernel | None
-    exact: bool
-    amplitude: float | None
-    note: str
-
-
-def reduce_intraclass_product(factors: Sequence[BaseKernel]) -> IntraclassReduction:
-    """Collapse a product of >=1 same-family base kernels.
-
-    EXP and SQR products reduce exactly to a single kernel of the same
-    family; a PWL product is reported as a lower-bounding PWL; an SNS
-    product keeps the sinusoidal character but is spikier than any single
-    half-wave, so only its amplitude is reported.
-    """
-    if len(factors) == 0:
-        raise ValueError("empty factor list")
-    fam = type(factors[0])
-    if any(type(f) is not fam for f in factors):
-        raise ValueError("intraclass reduction requires factors of a single family")
-    if len(factors) == 1:
-        return IntraclassReduction(kernel=factors[0], exact=True, amplitude=None, note="identity")
-    if fam is Exp:
-        alpha = math.prod(f.alpha for f in factors)
-        beta = sum(f.beta for f in factors)
-        return IntraclassReduction(Exp(alpha, beta), exact=True, amplitude=None, note="exact")
-    if fam is Sqr:
-        b = math.prod(f.b for f in factors)
-        l = min(f.l for f in factors)
-        return IntraclassReduction(Sqr(b, l), exact=True, amplitude=None, note="exact")
-    if fam is Pwl:
-        k = math.prod(f.k for f in factors)
-        c = max(f.c for f in factors)
-        p = sum(f.p for f in factors)
-        return IntraclassReduction(Pwl(k, c, p), exact=False, amplitude=None, note="lower bound")
-    if fam is Sns:
-        a = math.prod(f.a for f in factors)
-        return IntraclassReduction(
-            kernel=None, exact=False, amplitude=a, note="spikier, not reducible"
-        )
-    raise TypeError(f"not base kernels: {factors!r}")
-
-
-@dataclass(frozen=True)
-class InterclassBound:
-    """Dominating function ``amplitude * exp(-beta*x) / (x + c)**p`` on
-    ``[0, support_end_]``, zero elsewhere."""
-
-    amplitude: float
-    beta: float
-    c: float
-    p: float
-    support_end_: float
-
-    def evaluate(self, t):
-        arr = np.asarray(t, dtype=float)
-        inside = (arr >= 0) & (arr <= self.support_end_)
-        x = np.where(inside, arr, 0.0)
-        out = np.where(
-            inside,
-            self.amplitude * np.exp(-self.beta * x) / (x + self.c) ** self.p,
-            0.0,
-        )
-        if np.isscalar(t) or arr.ndim == 0:
-            return float(out)
-        return out
-
-
-def interclass_product_upper_bound(factors: Sequence[BaseKernel]) -> InterclassBound:
-    """Dominating closed form for an arbitrary mixed product of base kernels.
-
-    The factors of each family are first collapsed by the intraclass
-    reductions; the sinusoid is bounded by its amplitude and the pulse by
-    its height, leaving ``alpha*B*K*A * exp(-beta*x) / (x + c)**p``
-    supported on ``[0, min(L, pi/omega)]``.  The power-law offset is the
-    smallest ``c`` among the PWL factors: any larger choice fails to
-    dominate the true product near the origin.
-    """
-    if len(factors) == 0:
-        raise ValueError("empty product")
-    exps = [f for f in factors if isinstance(f, Exp)]
-    pwls = [f for f in factors if isinstance(f, Pwl)]
-    sqrs = [f for f in factors if isinstance(f, Sqr)]
-    snss = [f for f in factors if isinstance(f, Sns)]
-
-    amplitude = 1.0
-    beta = 0.0
-    c = 1.0
-    p = 0.0
-    end = math.inf
-    if exps:
-        amplitude *= math.prod(f.alpha for f in exps)
-        beta = sum(f.beta for f in exps)
-    if pwls:
-        amplitude *= math.prod(f.k for f in pwls)
-        c = min(f.c for f in pwls)
-        p = sum(f.p for f in pwls)
-    if sqrs:
-        amplitude *= math.prod(f.b for f in sqrs)
-        end = min(end, min(f.l for f in sqrs))
-    if snss:
-        amplitude *= math.prod(f.a for f in snss)
-        end = min(end, min(math.pi / f.omega for f in snss))
-    return InterclassBound(amplitude=amplitude, beta=beta, c=c, p=p, support_end_=end)
+    return _verdict(kernel.norm())
 
 
 # ---------------------------------------------------------------------------
 # JSON (de)serialization
 
 
-_FIELDS = {Exp: ("alpha", "beta"), Pwl: ("k", "c", "p"), Sqr: ("b", "l"), Sns: ("a", "omega")}
-_BY_NAME = {"EXP": Exp, "PWL": Pwl, "SQR": Sqr, "SNS": Sns}
-
-
 def kernel_to_dict(kernel: Kernel) -> dict:
-    if isinstance(kernel, Sum):
-        return {"op": "sum", "left": kernel_to_dict(kernel.left), "right": kernel_to_dict(kernel.right)}
-    if isinstance(kernel, Product):
+    if isinstance(kernel, (Sum, Product)):
         return {
-            "op": "product",
+            "op": "sum" if isinstance(kernel, Sum) else "product",
             "left": kernel_to_dict(kernel.left),
             "right": kernel_to_dict(kernel.right),
         }
-    fields = _FIELDS[type(kernel)]
-    d = {"type": FAMILY_NAMES[type(kernel)]}
-    for name in fields:
-        d[name] = getattr(kernel, name)
-    return d
+    return {"type": kernel.family, **asdict(kernel)}
 
 
 def kernel_from_dict(d: dict) -> Kernel:
@@ -519,10 +436,10 @@ def kernel_from_dict(d: dict) -> Kernel:
             return Product(left, right)
         raise ValueError(f"unknown op {d['op']!r}")
     try:
-        cls = _BY_NAME[d["type"]]
+        cls = FAMILIES[d["type"]]
     except KeyError:
         raise ValueError(f"unknown kernel type {d.get('type')!r}") from None
-    return cls(*[float(d[name]) for name in _FIELDS[cls]])
+    return cls(*[float(d[f.name]) for f in fields(cls)])
 
 
 def kernel_to_json(kernel: Kernel) -> str:

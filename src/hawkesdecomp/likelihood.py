@@ -16,16 +16,15 @@ import numpy as np
 from scipy.integrate import quad
 
 from .kernels import (
-    FAMILY_ORDER,
     Exp,
     Kernel,
     Product,
     Pwl,
     Sns,
     Sqr,
-    Sum,
     effective_support,
     evaluate,
+    in_family_order,
     support_end,
 )
 from .simulate import EventSequence, HawkesModel
@@ -45,21 +44,6 @@ class LogLikelihood:
     horizon_T: float
 
 
-def _compensator_base(kernel, s: np.ndarray) -> np.ndarray:
-    s = np.maximum(s, 0.0)
-    if isinstance(kernel, Exp):
-        return (kernel.alpha / kernel.beta) * (1.0 - np.exp(-kernel.beta * s))
-    if isinstance(kernel, Pwl):
-        q = kernel.p - 1.0
-        return kernel.k * (kernel.c**-q - (kernel.c + s) ** -q) / q
-    if isinstance(kernel, Sqr):
-        return kernel.b * np.minimum(s, kernel.l)
-    if isinstance(kernel, Sns):
-        m = np.minimum(s, math.pi / kernel.omega)
-        return (kernel.a / kernel.omega) * (1.0 - np.cos(kernel.omega * m))
-    raise TypeError(f"not a base kernel: {kernel!r}")
-
-
 def _exp_pwl_tail(p: float, x) -> np.ndarray:
     # Gamma(1-p, x) for p > 1, elementwise via mpmath.
     flat = np.atleast_1d(np.asarray(x, dtype=float))
@@ -69,11 +53,10 @@ def _exp_pwl_tail(p: float, x) -> np.ndarray:
 
 def _compensator_product(a, b, s: np.ndarray) -> np.ndarray:
     """Truncated product integral ``int_0^s phi_a * phi_b``."""
-    if FAMILY_ORDER[type(a)] > FAMILY_ORDER[type(b)]:
-        a, b = b, a
+    a, b = in_family_order(a, b)
     s = np.maximum(s, 0.0)
     if isinstance(a, Exp) and isinstance(b, Exp):
-        return _compensator_base(Exp(a.alpha * b.alpha, a.beta + b.beta), s)
+        return Exp(a.alpha * b.alpha, a.beta + b.beta).compensator(s)
     if isinstance(a, Exp) and isinstance(b, Pwl):
         scale = a.alpha * b.k * math.exp(a.beta * b.c) * a.beta ** (b.p - 1.0)
         lo = _exp_pwl_tail(b.p, a.beta * b.c)
@@ -136,12 +119,10 @@ def compensator(kernel: Kernel, s) -> np.ndarray:
     arr = np.asarray(s, dtype=float)
     scalar = np.isscalar(s) or arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if isinstance(kernel, Sum):
-        out = _compensator_base(kernel.left, arr) + _compensator_base(kernel.right, arr)
-    elif isinstance(kernel, Product):
+    if isinstance(kernel, Product):
         out = _compensator_product(kernel.left, kernel.right, arr)
     else:
-        out = _compensator_base(kernel, arr)
+        out = kernel.compensator(np.maximum(arr, 0.0))
     out = np.broadcast_to(out, arr.shape).astype(float)
     if scalar:
         return float(out[0])

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .covariance import CovarianceGrid, covariance_grid, horizon_from_histogram
-from .fit import FAMILY_TAGS, FitResult, fit_expansion, fit_single
-from .kernels import Exp, Kernel
+from .fit import FitResult, fit_expansion, fit_single
+from .kernels import FAMILIES, Exp, Kernel
 from .likelihood import log_likelihood
 from .simulate import EventSequence, HawkesModel
 from .spectral import KernelEstimate, invert_to_kernel
@@ -34,6 +34,7 @@ __all__ = [
     "decompose",
     "select_level",
     "fit_gd_exponential",
+    "lag_grid",
     "train_test_split",
 ]
 
@@ -50,7 +51,6 @@ class DecompositionConfig:
     eta: float = 1.2
     holdout: float | None = None
     gd_restarts: int = 5
-    shift_test: bool = True
 
 
 @dataclass(frozen=True)
@@ -213,29 +213,41 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     return GdFit(model=model, llh=llh)
 
 
+def lag_grid(
+    events: EventSequence, resolution: int, percentile: float, tau_max: float | None = None
+) -> tuple[float, float]:
+    """Lag horizon and grid step of the covariance grid.
+
+    The horizon is ``tau_max`` when given, else the histogram heuristic at
+    ``percentile``; either way at most half the observation window.  The
+    step splits it into ``resolution`` bins.
+    """
+    if tau_max is not None:
+        horizon = tau_max
+    else:
+        horizon = horizon_from_histogram(events, percentile)
+    horizon = min(horizon, events.horizon_T / 2.0)
+    return horizon, horizon / resolution
+
+
 def decompose(events: EventSequence, config: DecompositionConfig = DecompositionConfig()) -> DecompositionResult:
     """Run the full decomposition pipeline on an event sequence."""
     if config.holdout is not None:
-        train, test = train_test_split(events, config.holdout, shift=config.shift_test)
+        train, test = train_test_split(events, config.holdout)
         eval_events = test
     else:
         train = events
         eval_events = events
 
-    if config.tau_max is not None:
-        horizon = config.tau_max
-    else:
-        horizon = horizon_from_histogram(train, config.horizon_percentile)
-    horizon = min(horizon, train.horizon_T / 2.0)
-    delta = horizon / config.resolution
+    horizon, delta = lag_grid(train, config.resolution, config.horizon_percentile, config.tau_max)
     grid = covariance_grid(train, delta, horizon)
     estimate = invert_to_kernel(grid)
 
     with ThreadPoolExecutor(max_workers=4) as pool:
-        singles = list(pool.map(lambda tag: fit_single(estimate, tag), FAMILY_TAGS))
+        singles = list(pool.map(lambda tag: fit_single(estimate, tag), FAMILIES))
     k1 = min(singles, key=lambda f: f.residue)
 
-    expansion_pairs = [(op, fam) for op in ("add", "multiply") for fam in FAMILY_TAGS]
+    expansion_pairs = [(op, fam) for op in ("add", "multiply") for fam in FAMILIES]
     with ThreadPoolExecutor(max_workers=8) as pool:
         expansions = list(
             pool.map(lambda of: fit_expansion(estimate, k1, of[0], of[1]), expansion_pairs)
@@ -243,7 +255,7 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
     k2 = min(expansions, key=lambda f: f.residue)
 
     audit = tuple(
-        [AuditEntry(label=f"single:{tag}", fit=f) for tag, f in zip(FAMILY_TAGS, singles)]
+        [AuditEntry(label=f"single:{tag}", fit=f) for tag, f in zip(FAMILIES, singles)]
         + [
             AuditEntry(label=f"expand:{'+' if op == 'add' else 'x'}{fam}", fit=f)
             for (op, fam), f in zip(expansion_pairs, expansions)

@@ -174,7 +174,10 @@ class TestCli:
         out = tmp_path / "cov.csv"
         code = cli.main(["estimate", "--in", str(events_path), "--out", str(out)])
         assert code == 0
-        assert out.read_text().splitlines()[0] == "lag_time,nu_value"
+        rows = out.read_text().splitlines()
+        assert rows[0] == "lag_time,nu_value"
+        grid = decompose(read_events(events_path)).grid
+        assert [row.split(",")[0] for row in rows[1:]] == [f"{lag:.12g}" for lag in grid.lags]
         phi = tmp_path / "phi_est.csv"
         assert phi.read_text().splitlines()[0] == "t,phi_hat"
 
@@ -215,6 +218,22 @@ class TestCli:
         )
         assert code == 0
         assert (out_dir / "s1.json").exists() and (out_dir / "s2.json").exists()
+
+    def test_decompose_batch_nothing_decomposed(self, tmp_path, exp_events, monkeypatch):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        (in_dir / "a.csv").write_text("time\n1.0\n")
+        (in_dir / "b.csv").write_text("t\nnot-a-number\n")
+        argv = ["decompose-batch", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]
+        assert cli.main(argv) == 2
+
+        def refuse(*args, **kwargs):
+            raise NoStationaryModelError("no stationary model found")
+
+        for name in ("a.csv", "b.csv"):
+            write_events(exp_events, in_dir / name)
+        monkeypatch.setattr(cli, "decompose", refuse)
+        assert cli.main(argv) == 3
 
     def test_report_command(self, tmp_path, exp_events):
         events_path = tmp_path / "events.csv"

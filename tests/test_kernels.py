@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import quad_norm
 from hawkesdecomp.kernels import (
+    FAMILIES,
     Exp,
     Product,
     Pwl,
@@ -15,11 +17,10 @@ from hawkesdecomp.kernels import (
     Sum,
     SupportMismatchError,
     evaluate,
-    interclass_product_upper_bound,
+    kernel_from_dict,
     kernel_from_json,
     kernel_to_dict,
     kernel_to_json,
-    reduce_intraclass_product,
     stationarity_norm,
     sup_after,
     support_end,
@@ -89,6 +90,15 @@ class TestInvariants:
     def test_pwl_requires_p_above_one(self):
         with pytest.raises(ValueError):
             Pwl(1, 1, 1.0)
+
+    @pytest.mark.parametrize("tag", FAMILIES)
+    def test_every_field_validated(self, tag):
+        cls = FAMILIES[tag]
+        good = [1.5 + i for i in range(len(fields(cls)))]
+        for i in range(len(good)):
+            for bad in (0.0, -1.0):
+                with pytest.raises(ValueError):
+                    cls(*good[:i], bad, *good[i + 1:])
 
     def test_supports(self):
         assert support_end(Sqr(1, 2.5)) == 2.5
@@ -169,80 +179,6 @@ class TestStationarityNorm:
             assert quad_norm(ps) <= stationarity_norm(ps).norm_value + 1e-9
 
 
-class TestIntraclassReduction:
-    def test_exp_reduction(self):
-        red = reduce_intraclass_product([Exp(2, 1), Exp(3, 2)])
-        assert red.exact
-        assert red.kernel == Exp(6, 3)
-
-    def test_sqr_reduction(self):
-        red = reduce_intraclass_product([Sqr(1, 5), Sqr(2, 3)])
-        assert red.exact
-        assert red.kernel == Sqr(2, 3)
-
-    def test_identity(self):
-        k = Exp(1, 1)
-        red = reduce_intraclass_product([k])
-        assert red.kernel is k and red.exact
-
-    def test_exact_reductions_pointwise(self):
-        ts = np.linspace(0, 10, 200)
-        e1, e2 = Exp(2, 1), Exp(3, 2)
-        red = reduce_intraclass_product([e1, e2])
-        assert evaluate(red.kernel, ts) == pytest.approx(evaluate(e1, ts) * evaluate(e2, ts))
-        s1, s2 = Sqr(1, 5), Sqr(2, 3)
-        red = reduce_intraclass_product([s1, s2])
-        assert evaluate(red.kernel, ts) == pytest.approx(evaluate(s1, ts) * evaluate(s2, ts))
-
-    def test_pwl_lower_bound(self):
-        red = reduce_intraclass_product([Pwl(1, 0.5, 2), Pwl(2, 1.0, 1.5)])
-        assert not red.exact
-        assert red.kernel == Pwl(2, 1.0, 3.5)
-        assert red.note == "lower bound"
-        # lower bound property
-        ts = np.linspace(0, 10, 200)
-        prod = evaluate(Pwl(1, 0.5, 2), ts) * evaluate(Pwl(2, 1.0, 1.5), ts)
-        assert np.all(evaluate(red.kernel, ts) <= prod + 1e-12)
-
-    def test_sns_not_reducible(self):
-        red = reduce_intraclass_product([Sns(2, 1), Sns(3, 1)])
-        assert red.kernel is None
-        assert red.amplitude == pytest.approx(6)
-        assert "spikier" in red.note
-
-    def test_mixed_families_rejected(self):
-        with pytest.raises(ValueError):
-            reduce_intraclass_product([Exp(1, 1), Sqr(1, 1)])
-
-
-class TestInterclassBound:
-    def test_degenerate_exact_case(self):
-        bound = interclass_product_upper_bound([Exp(1, 1), Sqr(1, 2)])
-        ts = np.linspace(0, 3, 100)
-        expected = np.where(ts <= 2, np.exp(-ts), 0.0)
-        assert bound.evaluate(ts) == pytest.approx(expected)
-
-    def test_exp_pwl_support_unbounded(self):
-        bound = interclass_product_upper_bound([Exp(1, 1), Pwl(1, 1, 2)])
-        assert math.isinf(bound.support_end_)
-        assert bound.evaluate(5.0) == pytest.approx(math.exp(-5) / 36)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            interclass_product_upper_bound([])
-
-    def test_dominates_true_product(self):
-        rng = np.random.default_rng(5)
-        ts = np.linspace(0, 15, 500)
-        for _ in range(30):
-            factors = [random_base(rng) for _ in range(rng.integers(1, 5))]
-            bound = interclass_product_upper_bound(factors)
-            prod = np.ones_like(ts)
-            for f in factors:
-                prod = prod * evaluate(f, ts)
-            assert np.all(bound.evaluate(ts) >= prod - 1e-9)
-
-
 class TestSupAfter:
     def test_dominates_future_values(self):
         rng = np.random.default_rng(3)
@@ -265,6 +201,14 @@ class TestSerialization:
         assert kernel_to_dict(Pwl(1, 2, 3)) == {"type": "PWL", "k": 1, "c": 2, "p": 3}
         assert kernel_to_dict(Sqr(1, 2)) == {"type": "SQR", "b": 1, "l": 2}
         assert kernel_to_dict(Sns(1, 2)) == {"type": "SNS", "a": 1, "omega": 2}
+
+    @pytest.mark.parametrize("tag", FAMILIES)
+    def test_family_round_trip(self, tag):
+        cls = FAMILIES[tag]
+        kernel = cls(*[1.5 + i for i in range(len(fields(cls)))])
+        d = kernel_to_dict(kernel)
+        assert d["type"] == tag
+        assert kernel_from_dict(d) == kernel
 
     def test_composite_round_trip(self):
         k = Sum(Exp(0.5, 1.5), Sqr(0.25, 2.0))
