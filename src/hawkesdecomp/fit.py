@@ -6,10 +6,24 @@ minimized by Nelder-Mead from a fixed set of data-derived starts so that
 identical inputs always produce identical fits.  Negative estimate samples
 enter the objective as-is.  The simplex search handles the discontinuous
 families (SQR, SNS) that rule out gradient methods.
+
+The objective (``_objective``) works on the optimizer's raw parameter
+vector and builds no kernel object.  A fit reads the grid lags once; each
+evaluation clips the vector to the parameter bounds, computes the model
+curve with the families' static ``curve`` functions and passes it to
+``residue_of``.  An additive expansion adds the frozen K1 curve, computed
+once per fit; a product multiplies the two factor curves.  The curves repeat
+the arithmetic of ``evaluate``, so a fit reaches the same floats, and the
+same kernel, as one that evaluates a kernel per step.  Only the best vector
+of a fit is decoded into a kernel.
+
+Each Nelder-Mead run that stops without converging (``maxiter``) is logged
+at DEBUG on the ``hawkesdecomp.fit`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import astuple, dataclass
 
@@ -37,6 +51,8 @@ _GEN_LO, _GEN_HI = 1e-8, 1e8
 
 _NM_OPTIONS = {"maxiter": 600, "xatol": 1e-10, "fatol": 1e-12, "adaptive": False}
 
+_log = logging.getLogger(__name__)
+
 
 class FitError(RuntimeError):
     """Optimizer produced no finite residue; carries the best attempt."""
@@ -61,24 +77,39 @@ def _clip_p(x):
     return float(min(max(x, _P_LO), _P_HI))
 
 
+def _clipped(names, params) -> list:
+    """``params`` clipped one by one to the bounds of the fields ``names``:
+    ``p`` to the power-law exponent bounds, any other to the generic ones.
+    A NaN raises ``ValueError``, as it does in the kernel constructors."""
+    out = [_clip_p(x) if name == "p" else _clip(x) for name, x in zip(names, params)]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"non-finite parameter in {list(params)!r}")
+    return out
+
+
+def _family(tag: str):
+    if tag not in FAMILIES:
+        raise ValueError(f"unknown family tag {tag!r}")
+    return FAMILIES[tag]
+
+
 def _make_kernel(tag: str, params) -> Kernel:
     """Kernel of family ``tag`` from its parameters in field order, each
     clipped to its bounds.  ``__match_args__`` is the field names in order."""
-    cls = FAMILIES[tag]
-    names = cls.__match_args__
-    return cls(*[_clip_p(x) if name == "p" else _clip(x) for name, x in zip(names, params)])
+    cls = _family(tag)
+    return cls(*_clipped(cls.__match_args__, params))
 
 
-def residue_of(estimate: KernelEstimate, kernel: Kernel) -> float:
+def residue_of(estimate: KernelEstimate, kernel) -> float:
     """Grid-summed L1 deviation between the estimate and a kernel.
 
+    ``kernel`` is a kernel, or an array of its values on ``estimate.times[1:]``.
     The lag-0 sample is excluded: the symmetrized spectral reconstruction
     renders a jump at the origin at half height, which would bias every
     family with phi(0+) > 0.
     """
-    times = estimate.times[1:]
-    phi = evaluate(kernel, times)
-    return float(np.sum(np.abs(estimate.values[1:] - phi)) * estimate.delta)
+    phi = kernel if isinstance(kernel, np.ndarray) else evaluate(kernel, estimate.times[1:])
+    return float(np.abs(estimate.values[1:] - phi).sum() * estimate.delta)
 
 
 def _estimate_stats(estimate: KernelEstimate):
@@ -146,12 +177,58 @@ def _starts(tag: str, estimate: KernelEstimate):
     raise ValueError(f"unknown family tag {tag!r}")
 
 
-def _optimize(objective, starts):
-    """Nelder-Mead over each start; returns (best_params, best_value)."""
+def _objective(estimate: KernelEstimate, family: str, op: str | None = None, base: Kernel | None = None):
+    """The fit objective on raw parameter vectors: the residue of ``family``
+    alone, or, with ``op``, of the base kernel ``base`` expanded by it.
+
+    For ``"add"`` the vector is the addend's parameters; for ``"multiply"``
+    it is the joint encoding of ``_factors``.  A vector that decodes to no
+    kernel (a NaN) scores ``inf``, and every other evaluation calls
+    ``residue_of`` once.
+    """
+    cls = _family(family)
+    names = cls.__match_args__
+    t = estimate.times[1:]
+    if op is None:
+
+        def curve(x):
+            return cls.curve(t, *_clipped(names, x))
+
+    elif op == "add":
+        frozen = evaluate(base, t)
+
+        def curve(x):
+            return frozen + cls.curve(t, *_clipped(names, x))
+
+    elif op == "multiply":
+        tag1 = base.family
+
+        def curve(x):
+            (cls1, args1), (cls2, args2) = _factors(tag1, family, x)
+            return cls1.curve(t, *args1) * cls2.curve(t, *args2)
+
+    else:
+        raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
+
+    def objective(params):
+        try:
+            phi = curve(params.tolist())
+        except ValueError:
+            return math.inf
+        return residue_of(estimate, phi)
+
+    return objective
+
+
+def _optimize(objective, starts, label: str):
+    """Nelder-Mead over each start; returns (best_params, best_value).
+    ``label`` names the fit in the log."""
     best = None
     best_val = math.inf
-    for x0 in starts:
+    for i, x0 in enumerate(starts):
         res = minimize(objective, np.asarray(x0, dtype=float), method="Nelder-Mead", options=_NM_OPTIONS)
+        if not res.success:
+            _log.debug("%s: Nelder-Mead start %d did not converge after %d iterations", label, i, res.nit)
         val = float(res.fun)
         if math.isfinite(val) and val < best_val:
             best_val = val
@@ -164,39 +241,38 @@ def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
     EXP/PWL/SQR/SNS) under the grid L1 residue."""
     if not np.any(estimate.values != 0):
         raise ValueError("degenerate estimate: all samples are zero")
-
-    def objective(params):
-        try:
-            kernel = _make_kernel(family, params)
-        except ValueError:
-            return math.inf
-        return residue_of(estimate, kernel)
-
-    best, best_val = _optimize(objective, _starts(family, estimate))
+    objective = _objective(estimate, family)
+    best, best_val = _optimize(objective, _starts(family, estimate), family)
     if best is None:
         raise FitError(f"no finite residue for family {family}")
     kernel = _make_kernel(family, best)
     return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))
 
 
-def _product_from_params(tag1: str, tag2: str, params) -> Product:
-    """Decode a product kernel from a flat parameter vector.
+def _factors(tag1: str, tag2: str, params):
+    """The two factors of a product, each as (class, clipped parameters),
+    decoded from a flat parameter vector.
 
     SQRxSNS shares its support endpoint (L tied to pi/omega) and SNSxSNS
     shares omega, so those pairs carry one fewer free parameter.
     """
     if {tag1, tag2} == {"SQR", "SNS"}:
-        b, a, omega = params
-        sqr = Sqr(_clip(b), math.pi / _clip(omega))
-        sns = Sns(_clip(a), _clip(omega))
-        return Product(sqr, sns) if tag1 == "SQR" else Product(sns, sqr)
+        b, a, omega = _clipped(("b", "a", "omega"), params)
+        sqr, sns = (Sqr, (b, math.pi / omega)), (Sns, (a, omega))
+        return (sqr, sns) if tag1 == "SQR" else (sns, sqr)
     if tag1 == "SNS" and tag2 == "SNS":
-        a1, a2, omega = params
-        return Product(Sns(_clip(a1), _clip(omega)), Sns(_clip(a2), _clip(omega)))
-    n1 = len(FAMILIES[tag1].__match_args__)
-    left = _make_kernel(tag1, params[:n1])
-    right = _make_kernel(tag2, params[n1:])
-    return Product(left, right)
+        a1, a2, omega = _clipped(("a", "a", "omega"), params)
+        return (Sns, (a1, omega)), (Sns, (a2, omega))
+    cls1, cls2 = FAMILIES[tag1], FAMILIES[tag2]
+    n1 = len(cls1.__match_args__)
+    left = (cls1, _clipped(cls1.__match_args__, params[:n1]))
+    return left, (cls2, _clipped(cls2.__match_args__, params[n1:]))
+
+
+def _product_from_params(tag1: str, tag2: str, params) -> Product:
+    """Decode a product kernel from a flat parameter vector (see ``_factors``)."""
+    (cls1, args1), (cls2, args2) = _factors(tag1, tag2, params)
+    return Product(cls1(*args1), cls2(*args2))
 
 
 def _product_start_vectors(tag1: str, params1, tag2: str, estimate) -> list:
@@ -237,17 +313,9 @@ def fit_expansion(
     if isinstance(fixed.kernel, (Sum, Product)):
         raise ValueError("expansion requires a single-kernel fit to extend")
     tag1 = fixed.kernel.family
-    params1 = astuple(fixed.kernel)
+    objective = _objective(estimate, family, op, fixed.kernel)
 
     if op == "add":
-
-        def objective(params):
-            try:
-                addend = _make_kernel(family, params)
-            except ValueError:
-                return math.inf
-            return residue_of(estimate, Sum(fixed.kernel, addend))
-
         starts = list(_starts(family, estimate))
         # zero-amplitude addend: keeps the expansion no worse than K1
         null_start = [_GEN_LO] * len(FAMILIES[family].__match_args__)
@@ -256,27 +324,16 @@ def fit_expansion(
             null_start[1] = 1.0
             null_start[2] = 2.0
         starts.append(tuple(null_start))
-        best, _ = _optimize(objective, starts)
+        best, _ = _optimize(objective, starts, f"{tag1}+{family}")
         if best is None:
             raise FitError(f"no finite residue for additive expansion +{family}")
         kernel: Kernel = Sum(fixed.kernel, _make_kernel(family, best))
 
-    elif op == "multiply":
-
-        def objective(params):
-            try:
-                prod = _product_from_params(tag1, family, params)
-            except ValueError:
-                return math.inf
-            return residue_of(estimate, prod)
-
-        starts = _product_start_vectors(tag1, params1, family, estimate)
-        best, _ = _optimize(objective, starts)
+    else:  # "multiply": _objective has rejected any other op
+        starts = _product_start_vectors(tag1, astuple(fixed.kernel), family, estimate)
+        best, _ = _optimize(objective, starts, f"{tag1}x{family}")
         if best is None:
             raise FitError(f"no finite residue for multiplicative expansion x{family}")
         kernel = _product_from_params(tag1, family, best)
-
-    else:
-        raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
 
     return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))

@@ -16,11 +16,13 @@ immutable values; every function in this module is pure.
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
 holds all of the family's one-kernel math as methods: ``evaluate``,
 ``sup_after``, ``norm``, ``compensator``, ``support_end`` and
-``effective_support``.  Its dataclass fields, in order, are its parameters
-and its JSON keys.  The math of a product of two families is in the two pair
-tables, ``_norm_product`` here and ``likelihood._compensator_product``, and
-the optimizer's starts for a family come from ``fit._starts``.  A new family
-is a class here, its rows in both pair tables and a start rule.
+``effective_support``, plus the static ``curve``, which is ``evaluate``
+from raw parameters for the fit objective.  Its dataclass fields, in order,
+are its parameters and its JSON keys.  The math of a product of two
+families is in the two pair tables, ``_norm_product`` here and
+``likelihood._compensator_product``, and the optimizer's starts for a family
+come from ``fit._starts``.  A new family is a class here, its rows in both
+pair tables and a start rule.
 """
 
 from __future__ import annotations
@@ -67,9 +69,11 @@ class _Family:
 
     Every field must be finite and above its floor: 0, unless ``_floors``
     names another.  ``sup_after`` and ``compensator`` take elapsed times
-    already clamped at 0.  A dataclass's ``__match_args__`` is its field
-    names in order; the optimizer builds a kernel per objective evaluation,
-    so the check reads that tuple rather than calling ``fields``.
+    already clamped at 0.  The static ``curve(t, *params)`` is ``evaluate``
+    for lags ``t > 0`` from the fields in order, with the same arithmetic
+    (so the same floats) but no guard for negative lags and no kernel
+    object; the fit objective calls it on every evaluation.  A dataclass's
+    ``__match_args__`` is its field names in order.
     """
 
     _floors: dict = {}
@@ -95,6 +99,10 @@ class Exp(_Family):
 
     def evaluate(self, t):
         return np.where(t >= 0, self.alpha * np.exp(-self.beta * np.maximum(t, 0.0)), 0.0)
+
+    @staticmethod
+    def curve(t, alpha, beta):
+        return alpha * np.exp(-beta * t)
 
     def sup_after(self, s):
         return self.alpha * np.exp(-self.beta * s)
@@ -126,6 +134,10 @@ class Pwl(_Family):
     def evaluate(self, t):
         return np.where(t >= 0, self.k / (self.c + np.maximum(t, 0.0)) ** self.p, 0.0)
 
+    @staticmethod
+    def curve(t, k, c, p):
+        return k / (c + t) ** p
+
     def sup_after(self, s):
         return self.k / (self.c + s) ** self.p
 
@@ -154,6 +166,10 @@ class Sqr(_Family):
     def evaluate(self, t):
         return np.where((t >= 0) & (t <= self.l), self.b, 0.0)
 
+    @staticmethod
+    def curve(t, b, l):
+        return np.where(t <= l, b, 0.0)
+
     def sup_after(self, s):
         return np.where(s <= self.l, self.b, 0.0)
 
@@ -180,6 +196,10 @@ class Sns(_Family):
     def evaluate(self, t):
         inside = (t >= 0) & (t <= math.pi / self.omega)
         return np.where(inside, self.a * np.sin(self.omega * np.where(inside, t, 0.0)), 0.0)
+
+    @staticmethod
+    def curve(t, a, omega):
+        return np.where(t <= math.pi / omega, a * np.sin(omega * t), 0.0)
 
     def sup_after(self, s):
         peak = math.pi / (2.0 * self.omega)
@@ -426,20 +446,29 @@ def kernel_to_dict(kernel: Kernel) -> dict:
     return {"type": kernel.family, **asdict(kernel)}
 
 
+def _entry(d: dict, key: str, owner: str):
+    try:
+        return d[key]
+    except KeyError:
+        raise ValueError(f"{owner} is missing {key!r}") from None
+
+
 def kernel_from_dict(d: dict) -> Kernel:
+    """Inverse of ``kernel_to_dict``; a missing or unknown entry raises
+    ``ValueError`` naming it."""
     if "op" in d:
-        left = kernel_from_dict(d["left"])
-        right = kernel_from_dict(d["right"])
-        if d["op"] == "sum":
-            return Sum(left, right)
-        if d["op"] == "product":
-            return Product(left, right)
-        raise ValueError(f"unknown op {d['op']!r}")
+        ops = {"sum": Sum, "product": Product}
+        if d["op"] not in ops:
+            raise ValueError(f"unknown op {d['op']!r}")
+        owner = f"{d['op']} kernel"
+        left = kernel_from_dict(_entry(d, "left", owner))
+        right = kernel_from_dict(_entry(d, "right", owner))
+        return ops[d["op"]](left, right)
     try:
         cls = FAMILIES[d["type"]]
     except KeyError:
         raise ValueError(f"unknown kernel type {d.get('type')!r}") from None
-    return cls(*[float(d[f.name]) for f in fields(cls)])
+    return cls(*[float(_entry(d, f.name, f"{d['type']} kernel")) for f in fields(cls)])
 
 
 def kernel_to_json(kernel: Kernel) -> str:

@@ -7,12 +7,17 @@ the eight (operator, family) pairs (K2 = minimum residue), gate both on
 their closed-form stationarity, regularize the level choice by ``eta``,
 and finally keep whichever of the decomposition model and the directly
 optimized exponential scores the higher log-likelihood.
+
+The twelve fits run one after another.  Each is a few thousand numpy calls
+on about 100 lags, which hold the interpreter lock for most of their time,
+so thread pools gave no overlap: with them ``decompose`` measured slower
+than serial.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- the benchmark tracer patches this name
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,15 +248,12 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
     grid = covariance_grid(train, delta, horizon)
     estimate = invert_to_kernel(grid)
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        singles = list(pool.map(lambda tag: fit_single(estimate, tag), FAMILIES))
+    # in FAMILIES order, which also breaks residue ties
+    singles = [fit_single(estimate, tag) for tag in FAMILIES]
     k1 = min(singles, key=lambda f: f.residue)
 
     expansion_pairs = [(op, fam) for op in ("add", "multiply") for fam in FAMILIES]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        expansions = list(
-            pool.map(lambda of: fit_expansion(estimate, k1, of[0], of[1]), expansion_pairs)
-        )
+    expansions = [fit_expansion(estimate, k1, op, fam) for op, fam in expansion_pairs]
     k2 = min(expansions, key=lambda f: f.residue)
 
     audit = tuple(

@@ -1,11 +1,16 @@
+import logging
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from hawkesdecomp import fit
+from hawkesdecomp.covariance import covariance_grid
 from hawkesdecomp.fit import FitResult, fit_expansion, fit_single, residue_of
-from hawkesdecomp.kernels import Exp, Product, Pwl, Sns, Sqr, Sum, evaluate, stationarity_norm
-from hawkesdecomp.spectral import KernelEstimate
+from hawkesdecomp.kernels import FAMILIES, Exp, Product, Pwl, Sns, Sqr, Sum, evaluate, stationarity_norm
+from hawkesdecomp.simulate import HawkesModel, simulate
+from hawkesdecomp.spectral import KernelEstimate, invert_to_kernel
 
 
 def estimate_from(kernel, delta=0.05, tau_max=6.0, noise=0.0, seed=0):
@@ -150,3 +155,91 @@ class TestFitExpansion:
         k2 = fit_expansion(est, k1, "add", "SQR")
         with pytest.raises(ValueError):
             fit_expansion(est, k2, "add", "EXP")
+
+
+@pytest.fixture(scope="module")
+def spectral_estimate():
+    """A kernel estimate from simulated events, noise and negative samples
+    included."""
+    events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 2000.0, seed=21)
+    return invert_to_kernel(covariance_grid(events, 0.05, 5.0))
+
+
+BASES = {"EXP": Exp(0.3, 1.2), "PWL": Pwl(0.1, 0.5, 2.0), "SQR": Sqr(0.2, 2.0), "SNS": Sns(0.3, 1.5)}
+# (K1 family or None, op, family): the four single fits, then every
+# expansion of every K1, which covers the SQRxSNS, SNSxSQR and SNSxSNS
+# encodings
+OBJECTIVES = [(None, None, tag) for tag in FAMILIES] + [
+    (tag1, op, tag) for tag1 in FAMILIES for op in ("add", "multiply") for tag in FAMILIES
+]
+
+
+def _vectors(n):
+    """In bounds; out of bounds on both sides; every field 0.5, which puts
+    a PWL exponent below 1; NaN in the last place."""
+    inside = [1.5, 2.0, 2.5, 1.8, 1.3, 2.2][:n]
+    return {
+        "inside": inside,
+        "outside": [-1.0, 1e9, -3.0, 1e12, 0.0, -1e-3][:n],
+        "p_below_1": [0.5] * n,
+        "nan": inside[:-1] + [math.nan],
+    }
+
+
+class TestObjective:
+    @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
+    def test_matches_residue_of_decoded_kernel(self, spectral_estimate, tag1, op, tag):
+        est = spectral_estimate
+        if op is None:
+            objective = fit._objective(est, tag)
+            n = len(FAMILIES[tag].__match_args__)
+
+            def decode(x):
+                return fit._make_kernel(tag, x)
+
+        elif op == "add":
+            objective = fit._objective(est, tag, op, BASES[tag1])
+            n = len(FAMILIES[tag].__match_args__)
+
+            def decode(x):
+                return Sum(BASES[tag1], fit._make_kernel(tag, x))
+
+        else:
+            objective = fit._objective(est, tag, op, BASES[tag1])
+            n = len(fit._product_start_vectors(tag1, astuple(BASES[tag1]), tag, est)[0])
+
+            def decode(x):
+                return fit._product_from_params(tag1, tag, x)
+
+        for name, x in _vectors(n).items():
+            value = objective(np.array(x))
+            if name == "nan":
+                assert value == math.inf
+            else:
+                assert value == residue_of(est, decode(x)), name
+
+    def test_shared_support_encodings(self):
+        b, a, omega = 0.4, 0.7, 1.3
+        sqr, sns = Sqr(b, math.pi / omega), Sns(a, omega)
+        assert fit._product_from_params("SQR", "SNS", (b, a, omega)) == Product(sqr, sns)
+        assert fit._product_from_params("SNS", "SQR", (b, a, omega)) == Product(sns, sqr)
+        assert fit._product_from_params("SNS", "SNS", (a, b, omega)) == Product(Sns(a, omega), Sns(b, omega))
+
+    def test_unknown_family_is_value_error(self, spectral_estimate):
+        with pytest.raises(ValueError):
+            fit._objective(spectral_estimate, "GAUSS")
+
+
+class TestLogging:
+    def test_unconverged_runs_logged_at_debug(self, caplog, monkeypatch):
+        monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 3)
+        est = estimate_from(Exp(0.5, 1.0))
+        with caplog.at_level(logging.DEBUG, logger="hawkesdecomp.fit"):
+            k1 = fit_single(est, "EXP")
+            fit_expansion(est, k1, "multiply", "SQR")
+        records = [r for r in caplog.records if r.name == "hawkesdecomp.fit"]
+        assert [r.args[:2] for r in records] == [("EXP", i) for i in range(8)] + [
+            ("EXPxSQR", i) for i in range(8)
+        ]
+        assert all(r.levelno == logging.DEBUG and r.args[2] == 3 for r in records)
+        assert logging.getLogger("hawkesdecomp.fit").handlers == []

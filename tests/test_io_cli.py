@@ -277,6 +277,14 @@ class TestCli:
         out = tmp_path / "out.json"
         assert cli.main(["decompose", "--in", str(events_path), "--out", str(out)]) == 3
 
+    def test_score_model_missing_field_exit_code(self, tmp_path, exp_events, capsys):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"mu": 0.5, "kernel": {"type": "EXP", "alpha": 0.5}}))
+        assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
+        assert "'beta'" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("this is not key value\n")

@@ -219,3 +219,11 @@ class TestSerialization:
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError):
             kernel_from_json('{"type": "GAUSS", "sigma": 1}')
+
+    def test_missing_field_rejected(self):
+        with pytest.raises(ValueError, match="EXP kernel is missing 'beta'"):
+            kernel_from_dict({"type": "EXP", "alpha": 1})
+
+    def test_missing_operand_rejected(self):
+        with pytest.raises(ValueError, match="sum kernel is missing 'right'"):
+            kernel_from_dict({"op": "sum", "left": {"type": "EXP", "alpha": 1, "beta": 2}})
