@@ -12,10 +12,10 @@ vector and builds no kernel object.  A fit reads the grid lags once; each
 evaluation clips the vector to the parameter bounds, computes the model
 curve with the families' static ``curve`` functions and passes it to
 ``residue_of``.  An additive expansion adds the frozen K1 curve, computed
-once per fit; a product multiplies the two factor curves.  The curves repeat
-the arithmetic of ``evaluate``, so a fit reaches the same floats, and the
-same kernel, as one that evaluates a kernel per step.  Only the best vector
-of a fit is decoded into a kernel.
+once per fit; a product multiplies the two factor curves.  ``evaluate`` is
+built on the same curves and every grid lag is positive, so a fit reaches
+the same floats, and the same kernel, as one that evaluates a kernel per
+step.  Only the best vector of a fit is decoded into a kernel.
 
 Each Nelder-Mead run that stops without converging (``maxiter``) is logged
 at DEBUG on the ``hawkesdecomp.fit`` logger.

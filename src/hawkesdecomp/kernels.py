@@ -16,13 +16,13 @@ immutable values; every function in this module is pure.
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
 holds all of the family's one-kernel math as methods: ``evaluate``,
 ``sup_after``, ``norm``, ``compensator``, ``support_end`` and
-``effective_support``, plus the static ``curve``, which is ``evaluate``
-from raw parameters for the fit objective.  Its dataclass fields, in order,
-are its parameters and its JSON keys.  The math of a product of two
-families is in the two pair tables, ``_norm_product`` here and
-``likelihood._compensator_product``, and the optimizer's starts for a family
-come from ``fit._starts``.  A new family is a class here, its rows in both
-pair tables and a start rule.
+``effective_support``, plus the static ``curve``, the family's formula on
+raw parameters, which ``evaluate`` and ``sup_after`` wrap.  Its dataclass
+fields, in order, are its parameters and its JSON keys.  The math of a
+product of two families is in the two pair tables, ``_norm_product`` here
+and ``likelihood._compensator_product``, and the optimizer's starts for a
+family come from ``fit._starts``.  A new family is a class here, its rows in
+both pair tables and a start rule.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class _Family:
 
     Every field must be finite and above its floor: 0, unless ``_floors``
     names another.  ``sup_after`` and ``compensator`` take elapsed times
-    already clamped at 0.  The static ``curve(t, *params)`` is ``evaluate``
-    for lags ``t > 0`` from the fields in order, with the same arithmetic
-    (so the same floats) but no guard for negative lags and no kernel
-    object; the fit objective calls it on every evaluation.  A dataclass's
-    ``__match_args__`` is its field names in order.
+    already clamped at 0.  The static ``curve(t, *params)`` is the family's
+    formula for lags ``t >= 0``, from the fields in order; ``evaluate`` and
+    ``sup_after`` are built on it, and the fit objective calls it on raw
+    parameter vectors.  A dataclass's ``__match_args__`` is its field names
+    in order.
     """
 
     _floors: dict = {}
@@ -97,15 +97,15 @@ class Exp(_Family):
     alpha: float
     beta: float
 
-    def evaluate(self, t):
-        return np.where(t >= 0, self.alpha * np.exp(-self.beta * np.maximum(t, 0.0)), 0.0)
-
     @staticmethod
     def curve(t, alpha, beta):
         return alpha * np.exp(-beta * t)
 
+    def evaluate(self, t):
+        return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.alpha, self.beta), 0.0)
+
     def sup_after(self, s):
-        return self.alpha * np.exp(-self.beta * s)
+        return self.curve(s, self.alpha, self.beta)
 
     def norm(self) -> float:
         return self.alpha / self.beta
@@ -131,15 +131,15 @@ class Pwl(_Family):
     p: float
     _floors = {"p": 1.0}
 
-    def evaluate(self, t):
-        return np.where(t >= 0, self.k / (self.c + np.maximum(t, 0.0)) ** self.p, 0.0)
-
     @staticmethod
     def curve(t, k, c, p):
         return k / (c + t) ** p
 
+    def evaluate(self, t):
+        return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.k, self.c, self.p), 0.0)
+
     def sup_after(self, s):
-        return self.k / (self.c + s) ** self.p
+        return self.curve(s, self.k, self.c, self.p)
 
     def norm(self) -> float:
         return self.k * self.c ** (1.0 - self.p) / (self.p - 1.0)
@@ -163,15 +163,15 @@ class Sqr(_Family):
     b: float
     l: float
 
-    def evaluate(self, t):
-        return np.where((t >= 0) & (t <= self.l), self.b, 0.0)
-
     @staticmethod
     def curve(t, b, l):
         return np.where(t <= l, b, 0.0)
 
+    def evaluate(self, t):
+        return np.where(t >= 0, self.curve(t, self.b, self.l), 0.0)
+
     def sup_after(self, s):
-        return np.where(s <= self.l, self.b, 0.0)
+        return self.curve(s, self.b, self.l)
 
     def norm(self) -> float:
         return self.b * self.l
@@ -193,18 +193,19 @@ class Sns(_Family):
     a: float
     omega: float
 
-    def evaluate(self, t):
-        inside = (t >= 0) & (t <= math.pi / self.omega)
-        return np.where(inside, self.a * np.sin(self.omega * np.where(inside, t, 0.0)), 0.0)
-
     @staticmethod
     def curve(t, a, omega):
         return np.where(t <= math.pi / omega, a * np.sin(omega * t), 0.0)
 
+    def evaluate(self, t):
+        # the curve is 0 at lag 0 and past pi/omega, so negative lags clamp
+        # to 0 and long ones to 2*pi/omega, which keeps sin off infinite lags
+        end = math.pi / self.omega
+        return self.curve(np.minimum(np.maximum(t, 0.0), 2.0 * end), self.a, self.omega)
+
     def sup_after(self, s):
         peak = math.pi / (2.0 * self.omega)
-        falling = np.where(s <= math.pi / self.omega, self.a * np.sin(self.omega * s), 0.0)
-        return np.where(s <= peak, self.a, falling)
+        return np.where(s <= peak, self.a, self.curve(s, self.a, self.omega))
 
     def norm(self) -> float:
         return 2.0 * self.a / self.omega

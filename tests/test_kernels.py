@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -47,6 +48,9 @@ class TestEvaluate:
 
     def test_sns_outside_support(self):
         assert evaluate(Sns(1, 1), math.pi + 0.1) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(Sns(1, 1), [1e300, math.inf]).tolist() == [0.0, 0.0]
 
     def test_product_sqr_exp(self):
         k = Product(Sqr(2, 1), Exp(1, 1))
