@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import io as hio
 from .covariance import covariance_grid
-from .kernels import kernel_from_dict
+from .kernels import kernel_from_dict, number_entry
 from .likelihood import log_likelihood
 from .search import DecompositionConfig, NoStationaryModelError, decompose, lag_grid
 from .simulate import EventSequence, HawkesModel, simulate
@@ -51,8 +51,15 @@ def _resolve(args, config: dict, key: str, cast, default):
 
 
 def _read_model(path) -> HawkesModel:
+    """The model in a ``{"mu": ..., "kernel": {...}}`` file; a malformed one
+    raises ``ValueError`` naming the problem."""
     doc = json.loads(Path(path).read_text())
-    return HawkesModel(mu=float(doc["mu"]), kernel=kernel_from_dict(doc["kernel"]))
+    if not isinstance(doc, dict):
+        raise ValueError(f"model must be a JSON object, got {type(doc).__name__}: {doc!r}")
+    mu = number_entry(doc, "mu", "model")
+    if "kernel" not in doc:
+        raise ValueError("model is missing 'kernel'")
+    return HawkesModel(mu=mu, kernel=kernel_from_dict(doc["kernel"]))
 
 
 def _decomposition_config(args, config) -> DecompositionConfig:

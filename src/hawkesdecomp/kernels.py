@@ -71,9 +71,9 @@ class _Family:
     names another.  ``sup_after`` and ``compensator`` take elapsed times
     already clamped at 0.  The static ``curve(t, *params)`` is the family's
     formula for lags ``t >= 0``, from the fields in order; ``evaluate`` and
-    ``sup_after`` are built on it, and the fit objective calls it on raw
-    parameter vectors.  A dataclass's ``__match_args__`` is its field names
-    in order.
+    ``sup_after`` are built on it, and the fit objective calls it with one
+    (M, 1) column per field, which gives M curves, one per row.  A
+    dataclass's ``__match_args__`` is its field names in order.
     """
 
     _floors: dict = {}
@@ -133,7 +133,15 @@ class Pwl(_Family):
 
     @staticmethod
     def curve(t, k, c, p):
-        return k / (c + t) ** p
+        base = c + t
+        power = base**p
+        if isinstance(p, np.ndarray):
+            # a column of exponents, one per row: numpy squares for a scalar
+            # 2.0, which can differ from pow in the last bit, so do the same
+            two = p[:, 0] == 2.0
+            if two.any():
+                power[two] = np.square(base[two])
+        return k / power
 
     def evaluate(self, t):
         return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.k, self.c, self.p), 0.0)
@@ -454,22 +462,38 @@ def _entry(d: dict, key: str, owner: str):
         raise ValueError(f"{owner} is missing {key!r}") from None
 
 
+def number_entry(d: dict, key: str, owner: str) -> float:
+    """``d[key]`` as a float; a missing key, or a value that is not a JSON
+    number or is too large for a float, raises ``ValueError`` naming
+    ``owner`` and the key."""
+    value = _entry(d, key, owner)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{owner} field {key!r} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{owner} field {key!r} is too large for a float") from None
+
+
 def kernel_from_dict(d: dict) -> Kernel:
-    """Inverse of ``kernel_to_dict``; a missing or unknown entry raises
-    ``ValueError`` naming it."""
+    """Inverse of ``kernel_to_dict``; a kernel that is not a JSON object, or
+    a missing, unknown or non-numeric entry, raises ``ValueError`` naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"kernel must be a JSON object, got {type(d).__name__}: {d!r}")
     if "op" in d:
         ops = {"sum": Sum, "product": Product}
-        if d["op"] not in ops:
-            raise ValueError(f"unknown op {d['op']!r}")
-        owner = f"{d['op']} kernel"
+        op = d["op"]
+        if not isinstance(op, str) or op not in ops:
+            raise ValueError(f"unknown op {op!r}")
+        owner = f"{op} kernel"
         left = kernel_from_dict(_entry(d, "left", owner))
         right = kernel_from_dict(_entry(d, "right", owner))
-        return ops[d["op"]](left, right)
-    try:
-        cls = FAMILIES[d["type"]]
-    except KeyError:
-        raise ValueError(f"unknown kernel type {d.get('type')!r}") from None
-    return cls(*[float(_entry(d, f.name, f"{d['type']} kernel")) for f in fields(cls)])
+        return ops[op](left, right)
+    tag = d.get("type")
+    if not isinstance(tag, str) or tag not in FAMILIES:
+        raise ValueError(f"unknown kernel type {tag!r}")
+    cls = FAMILIES[tag]
+    return cls(*[number_entry(d, f.name, f"{tag} kernel") for f in fields(cls)])
 
 
 def kernel_to_json(kernel: Kernel) -> str:

@@ -8,10 +8,11 @@ their closed-form stationarity, regularize the level choice by ``eta``,
 and finally keep whichever of the decomposition model and the directly
 optimized exponential scores the higher log-likelihood.
 
-The twelve fits run one after another.  Each is a few thousand numpy calls
-on about 100 lags, which hold the interpreter lock for most of their time,
-so thread pools gave no overlap: with them ``decompose`` measured slower
-than serial.
+The twelve fits run one after another.  A fit runs its 8-9 Nelder-Mead
+starts in lock-step, so each step is a few dozen small numpy calls on
+about 100 lags for all of its live starts at once.  Those calls hold the
+interpreter lock for most of their time, so thread pools gave no overlap:
+with them ``decompose`` measured slower than serial.
 """
 
 from __future__ import annotations

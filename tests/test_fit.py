@@ -1,14 +1,18 @@
+import json
 import logging
 import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from hawkesdecomp import fit
 from hawkesdecomp.covariance import covariance_grid
 from hawkesdecomp.fit import FitResult, fit_expansion, fit_single, residue_of
+from hawkesdecomp.io import result_to_dict
 from hawkesdecomp.kernels import FAMILIES, Exp, Product, Pwl, Sns, Sqr, Sum, evaluate, stationarity_norm
+from hawkesdecomp.search import DecompositionConfig, decompose
 from hawkesdecomp.simulate import HawkesModel, simulate
 from hawkesdecomp.spectral import KernelEstimate, invert_to_kernel
 
@@ -176,12 +180,14 @@ OBJECTIVES = [(None, None, tag) for tag in FAMILIES] + [
 
 def _vectors(n):
     """In bounds; out of bounds on both sides; every field 0.5, which puts
-    a PWL exponent below 1; NaN in the last place."""
+    a PWL exponent below 1; every field 2.0, which puts a PWL exponent at
+    exactly 2, where numpy squares; NaN in the last place."""
     inside = [1.5, 2.0, 2.5, 1.8, 1.3, 2.2][:n]
     return {
         "inside": inside,
         "outside": [-1.0, 1e9, -3.0, 1e12, 0.0, -1e-3][:n],
         "p_below_1": [0.5] * n,
+        "p_two": [2.0] * n,
         "nan": inside[:-1] + [math.nan],
     }
 
@@ -211,8 +217,10 @@ class TestObjective:
             def decode(x):
                 return fit._product_from_params(tag1, tag, x)
 
-        for name, x in _vectors(n).items():
-            value = objective(np.array(x))
+        vectors = _vectors(n)
+        values = objective(np.array(list(vectors.values())))
+        assert values.shape == (len(vectors),)
+        for (name, x), value in zip(vectors.items(), values):
             if name == "nan":
                 assert value == math.inf
             else:
@@ -228,6 +236,85 @@ class TestObjective:
     def test_unknown_family_is_value_error(self, spectral_estimate):
         with pytest.raises(ValueError):
             fit._objective(spectral_estimate, "GAUSS")
+
+
+def _scipy_runs(objective, starts):
+    """The reference: scipy's Nelder-Mead from each start, one objective
+    row at a time."""
+    return [
+        minimize(lambda x: objective(x[None, :])[0], np.asarray(x0, dtype=float), method="Nelder-Mead",
+                 options=fit._NM_OPTIONS)
+        for x0 in starts
+    ]
+
+
+def _scipy_optimize(objective, starts, label):
+    """``fit._optimize`` on the reference runs: the first run with the
+    lowest finite value."""
+    best, best_val = None, math.inf
+    for res in _scipy_runs(objective, starts):
+        if math.isfinite(res.fun) and res.fun < best_val:
+            best, best_val = res.x, float(res.fun)
+    return best, best_val
+
+
+def _assert_matches_scipy(objective, starts):
+    x, fun, nit, success = fit._nelder_mead(objective, starts)
+    reference = _scipy_runs(objective, starts)
+    assert len(x) == len(reference)
+    for i, res in enumerate(reference):
+        assert np.array_equal(x[i], res.x, equal_nan=True), i
+        assert (fun[i], nit[i], success[i]) == (res.fun, res.nit, res.success), i
+
+
+@pytest.fixture(scope="module")
+def k1_fits(spectral_estimate):
+    return {tag: fit_single(spectral_estimate, tag).kernel for tag in FAMILIES}
+
+
+class TestNelderMead:
+    """``fit._nelder_mead`` against scipy's Nelder-Mead, run by run, on the
+    objectives and starts of the real fits."""
+
+    @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
+    def test_matches_scipy(self, spectral_estimate, k1_fits, tag1, op, tag):
+        est = spectral_estimate
+        if op is None:
+            objective, starts = fit._objective(est, tag), fit._starts(tag, est)
+        elif op == "add":
+            objective, starts = fit._objective(est, tag, op, k1_fits[tag1]), fit._addend_starts(tag, est)
+        else:
+            objective = fit._objective(est, tag, op, k1_fits[tag1])
+            starts = fit._product_start_vectors(tag1, astuple(k1_fits[tag1]), tag, est)
+        _assert_matches_scipy(objective, starts)
+
+    def test_exponent_exactly_two(self, spectral_estimate):
+        # p is exactly 2 on most vertices of the first simplexes, where
+        # Pwl.curve squares (TestObjective's p_two vector checks the values)
+        starts = [(0.1, 0.5, 2.0), (0.05, 1.0, 2.0), (0.2, 0.25, 1.5)]
+        _assert_matches_scipy(fit._objective(spectral_estimate, "PWL"), starts)
+
+    def test_nan_start(self, spectral_estimate):
+        starts = fit._starts("EXP", spectral_estimate)
+        starts[3] = (math.nan, 1.0)
+        _assert_matches_scipy(fit._objective(spectral_estimate, "EXP"), starts)
+        _, fun, _, success = fit._nelder_mead(fit._objective(spectral_estimate, "EXP"), starts)
+        assert fun[3] == math.inf and not success[3]
+
+    def test_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
+        monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
+        est = spectral_estimate
+        objective = fit._objective(est, "PWL", "multiply", k1_fits["EXP"])
+        starts = fit._product_start_vectors("EXP", astuple(k1_fits["EXP"]), "PWL", est)
+        _assert_matches_scipy(objective, starts)
+        assert not fit._nelder_mead(objective, starts)[3].any()
+
+    def test_decompose_matches_scipy_reference(self, monkeypatch):
+        events = simulate(HawkesModel(mu=0.5, kernel=Pwl(0.2, 0.5, 2.0)), 1500.0, seed=4)
+        config = DecompositionConfig(tau_max=5.0, resolution=25)
+        ours = json.dumps(result_to_dict(decompose(events, config)), sort_keys=True)
+        monkeypatch.setattr(fit, "_optimize", _scipy_optimize)
+        assert json.dumps(result_to_dict(decompose(events, config)), sort_keys=True) == ours
 
 
 class TestLogging:

@@ -285,6 +285,25 @@ class TestCli:
         assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
         assert "'beta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ([1, 2], "model must be a JSON object"),
+            ({"kernel": {"type": "EXP", "alpha": 0.5, "beta": 1.0}}, "'mu'"),
+            ({"mu": 0.5}, "'kernel'"),
+            ({"mu": None, "kernel": {"type": "EXP", "alpha": 0.5, "beta": 1.0}}, "'mu' must be a number"),
+            ({"mu": 0.5, "kernel": [1]}, "kernel must be a JSON object"),
+            ({"mu": 0.5, "kernel": {"type": "EXP", "alpha": None, "beta": 1.0}}, "'alpha' must be a number"),
+        ],
+    )
+    def test_score_malformed_model_exit_code(self, tmp_path, exp_events, capsys, doc, message):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("this is not key value\n")

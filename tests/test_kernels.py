@@ -231,3 +231,26 @@ class TestSerialization:
     def test_missing_operand_rejected(self):
         with pytest.raises(ValueError, match="sum kernel is missing 'right'"):
             kernel_from_dict({"op": "sum", "left": {"type": "EXP", "alpha": 1, "beta": 2}})
+
+    @pytest.mark.parametrize("d", [[1, 2], "EXP", None])
+    def test_not_an_object_rejected(self, d):
+        with pytest.raises(ValueError, match="kernel must be a JSON object"):
+            kernel_from_dict(d)
+
+    def test_operand_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="kernel must be a JSON object, got int"):
+            kernel_from_dict({"op": "product", "left": {"type": "EXP", "alpha": 1, "beta": 2}, "right": 3})
+
+    @pytest.mark.parametrize("value", [None, "0.5", True, [1]])
+    def test_non_numeric_field_rejected(self, value):
+        with pytest.raises(ValueError, match="EXP kernel field 'alpha' must be a number"):
+            kernel_from_dict({"type": "EXP", "alpha": value, "beta": 2})
+
+    def test_field_too_large_rejected(self):
+        with pytest.raises(ValueError, match="EXP kernel field 'beta' is too large"):
+            kernel_from_dict({"type": "EXP", "alpha": 1, "beta": 10**400})
+
+    @pytest.mark.parametrize("d", [{"op": ["sum"]}, {"type": ["EXP"]}])
+    def test_unhashable_tag_rejected(self, d):
+        with pytest.raises(ValueError, match="unknown"):
+            kernel_from_dict(d)
