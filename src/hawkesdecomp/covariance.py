@@ -2,9 +2,8 @@
 
 The covariance grid bins the counting process into adjacent windows of
 width ``delta`` (bandwidth ``h`` fixed equal to ``delta``), centers each
-bin count by ``lambda_hat * h``, and averages lagged products.  Each lag is
-computed independently of the others, so the per-lag map can run in
-parallel without changing results.
+bin count by ``lambda_hat * h``, and averages lagged products, one lag
+after another in a single process.
 """
 
 from __future__ import annotations

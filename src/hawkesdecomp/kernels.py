@@ -19,10 +19,13 @@ holds all of the family's one-kernel math as methods: ``evaluate``,
 ``effective_support``, plus the static ``curve``, the family's formula on
 raw parameters, which ``evaluate`` and ``sup_after`` wrap.  Its dataclass
 fields, in order, are its parameters and its JSON keys.  The math of a
-product of two families is in the two pair tables, ``_norm_product`` here
-and ``likelihood._compensator_product``, and the optimizer's starts for a
-family come from ``fit._starts``.  A new family is a class here, its rows in
-both pair tables and a start rule.
+product of two families is in two pair tables: ``_norm_product`` here, and
+``likelihood._compensator_product``, whose rows for the completely monotone
+pairs (EXPxEXP, EXPxPWL, PWLxPWL) and the decaying sines (EXPxSNS, PWLxSNS)
+run on the exponential-sum term sets of ``likelihood._terms``.  The
+optimizer's starts for a family come from ``fit._starts``.  A new family is
+a class here, its rows in both pair tables (and its term set, when it is
+completely monotone) and a start rule.
 """
 
 from __future__ import annotations
@@ -342,8 +345,8 @@ def effective_support(kernel: Kernel, eps: float = 1e-12) -> float:
     """Lag beyond which the kernel contributes less than ``eps``.
 
     Exact support end for SQR/SNS; for EXP and PWL the point where the tail
-    drops below ``eps``.  Used for history truncation in simulation and
-    likelihood evaluation.
+    drops below ``eps``.  Used for history truncation in simulation; the
+    likelihood truncates nothing.
     """
     return kernel.effective_support(eps)
 

@@ -6,7 +6,9 @@ kernel, fit the four base families (K1 = minimum residue), expand K1 by
 the eight (operator, family) pairs (K2 = minimum residue), gate both on
 their closed-form stationarity, regularize the level choice by ``eta``,
 and finally keep whichever of the decomposition model and the directly
-optimized exponential scores the higher log-likelihood.
+optimized exponential scores the higher log-likelihood.  The exponential
+baseline (GD) runs L-BFGS-B on the value and analytic gradient of
+``likelihood.exp_log_likelihood``, the likelihood engine's own recursion.
 
 The twelve fits run one after another.  A fit runs its 8-9 Nelder-Mead
 starts in lock-step, so each step is a few dozen small numpy calls on
@@ -27,7 +29,7 @@ from scipy.optimize import minimize
 from .covariance import CovarianceGrid, covariance_grid, horizon_from_histogram
 from .fit import FitResult, fit_expansion, fit_single
 from .kernels import FAMILIES, Exp, Kernel
-from .likelihood import log_likelihood
+from .likelihood import exp_log_likelihood, log_likelihood
 from .simulate import EventSequence, HawkesModel
 from .spectral import KernelEstimate, invert_to_kernel
 
@@ -151,21 +153,13 @@ def select_level(k1: FitResult, k2: FitResult, eta: float) -> str | None:
     return output
 
 
-def _exp_llh(params, ts: np.ndarray, T: float) -> float:
-    """O(n) exponential-Hawkes log-likelihood via the standard recursion,
-    evaluated in log-space to stay overflow-free."""
-    mu, alpha, beta = params
-    if mu <= 0 or alpha <= 0 or beta <= 0:
-        return -math.inf
-    bts = beta * ts
-    cum = np.logaddexp.accumulate(bts)  # log sum_{j<=i} exp(beta t_j)
-    r = np.empty_like(ts)
-    r[0] = 0.0
-    r[1:] = alpha * np.exp(cum[:-1] - bts[1:])
-    total = float(np.sum(np.log(mu + r)))
-    total -= mu * T
-    total -= (alpha / beta) * float(np.sum(1.0 - np.exp(-beta * (T - ts))))
-    return total
+def _gd_objective(params, events: EventSequence):
+    """Negative log-likelihood of an exponential Hawkes model and its
+    gradient, for the minimizer; an unusable point scores 1e30."""
+    value, grad = exp_log_likelihood(*params, events)
+    if not math.isfinite(value):
+        return 1e30, np.zeros(3)
+    return -value, -grad
 
 
 def _gd_starts(events: EventSequence, n_starts: int):
@@ -186,32 +180,29 @@ def _gd_starts(events: EventSequence, n_starts: int):
 def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     """Maximum-likelihood exponential Hawkes fit by gradient-based ascent.
 
-    Runs L-BFGS-B from a deterministic restart ladder; a non-stationary
-    optimum (alpha >= beta) is reported with an ``-inf`` likelihood, like
-    the unusable parameter combinations the direct method can get stuck in.
+    Runs L-BFGS-B with the analytic gradient of ``exp_log_likelihood`` from
+    a deterministic restart ladder; a non-stationary optimum
+    (alpha >= beta) is reported with an ``-inf`` likelihood, like the
+    unusable parameter combinations the direct method can get stuck in, and
+    so is a fit where no restart ends at a finite point.
     """
     if len(events) < 2:
         raise ValueError("need at least two events")
-    ts = events.timestamps
-    T = events.horizon_T
-
-    def negative(params):
-        val = _exp_llh(params, ts, T)
-        return -val if math.isfinite(val) else 1e30
-
-    best = None
-    best_val = math.inf
-    for x0 in _gd_starts(events, restarts):
+    starts = _gd_starts(events, restarts)
+    best_val, best_x = math.inf, None
+    for x0 in starts:
         res = minimize(
-            negative,
+            _gd_objective,
             np.asarray(x0, dtype=float),
+            args=(events,),
+            jac=True,
             method="L-BFGS-B",
             bounds=[(1e-10, None)] * 3,
         )
-        if float(res.fun) < best_val:
-            best_val = float(res.fun)
-            best = res.x
-    mu, alpha, beta = (float(x) for x in best)
+        if float(res.fun) < best_val and np.all(np.isfinite(res.x)):
+            best_val, best_x = float(res.fun), res.x
+    # when no restart ends at a finite point, report the first start, unusable
+    mu, alpha, beta = (float(x) for x in (starts[0] if best_x is None else best_x))
     model = HawkesModel(mu=mu, kernel=Exp(alpha, beta))
     llh = -best_val if best_val < 1e29 else -math.inf
     if alpha >= beta:
@@ -267,13 +258,13 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
 
     level = select_level(k1, k2, config.eta)
 
-    lam_hat = grid.lambda_hat
+    def level_mu(fit: FitResult) -> float:
+        return max(grid.lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
 
     def level_llh(fit: FitResult) -> float:
         if not fit.verdict.stationary:
             return -math.inf
-        mu = max(lam_hat * (1.0 - fit.verdict.norm_value), 1e-12)
-        return log_likelihood(HawkesModel(mu=mu, kernel=fit.kernel), eval_events).value
+        return log_likelihood(HawkesModel(mu=level_mu(fit), kernel=fit.kernel), eval_events).value
 
     llh_k1 = level_llh(k1)
     llh_k2 = level_llh(k2)
@@ -292,6 +283,7 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
     chosen = level if level is not None else "GD"
     if gd.llh > llh_level:
         chosen = "GD"
+    mu_hat = gd.model.mu if chosen == "GD" else level_mu(k1 if chosen == "K1" else k2)
 
     return DecompositionResult(
         chosen=chosen,
@@ -302,7 +294,7 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
         llh_k_chosen=llh_level,
         llh_k1=llh_k1,
         llh_k2=llh_k2,
-        mu_hat=max(lam_hat * (1.0 - (k1 if level != "K2" else k2).verdict.norm_value), 1e-12),
+        mu_hat=mu_hat,
         audit=audit,
         grid=grid,
         estimate=estimate,

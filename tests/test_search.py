@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hawkesdecomp import search
 from hawkesdecomp.fit import FitResult
 from hawkesdecomp.kernels import Exp, StationarityVerdict, Sqr, Sum
 from hawkesdecomp.search import (
     DecompositionConfig,
+    NoStationaryModelError,
     decompose,
     fit_gd_exponential,
     select_level,
@@ -107,6 +109,21 @@ class TestGdBaseline:
         five = fit_gd_exponential(events, restarts=5)
         assert five.llh >= one.llh - 1e-9
 
+    def test_nan_objective_gives_unusable_fit(self, monkeypatch):
+        # no restart ends at a finite point: a valid model with -inf, no crash
+        monkeypatch.setattr(search, "_gd_objective", lambda params, events: (math.nan, np.full(3, math.nan)))
+        events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
+        gd = fit_gd_exponential(events)
+        assert gd.llh == -math.inf
+        assert isinstance(gd.model, HawkesModel) and isinstance(gd.model.kernel, Exp)
+
+    def test_nan_objective_and_no_level_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "_gd_objective", lambda params, events: (math.nan, np.full(3, math.nan)))
+        monkeypatch.setattr(search, "select_level", lambda k1, k2, eta: None)
+        events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
+        with pytest.raises(NoStationaryModelError):
+            decompose(events, DecompositionConfig(tau_max=5.0, resolution=20))
+
 
 @pytest.fixture(scope="module")
 def exp_events():
@@ -154,6 +171,17 @@ class TestDecompose:
         fit = result.k1 if level == "K1" else result.k2
         expected = max(result.grid.lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
         assert result.mu_hat_for(level) == pytest.approx(expected)
+
+    def test_mu_hat_is_the_chosen_models_when_gd_is_chosen(self, exp_events, monkeypatch):
+        # with neither level usable, the GD model is chosen
+        monkeypatch.setattr(search, "select_level", lambda k1, k2, eta: None)
+        result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
+        assert result.chosen == "GD"
+        assert result.mu_hat == result.gd.model.mu == result.chosen_model.mu
+
+    def test_mu_hat_is_the_chosen_models(self, exp_events):
+        result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
+        assert result.mu_hat == result.chosen_model.mu
 
     def test_composite_data_prefers_k2(self):
         # a clearly two-part kernel: exponential plus a long pulse
