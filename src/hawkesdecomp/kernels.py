@@ -1,5 +1,5 @@
 """Self-triggering kernels: four base families, one-level compositions,
-and closed-form stationarity norms.
+their compensators and stationarity norms.
 
 The four base families are
 
@@ -15,28 +15,30 @@ immutable values; every function in this module is pure.
 
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
 holds all of the family's one-kernel math as methods: ``evaluate``,
-``sup_after``, ``norm``, ``compensator``, ``support_end`` and
-``effective_support``, plus the static ``curve``, the family's formula on
-raw parameters, which ``evaluate`` and ``sup_after`` wrap.  Its dataclass
-fields, in order, are its parameters and its JSON keys.  The math of a
-product of two families is in two pair tables: ``_norm_product`` here, and
-``likelihood._compensator_product``, whose rows for the completely monotone
-pairs (EXPxEXP, EXPxPWL, PWLxPWL) and the decaying sines (EXPxSNS, PWLxSNS)
-run on the exponential-sum term sets of ``likelihood._terms``.  The
-optimizer's starts for a family come from ``fit._starts``.  A new family is
-a class here, its rows in both pair tables (and its term set, when it is
-completely monotone) and a start rule.
+``sup_after``, ``compensator``, ``support_end`` and ``effective_support``,
+plus the static ``curve``, the family's formula on raw parameters, which
+``evaluate`` and ``sup_after`` wrap.  Its dataclass fields, in order, are
+its parameters and its JSON keys.  The integral of a product of two
+families is in one pair table, ``Product.compensator``, whose rows for the
+completely monotone pairs (EXPxEXP, EXPxPWL, PWLxPWL) and the decaying
+sines (EXPxSNS, PWLxSNS) run on the exponential-sum term sets of
+``_terms``.  The stationarity norm is the compensator at the support end;
+only the PWLxPWL and PWLxSNS norms keep their flagged upper bounds.  The
+optimizer's starts for a family come from ``fit._starts``.  A new family
+is a class here, its ``Product.compensator`` rows (and its term set, when
+it is completely monotone) and a start rule.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
+from functools import partial
 from typing import Union
 
-import mpmath
 import numpy as np
+from scipy import special
 
 __all__ = [
     "Exp",
@@ -63,8 +65,9 @@ __all__ = [
 
 
 class SupportMismatchError(ValueError):
-    """Raised when a product of discontinuous kernels does not share its
-    support endpoint (the closed forms assume L = pi/omega)."""
+    """Raised when a product of two discontinuous kernels (SQRxSNS, SNSxSNS)
+    does not share its support endpoint.  Its norm is exact either way; the
+    check restricts the model to products whose factors end together."""
 
 
 class _Family:
@@ -110,11 +113,8 @@ class Exp(_Family):
     def sup_after(self, s):
         return self.curve(s, self.alpha, self.beta)
 
-    def norm(self) -> float:
-        return self.alpha / self.beta
-
     def compensator(self, s):
-        return (self.alpha / self.beta) * (1.0 - np.exp(-self.beta * s))
+        return (self.alpha / self.beta) * -np.expm1(-self.beta * s)
 
     def support_end(self) -> float:
         return math.inf
@@ -152,12 +152,10 @@ class Pwl(_Family):
     def sup_after(self, s):
         return self.curve(s, self.k, self.c, self.p)
 
-    def norm(self) -> float:
-        return self.k * self.c ** (1.0 - self.p) / (self.p - 1.0)
-
     def compensator(self, s):
+        # k (c^-q - (c+s)^-q) / q without cancellation at small q or s
         q = self.p - 1.0
-        return self.k * (self.c**-q - (self.c + s) ** -q) / q
+        return self.k * self.c**-q * -np.expm1(-q * np.log1p(s / self.c)) / q
 
     def support_end(self) -> float:
         return math.inf
@@ -183,9 +181,6 @@ class Sqr(_Family):
 
     def sup_after(self, s):
         return self.curve(s, self.b, self.l)
-
-    def norm(self) -> float:
-        return self.b * self.l
 
     def compensator(self, s):
         return self.b * np.minimum(s, self.l)
@@ -218,9 +213,6 @@ class Sns(_Family):
         peak = math.pi / (2.0 * self.omega)
         return np.where(s <= peak, self.a, self.curve(s, self.a, self.omega))
 
-    def norm(self) -> float:
-        return 2.0 * self.a / self.omega
-
     def compensator(self, s):
         m = np.minimum(s, math.pi / self.omega)
         return (self.a / self.omega) * (1.0 - np.cos(self.omega * m))
@@ -236,15 +228,18 @@ BaseKernel = Union[Exp, Pwl, Sqr, Sns]
 
 # Tag -> class.  The order is the fixed tie-break order wherever two
 # candidates have equal residue, and the canonical operand order of the pair
-# tables.
+# table.
 FAMILIES = {"EXP": Exp, "PWL": Pwl, "SQR": Sqr, "SNS": Sns}
 
 
 def in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKernel]:
-    """The two factors of a product in ``FAMILIES`` order, so that a pair
-    table lists each unordered pair of families once."""
+    """The two factors of a product in ``FAMILIES`` order, and two of one
+    family in the order of their parameters, so that the pair table lists
+    each unordered pair of families once and gives both operand orders the
+    same bits."""
     order = list(FAMILIES.values())
-    return (b, a) if order.index(type(a)) > order.index(type(b)) else (a, b)
+    key_a, key_b = (order.index(type(a)), astuple(a)), (order.index(type(b)), astuple(b))
+    return (b, a) if key_a > key_b else (a, b)
 
 
 @dataclass(frozen=True)
@@ -260,9 +255,6 @@ class Sum:
     def sup_after(self, s):
         return self.left.sup_after(s) + self.right.sup_after(s)
 
-    def norm(self) -> float:
-        return self.left.norm() + self.right.norm()
-
     def compensator(self, s):
         return self.left.compensator(s) + self.right.compensator(s)
 
@@ -276,7 +268,7 @@ class Sum:
 @dataclass(frozen=True)
 class Product:
     """Pointwise product of two base kernels; support is the intersection of
-    the factor supports.  Its norm and compensator come from the pair tables."""
+    the factor supports."""
 
     left: BaseKernel
     right: BaseKernel
@@ -286,6 +278,33 @@ class Product:
 
     def sup_after(self, s):
         return self.left.sup_after(s) * self.right.sup_after(s)
+
+    def compensator(self, s):
+        """``int_0^s`` of the product for an array ``s >= 0``, one row per
+        unordered pair of families."""
+        a, b = in_family_order(self.left, self.right)
+        horizon = float(s.max())
+        terms = _terms(self, horizon)
+        if terms is not None:  # EXPxEXP, EXPxPWL, PWLxPWL
+            return _term_sum(_exp_integral, *terms, s)
+        if isinstance(b, Sqr):  # the pulse is a constant on [0, l]
+            return b.b * a.compensator(np.minimum(s, b.l))
+        if isinstance(a, Sqr):  # SQRxSNS
+            return a.b * b.compensator(np.minimum(s, a.l))
+        if isinstance(a, Sns):  # SNSxSNS
+            w1, w2 = a.omega, b.omega
+            m = np.minimum(s, self.support_end())
+            if math.isclose(w1, w2, rel_tol=1e-12):
+                inner = m / 2.0 - np.sin(2.0 * w1 * m) / (4.0 * w1)
+            else:
+                inner = np.sin((w1 - w2) * m) / (2.0 * (w1 - w2)) - np.sin((w1 + w2) * m) / (
+                    2.0 * (w1 + w2)
+                )
+            return a.a * b.a * inner
+        # EXPxSNS, PWLxSNS
+        end = b.support_end()
+        w, z = _terms(a, min(horizon, end))
+        return _term_sum(partial(_sine_integral, b), w, z, np.minimum(s, end))
 
     def support_end(self) -> float:
         return min(self.left.support_end(), self.right.support_end())
@@ -299,7 +318,7 @@ Kernel = Union[BaseKernel, Sum, Product]
 
 @dataclass(frozen=True)
 class StationarityVerdict:
-    """Closed-form value of the kernel norm (or its upper bound).
+    """Value of the kernel norm, or of its upper bound when ``is_bound``.
 
     ``stationary`` is true exactly when ``norm_value`` lies in ``[0, 1)``;
     the boundary value 1 is rejected because the steady arrival rate
@@ -367,21 +386,113 @@ def sup_after(kernel: Kernel, s):
 
 
 # ---------------------------------------------------------------------------
+# exponential-sum term sets
+
+# trapezoid error and cut-off tail mass of a term set, relative to the kernel
+_TERM_TOL = 1e-13
+_TAIL_TOL = 1e-14
+# terms per block, in the sums here and in each likelihood recursion call:
+# (_BLOCK, n) arrays bound the working set
+_BLOCK = 4
+
+
+def _laplace_nodes(shape: float, c_lo: float, c_hi: float, horizon: float):
+    """Trapezoid step ``h`` and nodes ``x = log s`` for a Laplace density
+    below ``s^(shape-1) e^(-c_lo s) / Gamma(shape)`` whose transform falls
+    no faster than ``(c_hi + t)^-shape``.
+
+    The ends of the ``s`` range each cut off ``_TAIL_TOL`` of the mass at
+    lags up to ``horizon``.  In ``x`` the integrand is analytic in the strip
+    ``|Im x| < pi/2`` and grows there as ``cos(Im x)^-shape``, so the
+    trapezoid error is about ``cos(d)^-shape exp(-2 pi d / h)`` for any
+    ``d`` in the strip; ``h`` is the largest step that keeps it at
+    ``_TERM_TOL``.
+    """
+    d = np.linspace(0.01, 1.56, 156)
+    h = float(np.max(2.0 * np.pi * d / (-math.log(_TERM_TOL) - shape * np.log(np.cos(d)))))
+    s_lo = special.gammaincinv(shape, _TAIL_TOL) / (c_hi + horizon)
+    s_hi = special.gammainccinv(shape, _TAIL_TOL) / c_lo
+    return h, np.arange(math.log(s_lo), math.log(s_hi) + h, h)
+
+
+def _pwl_terms(kernel: Pwl, horizon: float):
+    k, c, p = kernel.k, kernel.c, kernel.p
+    h, x = _laplace_nodes(p, c, c, horizon)
+    s = np.exp(x)
+    return k * np.exp(math.log(h) + p * x - c * s - special.gammaln(p)), s
+
+
+def _kummer_decay(a: float, b: float, x: np.ndarray) -> np.ndarray:
+    """``1F1(a; b; -x)`` for ``x >= 0`` and ``0 < a < b``.
+
+    scipy's ``hyp1f1`` drifts and then returns NaN for large ``x`` (past
+    about 1e10 when ``b - a`` is near 10), so from ``x = 1e5`` on this sums
+    eight terms of the large-argument expansion (DLMF 13.7.2)
+    ``Gamma(b) / Gamma(b-a) x^-a sum_s (a)_s (a-b+1)_s / s! x^-s``, which
+    are exact to rounding there.
+    """
+    out = np.empty_like(x)
+    big = x >= 1e5
+    out[~big] = special.hyp1f1(a, b, -x[~big])
+    xb = x[big]
+    total, term = np.zeros_like(xb), np.ones_like(xb)
+    for j in range(8):
+        total += term
+        term *= (a + j) * (a - b + 1.0 + j) / ((j + 1.0) * xb)
+    out[big] = np.exp(special.gammaln(b) - special.gammaln(b - a) - a * np.log(xb)) * total
+    return out
+
+
+def _pwl_pwl_terms(a: Pwl, b: Pwl, horizon: float):
+    # a is the factor with the larger c, so the 1F1 argument is <= 0
+    if a.c < b.c:
+        a, b = b, a
+    shape = a.p + b.p
+    h, x = _laplace_nodes(shape, b.c, a.c, horizon)
+    s = np.exp(x)
+    density = np.exp(math.log(h) + shape * x - b.c * s - special.gammaln(shape))
+    return a.k * b.k * density * _kummer_decay(a.p, shape, (a.c - b.c) * s), s
+
+
+def _terms(kernel: Kernel, horizon: float):
+    """Weights and rates ``(w, z)`` with ``kernel(t) = sum_j w_j exp(-z_j t)``
+    on ``[0, horizon]``, or None for a kernel with a finite support."""
+    if isinstance(kernel, Exp):
+        return np.array([kernel.alpha]), np.array([kernel.beta])
+    if isinstance(kernel, Pwl):
+        return _pwl_terms(kernel, horizon)
+    if isinstance(kernel, Product):
+        a, b = in_family_order(kernel.left, kernel.right)
+        if isinstance(a, Pwl) and isinstance(b, Pwl):
+            return _pwl_pwl_terms(a, b, horizon)
+        if isinstance(a, Exp) and isinstance(b, (Exp, Pwl)):
+            w, z = _terms(b, horizon)
+            return a.alpha * w, z + a.beta
+    return None
+
+
+def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``sum_j w_j integral(z_j, s)`` at each ``s``, ``_BLOCK`` terms at a time."""
+    out = np.zeros(s.shape)
+    for j in range(0, z.size, _BLOCK):
+        out += w[j : j + _BLOCK] @ integral(z[j : j + _BLOCK, None], s)
+    return out
+
+
+def _exp_integral(z, s):
+    """``int_0^s exp(-z u) du``."""
+    return -np.expm1(-z * s) / z
+
+
+def _sine_integral(sns: Sns, z, m):
+    """``int_0^m exp(-z u) a sin(omega u) du`` for ``m`` within the half-wave."""
+    w = sns.omega
+    num = w - np.exp(-z * m) * (z * np.sin(w * m) + w * np.cos(w * m))
+    return sns.a * num / (z * z + w * w)
+
+
+# ---------------------------------------------------------------------------
 # stationarity norms
-
-
-def _exp_pwl_norm(e: Exp, w: Pwl) -> float:
-    # alpha*K*beta^(p-1)*exp(beta*c)*Gamma(1-p, beta*c); the incomplete gamma
-    # has a negative first argument, so evaluate through mpmath.
-    x = mpmath.mpf(e.beta) * mpmath.mpf(w.c)
-    val = (
-        mpmath.mpf(e.alpha)
-        * mpmath.mpf(w.k)
-        * mpmath.power(e.beta, w.p - 1.0)
-        * mpmath.exp(x)
-        * mpmath.gammainc(1.0 - w.p, x)
-    )
-    return float(val)
 
 
 def _check_shared_support(end1: float, end2: float, tol: float) -> None:
@@ -393,55 +504,31 @@ def _check_shared_support(end1: float, end2: float, tol: float) -> None:
         )
 
 
-def _norm_product(a: BaseKernel, b: BaseKernel, support_tol: float):
-    """Closed-form norm (or upper bound) of a two-factor product.
-
-    Returns ``(value, is_bound)``.  Dispatch is on the unordered type pair.
-    """
-    a, b = in_family_order(a, b)
-    if isinstance(a, Exp) and isinstance(b, Exp):
-        return a.alpha * b.alpha / (a.beta + b.beta), False
-    if isinstance(a, Exp) and isinstance(b, Pwl):
-        return _exp_pwl_norm(a, b), False
-    if isinstance(a, Exp) and isinstance(b, Sqr):
-        return a.alpha * b.b * (1.0 - math.exp(-a.beta * b.l)) / a.beta, False
-    if isinstance(a, Exp) and isinstance(b, Sns):
-        w, bt = b.omega, a.beta
-        return b.a * a.alpha * w * (1.0 + math.exp(-bt * math.pi / w)) / (w * w + bt * bt), False
-    if isinstance(a, Pwl) and isinstance(b, Pwl):
-        q = a.p + b.p - 1.0
-        return a.k * b.k / (q * min(a.c, b.c) ** q), True
-    if isinstance(a, Pwl) and isinstance(b, Sqr):
-        q = a.p - 1.0
-        return a.k * b.b * (a.c ** -q - (a.c + b.l) ** -q) / q, False
-    if isinstance(a, Pwl) and isinstance(b, Sns):
-        q = 1.0 - a.p
-        return a.k * b.a * ((a.c + math.pi / b.omega) ** q - a.c ** q) / q, True
-    if isinstance(a, Sqr) and isinstance(b, Sqr):
-        return a.b * b.b * min(a.l, b.l), False
-    if isinstance(a, Sqr) and isinstance(b, Sns):
-        _check_shared_support(a.l, math.pi / b.omega, support_tol)
-        return 2.0 * b.a * a.b / b.omega, False
-    if isinstance(a, Sns) and isinstance(b, Sns):
-        _check_shared_support(math.pi / a.omega, math.pi / b.omega, support_tol)
-        return math.pi * a.a * b.a / (2.0 * a.omega), False
-    raise TypeError(f"not base kernels: {a!r}, {b!r}")
-
-
 def stationarity_norm(kernel: Kernel, support_tol: float = 0.05) -> StationarityVerdict:
-    """Closed-form stationarity norm of a composite kernel.
+    """Stationarity norm ``int_0^inf phi``, the kernel's compensator at its
+    support end.
 
-    Singles use the per-family closed forms, sums add them (exact), and
-    products use the pairwise closed forms; the PWLxPWL and PWLxSNS rows are
-    upper bounds and are flagged ``is_bound``.  Products of two discontinuous
-    kernels (SQRxSNS, SNSxSNS) assume a shared support endpoint and raise
-    :class:`SupportMismatchError` when the endpoints differ by more than
-    ``support_tol`` relative.
+    A product with an EXP factor is integrated to ``min(end, 40/beta)``: it
+    decays at least as fast as ``exp(-beta t)``, and ``exp(-40) < 5e-18``
+    leaves the rest at rounding level.  The PWLxPWL and
+    PWLxSNS rows are closed-form upper bounds and are flagged ``is_bound``.
+    A product of two discontinuous kernels (SQRxSNS, SNSxSNS) raises
+    :class:`SupportMismatchError` when its support endpoints differ by more
+    than ``support_tol`` relative.
     """
+    end = kernel.support_end()
     if isinstance(kernel, Product):
-        value, is_bound = _norm_product(kernel.left, kernel.right, support_tol)
-        return _verdict(value, is_bound)
-    return _verdict(kernel.norm())
+        a, b = in_family_order(kernel.left, kernel.right)
+        if isinstance(a, (Sqr, Sns)) and isinstance(b, Sns):
+            _check_shared_support(a.support_end(), b.support_end(), support_tol)
+        if isinstance(a, Pwl) and isinstance(b, Pwl):
+            q = a.p + b.p - 1.0
+            return _verdict(a.k * b.k / (q * min(a.c, b.c) ** q), is_bound=True)
+        if isinstance(a, Pwl) and isinstance(b, Sns):
+            return _verdict(b.a * a.compensator(end), is_bound=True)
+        if isinstance(a, Exp):
+            end = min(end, 40.0 / a.beta)
+    return _verdict(kernel.compensator(np.array([end]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ computes the event intensities and the time-rescaling increments.  Each
 addend of a kernel takes one of two routes, by its support:
 
 * Infinite support: EXP, PWL, EXPxEXP, EXPxPWL and PWLxPWL are completely
-  monotone, so each is written as J real terms ``sum_j w_j exp(-z_j t)``.
-  EXP is one exact term.  PWL is the trapezoid rule in ``x = log s`` on its
+  monotone, so each is written as J real terms ``sum_j w_j exp(-z_j t)``
+  (``kernels._terms``).  EXP is one exact term.  PWL is the trapezoid rule in ``x = log s`` on its
   Laplace form ``(c+t)^-p = int s^(p-1) e^(-c s) e^(-t s) ds / Gamma(p)``
   (Beylkin & Monzon 2005, 2010).  EXPxPWL shifts every rate by beta.
   PWLxPWL uses one term set from the product's Laplace density, the
@@ -23,23 +23,22 @@ addend of a kernel takes one of two routes, by its support:
   over lag diagonals up to its support end, in O(n w), where w is the
   number of events in one support window.
 
-Every compensator is closed form: the families' own, the product rows
-below, and for EXPxPWL, PWLxPWL and PWLxSNS the same term sets.  Nothing
-is truncated or integrated numerically.
+Every compensator is the kernel's own closed form, ``compensator`` on its
+class; a product's comes from the one pair table, ``Product.compensator``,
+which for EXPxPWL, PWLxPWL and PWLxSNS runs on the same term sets.
+Nothing is truncated or integrated numerically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-from scipy import special
 from scipy.integrate import quad  # noqa: F401 -- the benchmark tracer patches this name
 from scipy.linalg import blas
 
-from .kernels import Exp, Kernel, Product, Pwl, Sns, Sqr, Sum, in_family_order
+from .kernels import _BLOCK, Kernel, Sum, _terms
 from .simulate import EventSequence, HawkesModel
 
 __all__ = [
@@ -49,12 +48,6 @@ __all__ = [
     "compensator_increments",
     "exp_log_likelihood",
 ]
-
-# trapezoid error and cut-off tail mass of a term set, relative to the kernel
-_TERM_TOL = 1e-13
-_TAIL_TOL = 1e-14
-# terms per recursion call: (_BLOCK, n) arrays bound the working set
-_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -68,95 +61,7 @@ class LogLikelihood:
 
 
 # ---------------------------------------------------------------------------
-# exponential-sum term sets
-
-
-def _laplace_nodes(shape: float, c_lo: float, c_hi: float, horizon: float):
-    """Trapezoid step ``h`` and nodes ``x = log s`` for a Laplace density
-    below ``s^(shape-1) e^(-c_lo s) / Gamma(shape)`` whose transform falls
-    no faster than ``(c_hi + t)^-shape``.
-
-    The ends of the ``s`` range each cut off ``_TAIL_TOL`` of the mass at
-    lags up to ``horizon``.  In ``x`` the integrand is analytic in the strip
-    ``|Im x| < pi/2`` and grows there as ``cos(Im x)^-shape``, so the
-    trapezoid error is about ``cos(d)^-shape exp(-2 pi d / h)`` for any
-    ``d`` in the strip; ``h`` is the largest step that keeps it at
-    ``_TERM_TOL``.
-    """
-    d = np.linspace(0.01, 1.56, 156)
-    h = float(np.max(2.0 * np.pi * d / (-math.log(_TERM_TOL) - shape * np.log(np.cos(d)))))
-    s_lo = special.gammaincinv(shape, _TAIL_TOL) / (c_hi + horizon)
-    s_hi = special.gammainccinv(shape, _TAIL_TOL) / c_lo
-    return h, np.arange(math.log(s_lo), math.log(s_hi) + h, h)
-
-
-def _pwl_terms(kernel: Pwl, horizon: float):
-    k, c, p = kernel.k, kernel.c, kernel.p
-    h, x = _laplace_nodes(p, c, c, horizon)
-    s = np.exp(x)
-    return k * np.exp(math.log(h) + p * x - c * s - special.gammaln(p)), s
-
-
-def _kummer_decay(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """``1F1(a; b; -x)`` for ``x >= 0`` and ``0 < a < b``.
-
-    scipy's ``hyp1f1`` drifts and then returns NaN for large ``x`` (past
-    about 1e10 when ``b - a`` is near 10), so from ``x = 1e5`` on this sums
-    eight terms of the large-argument expansion (DLMF 13.7.2)
-    ``Gamma(b) / Gamma(b-a) x^-a sum_s (a)_s (a-b+1)_s / s! x^-s``, which
-    are exact to rounding there.
-    """
-    out = np.empty_like(x)
-    big = x >= 1e5
-    out[~big] = special.hyp1f1(a, b, -x[~big])
-    xb = x[big]
-    total, term = np.zeros_like(xb), np.ones_like(xb)
-    for j in range(8):
-        total += term
-        term *= (a + j) * (a - b + 1.0 + j) / ((j + 1.0) * xb)
-    out[big] = np.exp(special.gammaln(b) - special.gammaln(b - a) - a * np.log(xb)) * total
-    return out
-
-
-def _pwl_pwl_terms(a: Pwl, b: Pwl, horizon: float):
-    # a is the factor with the larger c, so the 1F1 argument is <= 0
-    if a.c < b.c:
-        a, b = b, a
-    shape = a.p + b.p
-    h, x = _laplace_nodes(shape, b.c, a.c, horizon)
-    s = np.exp(x)
-    density = np.exp(math.log(h) + shape * x - b.c * s - special.gammaln(shape))
-    return a.k * b.k * density * _kummer_decay(a.p, shape, (a.c - b.c) * s), s
-
-
-def _terms(kernel: Kernel, horizon: float):
-    """Weights and rates ``(w, z)`` with ``kernel(t) = sum_j w_j exp(-z_j t)``
-    on ``[0, horizon]``, or None for a kernel with a finite support."""
-    if isinstance(kernel, Exp):
-        return np.array([kernel.alpha]), np.array([kernel.beta])
-    if isinstance(kernel, Pwl):
-        return _pwl_terms(kernel, horizon)
-    if isinstance(kernel, Product):
-        a, b = in_family_order(kernel.left, kernel.right)
-        if isinstance(a, Pwl) and isinstance(b, Pwl):
-            return _pwl_pwl_terms(a, b, horizon)
-        if isinstance(a, Exp) and isinstance(b, (Exp, Pwl)):
-            w, z = _terms(b, horizon)
-            return a.alpha * w, z + a.beta
-    return None
-
-
-def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_j w_j integral(z_j, s)`` at each ``s``, ``_BLOCK`` terms at a time."""
-    out = np.zeros(s.shape)
-    for j in range(0, z.size, _BLOCK):
-        out += w[j : j + _BLOCK] @ integral(z[j : j + _BLOCK, None], s)
-    return out
-
-
-def _exp_integral(z, s):
-    """``int_0^s exp(-z u) du``."""
-    return -np.expm1(-z * s) / z
+# exponential-sum recursion
 
 
 def _split(kernel: Kernel, horizon: float):
@@ -197,40 +102,6 @@ def _decay_sums(z: np.ndarray, gaps: np.ndarray):
 # compensator
 
 
-def _sine_integral(sns: Sns, z, m):
-    """``int_0^m exp(-z u) a sin(omega u) du`` for ``m`` within the half-wave."""
-    w = sns.omega
-    num = w - np.exp(-z * m) * (z * np.sin(w * m) + w * np.cos(w * m))
-    return sns.a * num / (z * z + w * w)
-
-
-def _compensator_product(a, b, s: np.ndarray) -> np.ndarray:
-    """Truncated product integral ``int_0^s phi_a * phi_b`` for ``s >= 0``."""
-    a, b = in_family_order(a, b)
-    horizon = float(s.max())
-    terms = _terms(Product(a, b), horizon)
-    if terms is not None:  # EXPxEXP, EXPxPWL, PWLxPWL
-        return _term_sum(_exp_integral, *terms, s)
-    if isinstance(b, Sqr):  # the pulse is a constant on [0, l]
-        return b.b * a.compensator(np.minimum(s, b.l))
-    if isinstance(a, Sqr):  # SQRxSNS
-        return a.b * b.compensator(np.minimum(s, a.l))
-    if isinstance(a, Sns):  # SNSxSNS
-        w1, w2 = a.omega, b.omega
-        m = np.minimum(s, min(a.support_end(), b.support_end()))
-        if math.isclose(w1, w2, rel_tol=1e-12):
-            inner = m / 2.0 - np.sin(2.0 * w1 * m) / (4.0 * w1)
-        else:
-            inner = np.sin((w1 - w2) * m) / (2.0 * (w1 - w2)) - np.sin((w1 + w2) * m) / (
-                2.0 * (w1 + w2)
-            )
-        return a.a * b.a * inner
-    # EXPxSNS, PWLxSNS
-    end = b.support_end()
-    w, z = _terms(a, min(horizon, end))
-    return _term_sum(partial(_sine_integral, b), w, z, np.minimum(s, end))
-
-
 def compensator(kernel: Kernel, s) -> np.ndarray:
     """Kernel compensator ``Phi(s) = int_0^s phi(u) du``, vectorized in ``s``."""
     arr = np.asarray(s, dtype=float)
@@ -238,11 +109,7 @@ def compensator(kernel: Kernel, s) -> np.ndarray:
     arr = np.maximum(np.atleast_1d(arr), 0.0)
     if arr.size == 0:
         return arr
-    if isinstance(kernel, Product):
-        out = _compensator_product(kernel.left, kernel.right, arr)
-    else:
-        out = kernel.compensator(arr)
-    out = np.broadcast_to(out, arr.shape).astype(float)
+    out = np.broadcast_to(kernel.compensator(arr), arr.shape).astype(float)
     if scalar:
         return float(out[0])
     return out

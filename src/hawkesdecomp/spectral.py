@@ -21,7 +21,6 @@ from .covariance import CovarianceGrid
 __all__ = [
     "KernelEstimate",
     "DegenerateSpectrumError",
-    "triangular_g_spectrum",
     "hilbert_transform",
     "invert_to_kernel",
 ]
@@ -46,20 +45,6 @@ class KernelEstimate:
     @property
     def times(self) -> np.ndarray:
         return np.arange(len(self.values)) * self.delta
-
-
-def triangular_g_spectrum(omega, h: float):
-    """Spectrum ``4 sin^2(omega*h/2) / (omega^2 h)`` of the triangular
-    window of bandwidth ``h``; the limit at ``omega = 0`` is ``h``."""
-    if h <= 0:
-        raise ValueError("bandwidth h must be positive")
-    w = np.asarray(omega, dtype=float)
-    small = np.abs(w * h) < 1e-8
-    safe = np.where(small, 1.0, w)
-    out = np.where(small, h, 4.0 * np.sin(safe * h / 2.0) ** 2 / (safe**2 * h))
-    if np.isscalar(omega) or w.ndim == 0:
-        return float(out)
-    return out
 
 
 def hilbert_transform(samples: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
+import itertools
 import math
 import warnings
 from dataclasses import fields
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,6 +183,96 @@ class TestStationarityNorm:
             assert quad_norm(pp) <= stationarity_norm(pp).norm_value + 1e-9
             ps = Product(random_base(rng, "PWL"), random_base(rng, "SNS"))
             assert quad_norm(ps) <= stationarity_norm(ps).norm_value + 1e-9
+
+
+# fit-bound corners and a few interior values (``fit._GEN_LO/_GEN_HI``,
+# ``fit._P_LO/_P_HI``)
+SCALES = (1e-8, 1e-3, 1.0, 1e3, 1e8)
+EXPONENTS = (1.0 + 1e-8, 1.5, 2.0, 10.0)
+
+
+def mp_relative_error(value, exact) -> float:
+    return float(abs((mpmath.mpf(value) - exact) / exact))
+
+
+class TestNormsAtFitBounds:
+    """Product norms against 40-digit closed forms, with unit amplitudes."""
+
+    def test_exp_sqr(self):
+        with mpmath.workdps(40):
+            for beta, l in itertools.product(SCALES, SCALES):
+                exact = -mpmath.expm1(-mpmath.mpf(beta) * l) / beta
+                value = stationarity_norm(Product(Exp(1.0, beta), Sqr(1.0, l))).norm_value
+                assert mp_relative_error(value, exact) <= 1e-12, (beta, l)
+
+    def test_pwl_sqr(self):
+        with mpmath.workdps(40):
+            for c, l, p in itertools.product(SCALES, SCALES, EXPONENTS):
+                q = mpmath.mpf(p) - 1
+                exact = (mpmath.mpf(c) ** -q - (mpmath.mpf(c) + l) ** -q) / q
+                value = stationarity_norm(Product(Pwl(1.0, c, p), Sqr(1.0, l))).norm_value
+                assert mp_relative_error(value, exact) <= 1e-12, (c, l, p)
+
+    def test_exp_pwl(self):
+        # int_0^inf e^(-beta t) (c+t)^-p dt = beta^(p-1) e^(beta c) Gamma(1-p, beta c)
+        with mpmath.workdps(40):
+            cases = itertools.product(SCALES, SCALES, EXPONENTS)
+            for beta, c, p in itertools.chain(cases, [(8.8e6, 9.5e-6, 10.0)]):
+                x = mpmath.mpf(beta) * c
+                exact = mpmath.mpf(beta) ** (p - 1) * mpmath.exp(x) * mpmath.gammainc(1 - mpmath.mpf(p), x)
+                value = stationarity_norm(Product(Exp(1.0, beta), Pwl(1.0, c, p))).norm_value
+                assert mp_relative_error(value, exact) <= 1e-12, (beta, c, p)
+
+
+def log_uniform(rng, lo=1e-8, hi=1e8):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def draw_in_fit_bounds(rng, family):
+    cls = FAMILIES[family]
+    return cls(*[1.0 + log_uniform(rng, 1e-8, 9.0) if f.name == "p" else log_uniform(rng)
+                 for f in fields(cls)])
+
+
+def closed_form_norm(kernel) -> float:
+    """Each family's norm in closed form; a sum adds its two."""
+    if isinstance(kernel, Sum):
+        return closed_form_norm(kernel.left) + closed_form_norm(kernel.right)
+    if isinstance(kernel, Exp):
+        return kernel.alpha / kernel.beta
+    if isinstance(kernel, Pwl):
+        return kernel.k * kernel.c ** (1.0 - kernel.p) / (kernel.p - 1.0)
+    if isinstance(kernel, Sqr):
+        return kernel.b * kernel.l
+    return 2.0 * kernel.a / kernel.omega
+
+
+class TestNormIsCompensatorAtSupportEnd:
+    def test_singles_and_sums_match_closed_forms_exactly(self):
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            for family in FAMILIES:
+                k = draw_in_fit_bounds(rng, family)
+                assert stationarity_norm(k).norm_value == closed_form_norm(k), k
+            for f1, f2 in itertools.combinations_with_replacement(FAMILIES, 2):
+                k = Sum(draw_in_fit_bounds(rng, f1), draw_in_fit_bounds(rng, f2))
+                assert stationarity_norm(k).norm_value == closed_form_norm(k), k
+
+    @pytest.mark.parametrize(
+        "f1, f2", itertools.product(FAMILIES, FAMILIES), ids=[f"{a}x{b}" for a in FAMILIES for b in FAMILIES])
+    def test_products_do_not_depend_on_operand_order(self, f1, f2):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            a, b = random_base(rng, f1), random_base(rng, f2)
+            if f1 in ("SQR", "SNS") and f2 in ("SQR", "SNS"):
+                # support ends 4% apart, inside the default tolerance
+                end = 1.04 * a.support_end()
+                b = Sqr(b.b, end) if f2 == "SQR" else Sns(b.a, math.pi / end)
+            assert stationarity_norm(Product(a, b)) == stationarity_norm(Product(b, a)), (a, b)
+
+    def test_sns_sns_off_support_is_exact(self):
+        k = Product(Sns(0.3, 1.0), Sns(0.3, 1.04))
+        assert stationarity_norm(k).norm_value == pytest.approx(quad_norm(k), rel=1e-12)
 
 
 class TestSupAfter:

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import quad_norm
-from hawkesdecomp import likelihood
+from hawkesdecomp import kernels, likelihood
 from hawkesdecomp.kernels import (
     Exp,
     Product,
@@ -294,7 +294,8 @@ class TestEngineAgainstBruteForce:
             compensator_increments(model, events), brute_increments(model, events), rtol=1e-10, atol=0)
 
     def test_no_mpmath(self):
-        assert "mpmath" not in vars(likelihood)
+        for module in (likelihood, kernels):
+            assert "mpmath" not in vars(module), module.__name__
 
 
 # fit-bound corners (``fit._GEN_LO/_GEN_HI``, ``fit._P_LO/_P_HI``)

@@ -10,7 +10,6 @@ from hawkesdecomp.spectral import (
     KernelEstimate,
     hilbert_transform,
     invert_to_kernel,
-    triangular_g_spectrum,
 )
 
 
@@ -38,37 +37,6 @@ def exp_hawkes_covariance_grid(mu, alpha, beta, delta, tau_max):
         )[0]
         vals[k] = lam * tri(tau) + smooth
     return CovarianceGrid(values=vals, delta=delta, h=delta, tau_max=tau_max, lambda_hat=lam)
-
-
-class TestWindowSpectrum:
-    def test_zero_frequency_limit(self):
-        assert triangular_g_spectrum(0.0, 0.25) == pytest.approx(0.25)
-        assert triangular_g_spectrum(1e-12, 0.25) == pytest.approx(0.25)
-
-    def test_closed_form_value(self):
-        h = 0.5
-        w = math.pi / h
-        assert triangular_g_spectrum(w, h) == pytest.approx(4.0 / (w * w * h))
-
-    def test_matches_quadrature_transform(self):
-        # spectrum equals the real Fourier transform of the unit-mass
-        # triangle of half-width h
-        h = 0.3
-        for w in (0.7, 2.0, 11.0):
-            val = quad(
-                lambda x: (1.0 - abs(x) / h) / h * math.cos(w * x), -h, h
-            )[0] * h
-            assert triangular_g_spectrum(w, h) == pytest.approx(val, abs=1e-10)
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            triangular_g_spectrum(1.0, 0.0)
-
-    def test_vectorized(self):
-        w = np.array([0.0, 1.0, 5.0])
-        out = triangular_g_spectrum(w, 0.2)
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(0.2)
 
 
 class TestHilbert:
