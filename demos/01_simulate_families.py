@@ -36,5 +36,7 @@ for label, model in MODELS.items():
 
 print()
 print("The empirical rate N/T tracks the stationary prediction for every")
-print("family; the sinusoidal kernel shows that the thinning sampler also")
-print("handles non-monotone excitation.")
+print("family.  The sampler draws the process as Poisson clusters, one")
+print("generation at a time, and places each child by inverting the kernel's")
+print("compensator, so the non-monotone sinusoid takes the same path as the")
+print("decaying kernels.")

@@ -15,18 +15,20 @@ immutable values; every function in this module is pure.
 
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
 holds all of the family's one-kernel math as methods: ``evaluate``,
-``sup_after``, ``compensator``, ``support_end`` and ``effective_support``,
-plus the static ``curve``, the family's formula on raw parameters, which
-``evaluate`` and ``sup_after`` wrap.  Its dataclass fields, in order, are
-its parameters and its JSON keys.  The integral of a product of two
-families is in one pair table, ``Product.compensator``, whose rows for the
-completely monotone pairs (EXPxEXP, EXPxPWL, PWLxPWL) and the decaying
-sines (EXPxSNS, PWLxSNS) run on the exponential-sum term sets of
-``_terms``.  The stationarity norm is the compensator at the support end;
-only the PWLxPWL and PWLxSNS norms keep their flagged upper bounds.  The
-optimizer's starts for a family come from ``fit._starts``.  A new family
-is a class here, its ``Product.compensator`` rows (and its term set, when
-it is completely monotone) and a start rule.
+``compensator`` and ``support_end``, plus the static ``curve``, the
+family's formula on raw parameters, which ``evaluate`` wraps.  Its
+dataclass fields, in order, are its parameters and its JSON keys.  The
+integral of a product of two families is in one pair table,
+``Product.compensator``, whose rows for the completely monotone pairs
+(EXPxEXP, EXPxPWL, PWLxPWL) and the decaying sines (EXPxSNS, PWLxSNS) run
+on the exponential-sum term sets of ``_terms``.  The stationarity norm is
+the compensator at the support end; only the PWLxPWL and PWLxSNS norms
+keep their flagged upper bounds.  The simulator draws its lags by
+inverting the compensator, so every kernel it accepts is sampled through
+that one method.  The optimizer's starts for a family come from
+``fit._starts``.  A new family is a class here, its
+``Product.compensator`` rows (and its term set, when it is completely
+monotone) and a start rule.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ __all__ = [
     "SupportMismatchError",
     "evaluate",
     "support_end",
-    "effective_support",
-    "sup_after",
     "stationarity_norm",
     "kernel_to_dict",
     "kernel_from_dict",
@@ -74,12 +74,12 @@ class _Family:
     """Behaviour shared by the base kernel classes.
 
     Every field must be finite and above its floor: 0, unless ``_floors``
-    names another.  ``sup_after`` and ``compensator`` take elapsed times
-    already clamped at 0.  The static ``curve(t, *params)`` is the family's
-    formula for lags ``t >= 0``, from the fields in order; ``evaluate`` and
-    ``sup_after`` are built on it, and the fit objective calls it with one
-    (M, 1) column per field, which gives M curves, one per row.  A
-    dataclass's ``__match_args__`` is its field names in order.
+    names another.  ``compensator`` takes elapsed times already clamped at
+    0.  The static ``curve(t, *params)`` is the family's formula for lags
+    ``t >= 0``, from the fields in order; ``evaluate`` is built on it, and
+    the fit objective calls it with one (M, 1) column per field, which
+    gives M curves, one per row.  A dataclass's ``__match_args__`` is its
+    field names in order.
     """
 
     _floors: dict = {}
@@ -110,19 +110,11 @@ class Exp(_Family):
     def evaluate(self, t):
         return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.alpha, self.beta), 0.0)
 
-    def sup_after(self, s):
-        return self.curve(s, self.alpha, self.beta)
-
     def compensator(self, s):
         return (self.alpha / self.beta) * -np.expm1(-self.beta * s)
 
     def support_end(self) -> float:
         return math.inf
-
-    def effective_support(self, eps: float) -> float:
-        if self.alpha <= eps:
-            return 0.0
-        return math.log(self.alpha / eps) / self.beta
 
 
 @dataclass(frozen=True)
@@ -149,9 +141,6 @@ class Pwl(_Family):
     def evaluate(self, t):
         return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.k, self.c, self.p), 0.0)
 
-    def sup_after(self, s):
-        return self.curve(s, self.k, self.c, self.p)
-
     def compensator(self, s):
         # k (c^-q - (c+s)^-q) / q without cancellation at small q or s
         q = self.p - 1.0
@@ -159,10 +148,6 @@ class Pwl(_Family):
 
     def support_end(self) -> float:
         return math.inf
-
-    def effective_support(self, eps: float) -> float:
-        edge = (self.k / eps) ** (1.0 / self.p) - self.c
-        return max(edge, 0.0)
 
 
 @dataclass(frozen=True)
@@ -179,17 +164,11 @@ class Sqr(_Family):
     def evaluate(self, t):
         return np.where(t >= 0, self.curve(t, self.b, self.l), 0.0)
 
-    def sup_after(self, s):
-        return self.curve(s, self.b, self.l)
-
     def compensator(self, s):
         return self.b * np.minimum(s, self.l)
 
     def support_end(self) -> float:
         return self.l
-
-    def effective_support(self, eps: float) -> float:
-        return self.support_end()
 
 
 @dataclass(frozen=True)
@@ -209,19 +188,13 @@ class Sns(_Family):
         end = math.pi / self.omega
         return self.curve(np.minimum(np.maximum(t, 0.0), 2.0 * end), self.a, self.omega)
 
-    def sup_after(self, s):
-        peak = math.pi / (2.0 * self.omega)
-        return np.where(s <= peak, self.a, self.curve(s, self.a, self.omega))
-
     def compensator(self, s):
+        # (a/omega)(1 - cos(omega m)) without cancellation at small lags
         m = np.minimum(s, math.pi / self.omega)
-        return (self.a / self.omega) * (1.0 - np.cos(self.omega * m))
+        return 2.0 * self.a / self.omega * np.sin(0.5 * self.omega * m) ** 2
 
     def support_end(self) -> float:
         return math.pi / self.omega
-
-    def effective_support(self, eps: float) -> float:
-        return self.support_end()
 
 
 BaseKernel = Union[Exp, Pwl, Sqr, Sns]
@@ -252,17 +225,11 @@ class Sum:
     def evaluate(self, t):
         return self.left.evaluate(t) + self.right.evaluate(t)
 
-    def sup_after(self, s):
-        return self.left.sup_after(s) + self.right.sup_after(s)
-
     def compensator(self, s):
         return self.left.compensator(s) + self.right.compensator(s)
 
     def support_end(self) -> float:
         return max(self.left.support_end(), self.right.support_end())
-
-    def effective_support(self, eps: float) -> float:
-        return max(self.left.effective_support(eps), self.right.effective_support(eps))
 
 
 @dataclass(frozen=True)
@@ -275,9 +242,6 @@ class Product:
 
     def evaluate(self, t):
         return self.left.evaluate(t) * self.right.evaluate(t)
-
-    def sup_after(self, s):
-        return self.left.sup_after(s) * self.right.sup_after(s)
 
     def compensator(self, s):
         """``int_0^s`` of the product for an array ``s >= 0``, one row per
@@ -308,9 +272,6 @@ class Product:
 
     def support_end(self) -> float:
         return min(self.left.support_end(), self.right.support_end())
-
-    def effective_support(self, eps: float) -> float:
-        return min(self.left.effective_support(eps), self.right.effective_support(eps))
 
 
 Kernel = Union[BaseKernel, Sum, Product]
@@ -358,31 +319,6 @@ def evaluate(kernel: Kernel, t):
 def support_end(kernel: Kernel) -> float:
     """Right endpoint of the kernel support (``inf`` for EXP/PWL)."""
     return kernel.support_end()
-
-
-def effective_support(kernel: Kernel, eps: float = 1e-12) -> float:
-    """Lag beyond which the kernel contributes less than ``eps``.
-
-    Exact support end for SQR/SNS; for EXP and PWL the point where the tail
-    drops below ``eps``.  Used for history truncation in simulation; the
-    likelihood truncates nothing.
-    """
-    return kernel.effective_support(eps)
-
-
-def sup_after(kernel: Kernel, s):
-    """Upper bound on ``evaluate(kernel, u)`` over all ``u >= s``.
-
-    Exact for base kernels; for sums and products the bound composes the
-    factor suprema, which dominates the true supremum.  Nonincreasing in
-    ``s``, which is what the thinning sampler needs.  Accepts a scalar or
-    an array of elapsed times.
-    """
-    arr = np.asarray(s, dtype=float)
-    out = kernel.sup_after(np.maximum(arr, 0.0))
-    if np.isscalar(s) or arr.ndim == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
-"""Hawkes process simulation by thinning.
+"""Hawkes process simulation through the cluster representation.
 
-The sampler draws candidate points from a piecewise-constant dominating
-rate built from per-event kernel suprema (``sup_after``), which also covers
-the non-monotone sinusoidal kernel.  Events whose kernel contribution has
-decayed below 1e-12 are dropped from the active set, so intensity
-evaluation stays proportional to the active-history size.
+A Hawkes process is a Poisson cluster process (Hawkes & Oakes 1974): the
+immigrants are a Poisson(``mu``) stream, and every event, immigrant or
+not, starts an independent Poisson process of children at rate
+``phi(t - t_i)``.  The sampler draws it one generation at a time
+(Møller & Rasmussen 2005), each generation in one numpy pass, so no step
+scans the history and every kernel takes the same path.  A child's lag
+comes from inverting the kernel's compensator by bisection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, effective_support, evaluate, stationarity_norm, sup_after
+from .kernels import Kernel, evaluate, stationarity_norm
 
 
 class NonStationaryError(ValueError):
@@ -70,16 +73,38 @@ def intensity_at(model: HawkesModel, history: EventSequence, t: float) -> float:
     return float(model.mu + np.sum(evaluate(model.kernel, t - past)))
 
 
+# bisection steps of the lag inversion: the bracket after them is below
+# T * 2^-64, finer than the float spacing of times near T
+_HALVINGS = 64
+
+
+def _invert_compensator(kernel: Kernel, horizon_T: float, targets: np.ndarray) -> np.ndarray:
+    """Lags ``s`` in ``(0, horizon_T]`` with ``kernel.compensator(s) == targets``,
+    for targets below the mass on ``[0, horizon_T]``, by one vectorized
+    bisection; a flat stretch of the compensator maps to its left end."""
+    lo, hi = np.zeros(targets.shape), np.full(targets.shape, float(horizon_T))
+    for _ in range(_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        below = kernel.compensator(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi
+
+
 def simulate(
     model: HawkesModel,
     horizon_T: float,
     seed: int,
     max_events: int = 10**7,
 ) -> EventSequence:
-    """Simulate an event sequence on ``[0, horizon_T]`` by thinning.
+    """Simulate an event sequence on ``[0, horizon_T]``, started empty at 0,
+    one generation of the cluster representation at a time.
 
-    Deterministic given ``seed``.  Rejects non-stationary models, and aborts
-    when the expected (or realized) event count exceeds ``max_events``.
+    Each event gets Poisson(``m``) children, where ``m`` is the kernel mass
+    on ``[0, horizon_T]``, at lags drawn from the normalized compensator;
+    children at or past the horizon are dropped.  Deterministic given
+    ``seed``.  Rejects non-stationary models, and aborts when the expected
+    (or realized) event count exceeds ``max_events``.
     """
     if horizon_T <= 0:
         raise ValueError("horizon_T must be positive")
@@ -95,28 +120,33 @@ def simulate(
         )
 
     rng = np.random.default_rng(seed)
-    kernel = model.kernel
-    cutoff = effective_support(kernel)
-    events: list[float] = []
-    active = np.empty(0, dtype=float)
+    kernel, T = model.kernel, float(horizon_T)
+    mass = float(kernel.compensator(np.array([T]))[0])
+    generation = rng.uniform(0.0, T, rng.poisson(model.mu * T))
+    # lags come from a pool that covers the expected offspring of these
+    # immigrants plus three standard deviations, capped at the expected
+    # event count, so one bisection usually serves every generation (a
+    # product rebuilds its term set at each halving)
+    offspring = generation.size * mass / (1.0 - mass)
+    spread = math.sqrt(offspring / (1.0 - mass) ** 2)
+    pool_size = int(min(offspring + 3.0 * spread, expected)) + 1
+    pool = np.empty(0)
+    generations, count = [generation], generation.size
+    while generation.size:
+        if count > max_events:
+            raise BlowUpError(f"realized event count exceeds cap {max_events:.3g}")
+        children = rng.poisson(mass, generation.size)
+        need = int(children.sum())
+        if need > pool.size:
+            fresh = rng.uniform(size=max(need - pool.size, pool_size)) * mass
+            pool = np.concatenate([pool, _invert_compensator(kernel, T, fresh)])
+        lags, pool = pool[:need], pool[need:]
+        generation = np.repeat(generation, children) + lags
+        generation = generation[generation < T]
+        generations.append(generation)
+        count += generation.size
 
-    t = 0.0
-    while True:
-        # Dominating rate: sup of each active event's future contribution.
-        bound = model.mu
-        if active.size:
-            bound += float(np.sum(sup_after(kernel, t - active)))
-        t += rng.exponential(1.0 / bound)
-        if t >= horizon_T:
-            break
-        lam = model.mu
-        if active.size:
-            lam += float(np.sum(evaluate(kernel, t - active)))
-        if rng.uniform() * bound <= lam:
-            events.append(t)
-            if len(events) > max_events:
-                raise BlowUpError(f"realized event count exceeds cap {max_events:.3g}")
-            active = np.append(active, t)
-            active = active[t - active <= cutoff]
-
-    return EventSequence(np.asarray(events, dtype=float), float(horizon_T))
+    # exact arithmetic gives distinct times almost surely; a child whose
+    # lag is below the spacing of floats at its parent's time rounds onto
+    # the parent, and is dropped as a tie
+    return EventSequence(np.unique(np.concatenate(generations)), T)

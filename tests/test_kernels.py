@@ -25,7 +25,6 @@ from hawkesdecomp.kernels import (
     kernel_to_dict,
     kernel_to_json,
     stationarity_norm,
-    sup_after,
     support_end,
 )
 
@@ -275,20 +274,15 @@ class TestNormIsCompensatorAtSupportEnd:
         assert stationarity_norm(k).norm_value == pytest.approx(quad_norm(k), rel=1e-12)
 
 
-class TestSupAfter:
-    def test_dominates_future_values(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            k = random_base(rng)
-            for s in rng.uniform(0, 8, size=5):
-                u = np.linspace(s, s + 20, 400)
-                assert sup_after(k, float(s)) >= float(evaluate(k, u).max()) - 1e-12
-
-    def test_nonincreasing(self):
-        k = Sns(2.0, 1.3)
-        ss = np.linspace(0, 4, 100)
-        vals = sup_after(k, ss)
-        assert np.all(np.diff(vals) <= 1e-12)
+class TestCompensatorAtSmallLags:
+    def test_sns(self):
+        # a (1 - cos(omega s)) / omega cancels for omega s << 1
+        k = Sns(1.0, 1.0)
+        with mpmath.workdps(40):
+            for s in (1e-8, 1e-6, 1e-4, 1e-2, 1.0):
+                exact = 1 - mpmath.cos(mpmath.mpf(s))
+                value = k.compensator(np.array([s]))[0]
+                assert mp_relative_error(value, exact) <= 1e-14, s
 
 
 class TestSerialization:

@@ -1,14 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from hawkesdecomp.kernels import Exp, Sns, Sqr, Sum
+from conftest import quad_norm
+from hawkesdecomp.kernels import Exp, Product, Pwl, Sns, Sqr, Sum
+from hawkesdecomp.likelihood import compensator_increments
 from hawkesdecomp.simulate import (
     BlowUpError,
     EventSequence,
     HawkesModel,
     NonStationaryError,
+    _invert_compensator,
     intensity_at,
     simulate,
 )
@@ -94,19 +99,78 @@ class TestSimulate:
         assert ts[0] >= 0 and ts[-1] < 200.0
         assert np.all(np.diff(ts) > 0)
 
-    def test_thinning_bound_dominates_intensity(self):
-        # the dominating rate used for rejection must upper-bound the true
-        # intensity throughout the candidate interval, also for the
-        # non-monotone sinusoid
-        from hawkesdecomp.kernels import evaluate, sup_after
+    def test_empty_when_no_immigrant(self):
+        # mu T = 1e-6: the Poisson immigrant count is 0 at this seed
+        events = simulate(HawkesModel(mu=1e-8, kernel=Exp(0.5, 1.0)), 100.0, seed=0)
+        assert len(events) == 0 and events.horizon_T == 100.0
 
-        model = HawkesModel(mu=0.8, kernel=Sum(Sns(0.3, 1.5), Exp(0.4, 2.0)))
-        events = simulate(model, 100.0, seed=5)
-        history = events.timestamps
-        rng = np.random.default_rng(0)
-        for t in rng.uniform(1.0, 99.0, size=20):
-            past = history[history < t]
-            bound = model.mu + float(np.sum(sup_after(model.kernel, t - past)))
-            for u in np.linspace(t, t + 2.0, 50):
-                lam = model.mu + float(np.sum(evaluate(model.kernel, u - past)))
-                assert bound >= lam - 1e-9
+
+# (mu, kernel): one shape per likelihood path of the benchmark's long-history
+# workload, plus a pulse and a pulse times a half-wave with the same support
+LAW_SHAPES = {
+    "exp": (0.5, Exp(0.5, 1.0)),
+    "pwl": (0.5, Pwl(0.15, 0.3, 2.0)),
+    "exp_plus_pwl": (0.5, Sum(Exp(0.3, 1.0), Pwl(0.06, 0.3, 2.0))),
+    "exp_x_sns": (0.5, Product(Exp(1.0, 0.5), Sns(0.6, 1.5))),
+    "exp_x_pwl": (0.5, Product(Exp(1.0, 0.5), Pwl(0.3, 0.5, 2.0))),
+    "pwl_x_sns": (0.5, Product(Pwl(1.0, 0.5, 2.0), Sns(0.3, 1.5))),
+    "pwl_x_pwl": (0.5, Product(Pwl(0.2, 0.5, 2.0), Pwl(1.0, 0.5, 2.0))),
+    "sqr": (0.5, Sqr(0.2, 2.5)),
+    "sqr_x_sns": (0.5, Product(Sqr(1.0, 2.0), Sns(0.5, math.pi / 2.0))),
+}
+LAW_EVENTS = 20000
+
+
+@functools.lru_cache(maxsize=None)
+def law_sample(label):
+    """Model, exact norm and one simulation of about ``LAW_EVENTS`` events."""
+    mu, kernel = LAW_SHAPES[label]
+    norm = quad_norm(kernel)
+    horizon = LAW_EVENTS * (1.0 - norm) / mu
+    model = HawkesModel(mu=mu, kernel=kernel)
+    return model, norm, simulate(model, horizon, seed=5)
+
+
+@pytest.mark.parametrize("label", list(LAW_SHAPES))
+class TestSamplerLaw:
+    def test_rescaled_gaps_are_unit_exponential(self, label):
+        model, _, events = law_sample(label)
+        inc = compensator_increments(model, events)
+        assert stats.kstest(inc, "expon").pvalue > 1e-3
+
+    def test_count_matches_stationary_mean(self, label):
+        model, norm, events = law_sample(label)
+        mean = model.mu * events.horizon_T / (1.0 - norm)
+        sd = math.sqrt(mean / (1.0 - norm) ** 2)
+        assert abs(len(events) - mean) <= 5.0 * sd
+
+    def test_strictly_increasing_inside_horizon(self, label):
+        _, _, events = law_sample(label)
+        ts = events.timestamps
+        assert ts[0] >= 0.0 and ts[-1] < events.horizon_T
+        assert np.all(np.diff(ts) > 0)
+
+
+class TestLagInversion:
+    """Bisection lags against closed-form inverses of the normalized
+    compensator.  64 halvings leave a bracket of ``T 2^-64``; the
+    compensator's own rounding, about ``eps m`` for mass ``m``, moves the
+    crossing by ``eps m / phi(s)``, which the bound adds."""
+
+    U = np.random.default_rng(9).uniform(size=2000)
+
+    def check(self, kernel, horizon, exact):
+        mass = kernel.compensator(np.array([horizon]))[0]
+        lags = _invert_compensator(kernel, horizon, self.U * mass)
+        rounding = 2.0 * np.finfo(float).eps * mass / kernel.evaluate(exact)
+        assert np.all(np.abs(lags - exact) <= horizon * 2.0**-60 + rounding)
+
+    @pytest.mark.parametrize("horizon", [3.0, 1e4])
+    def test_exp(self, horizon):
+        beta = 1.3
+        exact = -np.log1p(-self.U * -np.expm1(-beta * horizon)) / beta
+        self.check(Exp(0.5, beta), horizon, exact)
+
+    @pytest.mark.parametrize("horizon", [3.0, 1e4])
+    def test_sqr(self, horizon):
+        self.check(Sqr(0.2, 2.5), horizon, self.U * 2.5)
