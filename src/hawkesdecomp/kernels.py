@@ -19,15 +19,17 @@ holds all of the family's one-kernel math as methods: ``evaluate``,
 family's formula on raw parameters, which ``evaluate`` wraps.  Its
 dataclass fields, in order, are its parameters and its JSON keys.  The
 integral of a product of two families is in one pair table,
-``Product.compensator``, whose rows for the completely monotone pairs
+``Product.compensator_within``, whose rows for the completely monotone pairs
 (EXPxEXP, EXPxPWL, PWLxPWL) and the decaying sines (EXPxSNS, PWLxSNS) run
 on the exponential-sum term sets of ``_terms``.  The stationarity norm is
 the compensator at the support end; only the PWLxPWL and PWLxSNS norms
-keep their flagged upper bounds.  The simulator draws its lags by
-inverting the compensator, so every kernel it accepts is sampled through
-that one method.  The optimizer's starts for a family come from
+keep their flagged upper bounds.  ``compensator_within(horizon)`` gives
+the same integral as a function of the lag, with a product's term set
+built once for lags up to ``horizon``; the simulator draws its lags by
+inverting it, so every kernel it accepts is sampled through that one
+method.  The optimizer's starts for a family come from
 ``fit._starts``.  A new family is a class here, its
-``Product.compensator`` rows (and its term set, when it is completely
+``Product.compensator_within`` rows (and its term set, when it is completely
 monotone) and a start rule.
 """
 
@@ -89,6 +91,11 @@ class _Family:
             value, floor = getattr(self, name), self._floors.get(name, 0.0)
             if not (math.isfinite(value) and value > floor):
                 raise ValueError(f"{name} must be finite and > {floor:g}, got {value!r}")
+
+    def compensator_within(self, horizon: float):
+        """``compensator`` for lags up to ``horizon``; a base family's needs
+        nothing built first."""
+        return self.compensator
 
     @property
     def family(self) -> str:
@@ -228,6 +235,10 @@ class Sum:
     def compensator(self, s):
         return self.left.compensator(s) + self.right.compensator(s)
 
+    def compensator_within(self, horizon: float):
+        left, right = self.left.compensator_within(horizon), self.right.compensator_within(horizon)
+        return lambda s: left(s) + right(s)
+
     def support_end(self) -> float:
         return max(self.left.support_end(), self.right.support_end())
 
@@ -244,31 +255,27 @@ class Product:
         return self.left.evaluate(t) * self.right.evaluate(t)
 
     def compensator(self, s):
-        """``int_0^s`` of the product for an array ``s >= 0``, one row per
-        unordered pair of families."""
+        """``int_0^s`` of the product for an array ``s >= 0``."""
+        return self.compensator_within(float(s.max()))(s)
+
+    def compensator_within(self, horizon: float):
+        """``s -> int_0^s`` of the product for lags ``s`` in ``[0, horizon]``,
+        one row per unordered pair of families; a term set is built here,
+        once, for lags up to ``horizon``."""
         a, b = in_family_order(self.left, self.right)
-        horizon = float(s.max())
         terms = _terms(self, horizon)
         if terms is not None:  # EXPxEXP, EXPxPWL, PWLxPWL
-            return _term_sum(_exp_integral, *terms, s)
+            return partial(_term_sum, _exp_integral, *terms)
         if isinstance(b, Sqr):  # the pulse is a constant on [0, l]
-            return b.b * a.compensator(np.minimum(s, b.l))
+            return lambda s: b.b * a.compensator(np.minimum(s, b.l))
         if isinstance(a, Sqr):  # SQRxSNS
-            return a.b * b.compensator(np.minimum(s, a.l))
+            return lambda s: a.b * b.compensator(np.minimum(s, a.l))
         if isinstance(a, Sns):  # SNSxSNS
-            w1, w2 = a.omega, b.omega
-            m = np.minimum(s, self.support_end())
-            if math.isclose(w1, w2, rel_tol=1e-12):
-                inner = m / 2.0 - np.sin(2.0 * w1 * m) / (4.0 * w1)
-            else:
-                inner = np.sin((w1 - w2) * m) / (2.0 * (w1 - w2)) - np.sin((w1 + w2) * m) / (
-                    2.0 * (w1 + w2)
-                )
-            return a.a * b.a * inner
+            return partial(_sine_sine_integral, a, b, self.support_end())
         # EXPxSNS, PWLxSNS
         end = b.support_end()
-        w, z = _terms(a, min(horizon, end))
-        return _term_sum(partial(_sine_integral, b), w, z, np.minimum(s, end))
+        sine_sum = partial(_term_sum, partial(_sine_integral, b), *_terms(a, min(horizon, end)))
+        return lambda s: sine_sum(np.minimum(s, end))
 
     def support_end(self) -> float:
         return min(self.left.support_end(), self.right.support_end())
@@ -418,6 +425,19 @@ def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarr
 def _exp_integral(z, s):
     """``int_0^s exp(-z u) du``."""
     return -np.expm1(-z * s) / z
+
+
+def _sine_sine_integral(a: Sns, b: Sns, end: float, s):
+    """``int_0^s`` of ``a sin(w1 u) b sin(w2 u)`` on the shared half-wave."""
+    w1, w2 = a.omega, b.omega
+    m = np.minimum(s, end)
+    if math.isclose(w1, w2, rel_tol=1e-12):
+        inner = m / 2.0 - np.sin(2.0 * w1 * m) / (4.0 * w1)
+    else:
+        inner = np.sin((w1 - w2) * m) / (2.0 * (w1 - w2)) - np.sin((w1 + w2) * m) / (
+            2.0 * (w1 + w2)
+        )
+    return a.a * b.a * inner
 
 
 def _sine_integral(sns: Sns, z, m):

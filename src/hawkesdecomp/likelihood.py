@@ -20,8 +20,8 @@ addend of a kernel takes one of two routes, by its support:
   which BLAS ``dtbsv`` runs in compiled code, a few terms per call, so the
   cost is O(n J) and no (J, n) array is built.
 * Finite support: any kernel with a SQR or SNS factor is summed exactly
-  over lag diagonals up to its support end, in O(n w), where w is the
-  number of events in one support window.
+  over the event pairs that lie within its support end, in O(n w), where
+  w is the mean number of events in one support window.
 
 Every compensator is the kernel's own closed form, ``compensator`` on its
 class; a product's comes from the one pair table, ``Product.compensator``,
@@ -119,15 +119,35 @@ def compensator(kernel: Kernel, s) -> np.ndarray:
 # intensities, log-likelihood and rescaled increments
 
 
-def _diagonals(ts: np.ndarray, end: float, offset: int):
-    """Lag diagonals ``d = 1, 2, ...``, while some pair of events
-    ``(i - offset, i - d)`` lies at most ``end`` apart; past that, every
-    pair of the diagonal and of all later ones lies farther apart."""
+# lag pairs per chunk of the finite-support sums: a chunk's arrays stay
+# small enough to be reused from the heap rather than mapped afresh
+_PAIRS = 1 << 12
+
+
+def _window_pairs(ts: np.ndarray, end: float, offset: int):
+    """Chunks ``(rows, i, k)`` of the index pairs, ``k < i``, whose lag
+    ``t_(i - offset) - t_k`` is at most ``end``, nearest ``k`` first; each
+    chunk holds whole rows, the slice ``rows`` of ``i``, and about
+    ``_PAIRS`` pairs.
+
+    Each row also takes the one pair just past its window, so rounding at
+    the window's edge drops none; a pair past the support adds exactly 0.
+    The work is the number of pairs, which follows the mean event rate,
+    not the densest window of the sequence.
+    """
     n = ts.size
-    for d in range(1, n):
-        if np.min(ts[d - offset : n - offset] - ts[: n - d]) > end:
-            return
-        yield d
+    first = np.maximum(np.searchsorted(ts, ts[: n - offset] - end) - 1, 0)
+    counts = np.arange(offset, n) - first
+    ends = np.cumsum(counts)
+    start = 0
+    while start < counts.size:
+        budget = ends[start] - counts[start] + _PAIRS
+        stop = max(int(np.searchsorted(ends, budget, "right")), start + 1)
+        c = counts[start:stop]
+        i = np.repeat(np.arange(start + offset, stop + offset), c)
+        back = np.arange(i.size) - np.repeat(np.cumsum(c) - c, c)
+        yield slice(start + offset, stop + offset), i, i - 1 - back
+        start = stop
 
 
 def _event_intensities(model: HawkesModel, events: EventSequence) -> np.ndarray:
@@ -139,8 +159,9 @@ def _event_intensities(model: HawkesModel, events: EventSequence) -> np.ndarray:
     for j in range(0, z.size, _BLOCK):
         lam += w[j : j + _BLOCK] @ _decay_sums(z[j : j + _BLOCK], gaps)[0]
     for part in finite:
-        for d in _diagonals(ts, part.support_end(), 0):
-            lam[d:] += part.evaluate(ts[d:] - ts[:-d])
+        for rows, i, k in _window_pairs(ts, part.support_end(), 0):
+            values = part.evaluate(ts[i] - ts[k])
+            lam[rows] += np.bincount(i - rows.start, values, rows.stop - rows.start)
     return lam
 
 
@@ -182,9 +203,10 @@ def compensator_increments(model: HawkesModel, events: EventSequence) -> np.ndar
         rise = -np.expm1(np.multiply.outer(-zb, gaps[1:]))
         inc[1:] += (wb / zb) @ ((1.0 + sums[:, :-1]) * rise)
     for part in finite:
-        for d in _diagonals(ts, part.support_end(), 1):
-            k = ts[: n - d]
-            inc[d:] += compensator(part, ts[d:] - k) - compensator(part, ts[d - 1 : n - 1] - k)
+        integral = part.compensator_within(part.support_end())
+        for rows, i, k in _window_pairs(ts, part.support_end(), 1):
+            rise = integral(ts[i] - ts[k]) - integral(ts[i - 1] - ts[k])
+            inc[rows] += np.bincount(i - rows.start, rise, rows.stop - rows.start)
     return inc
 
 

@@ -81,11 +81,15 @@ _HALVINGS = 64
 def _invert_compensator(kernel: Kernel, horizon_T: float, targets: np.ndarray) -> np.ndarray:
     """Lags ``s`` in ``(0, horizon_T]`` with ``kernel.compensator(s) == targets``,
     for targets below the mass on ``[0, horizon_T]``, by one vectorized
-    bisection; a flat stretch of the compensator maps to its left end."""
+    bisection; a flat stretch of the compensator maps to its left end.
+
+    A product's term set is built once, for lags up to ``horizon_T``, so
+    every halving does the same work whatever lags the targets map to."""
+    integral = kernel.compensator_within(horizon_T)
     lo, hi = np.zeros(targets.shape), np.full(targets.shape, float(horizon_T))
     for _ in range(_HALVINGS):
         mid = 0.5 * (lo + hi)
-        below = kernel.compensator(mid) < targets
+        below = integral(mid) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return hi
@@ -123,12 +127,13 @@ def simulate(
     kernel, T = model.kernel, float(horizon_T)
     mass = float(kernel.compensator(np.array([T]))[0])
     generation = rng.uniform(0.0, T, rng.poisson(model.mu * T))
-    # lags come from a pool that covers the expected offspring of these
-    # immigrants plus three standard deviations, capped at the expected
-    # event count, so one bisection usually serves every generation (a
-    # product rebuilds its term set at each halving)
-    offspring = generation.size * mass / (1.0 - mass)
-    spread = math.sqrt(offspring / (1.0 - mass) ** 2)
+    # lags come from a pool sized from the model alone: the expected
+    # offspring plus three standard deviations of the event count, capped
+    # at the expected event count.  One bisection of that fixed size
+    # usually serves every generation, so its cost does not follow the
+    # realization
+    offspring = model.mu * T * mass / (1.0 - mass)
+    spread = math.sqrt(model.mu * T / (1.0 - mass) ** 3)
     pool_size = int(min(offspring + 3.0 * spread, expected)) + 1
     pool = np.empty(0)
     generations, count = [generation], generation.size

@@ -274,6 +274,36 @@ class TestNormIsCompensatorAtSupportEnd:
         assert stationarity_norm(k).norm_value == pytest.approx(quad_norm(k), rel=1e-12)
 
 
+class TestCompensatorWithin:
+    HORIZON = 300.0
+    LAGS = np.concatenate(([0.0], np.geomspace(1e-6, HORIZON, 400)))
+
+    @staticmethod
+    def kernels(rng):
+        yield from (random_base(rng, f) for f in FAMILIES)
+        for f1, f2 in itertools.combinations_with_replacement(FAMILIES, 2):
+            a, b = random_base(rng, f1), random_base(rng, f2)
+            yield Sum(a, b)
+            if f1 in ("SQR", "SNS") and f2 in ("SQR", "SNS"):
+                b = Sqr(b.b, a.support_end()) if f2 == "SQR" else Sns(b.a, math.pi / a.support_end())
+            yield Product(a, b)
+
+    def test_matches_compensator(self):
+        rng = np.random.default_rng(43)
+        for k in self.kernels(rng):
+            within = k.compensator_within(self.HORIZON)(self.LAGS)
+            np.testing.assert_allclose(within, k.compensator(self.LAGS), rtol=1e-12, atol=0, err_msg=str(k))
+
+    def test_does_not_depend_on_the_lags_asked(self):
+        # the term set is fixed by the horizon, so a lag's value is the same
+        # bits whichever other lags share the call
+        rng = np.random.default_rng(44)
+        for k in self.kernels(rng):
+            integral = k.compensator_within(self.HORIZON)
+            full = integral(self.LAGS)
+            np.testing.assert_array_equal(integral(self.LAGS[:50]), full[:50], err_msg=str(k))
+
+
 class TestCompensatorAtSmallLags:
     def test_sns(self):
         # a (1 - cos(omega s)) / omega cancels for omega s << 1

@@ -293,6 +293,35 @@ class TestEngineAgainstBruteForce:
         np.testing.assert_allclose(
             compensator_increments(model, events), brute_increments(model, events), rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("kernel", [
+        Sqr(0.3, 1.0), Sum(Exp(0.2, 1.0), Sqr(0.2, 0.5)), Product(Pwl(0.5, 0.5, 2.0), Sqr(0.6, 1.5))])
+    def test_lags_on_the_support_end(self, kernel):
+        # events on a grid whose lags hit the pulse's end exactly: the pulse
+        # is on at its end, so every such pair counts
+        model = HawkesModel(mu=0.5, kernel=kernel)
+        events = EventSequence(np.arange(0.0, 30.0, 0.25), 30.5)
+        lam = likelihood._event_intensities(model, events)
+        np.testing.assert_allclose(lam, brute_intensities(model, events.timestamps), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            compensator_increments(model, events), brute_increments(model, events), rtol=1e-10, atol=0)
+
+    def test_lag_rounded_onto_the_support_end(self):
+        # t_i - t_k rounds to exactly l although t_i - l rounds above t_k, so
+        # a window found from t_i - l alone would miss the pair
+        tk, ti = 0.8166622741539723, 1.8166622741539724
+        assert ti - tk == 1.0 and ti - 1.0 > tk
+        model = HawkesModel(mu=0.5, kernel=Sqr(0.3, 1.0))
+        events = EventSequence(np.array([tk, ti]), 2.0)
+        np.testing.assert_array_equal(likelihood._event_intensities(model, events), [0.5, 0.8])
+
+    @pytest.mark.parametrize("shape", [("SQR",), ("x", "EXP", "SNS"), ("+", "PWL", "SNS")], ids="".join)
+    def test_pair_chunks_do_not_change_the_sums(self, shape, monkeypatch):
+        model, events = shape_model(shape, seed=7)
+        whole = likelihood._event_intensities(model, events), compensator_increments(model, events)
+        monkeypatch.setattr(likelihood, "_PAIRS", 3)
+        np.testing.assert_array_equal(likelihood._event_intensities(model, events), whole[0])
+        np.testing.assert_array_equal(compensator_increments(model, events), whole[1])
+
     def test_no_mpmath(self):
         for module in (likelihood, kernels):
             assert "mpmath" not in vars(module), module.__name__

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import quad_norm
+from hawkesdecomp import kernels
 from hawkesdecomp.kernels import Exp, Product, Pwl, Sns, Sqr, Sum
 from hawkesdecomp.likelihood import compensator_increments
 from hawkesdecomp.simulate import (
@@ -174,3 +175,12 @@ class TestLagInversion:
     @pytest.mark.parametrize("horizon", [3.0, 1e4])
     def test_sqr(self, horizon):
         self.check(Sqr(0.2, 2.5), horizon, self.U * 2.5)
+
+    def test_product_builds_one_term_set(self, monkeypatch):
+        # every halving sums the same term set, built once for the horizon
+        built = []
+        nodes = kernels._laplace_nodes
+        monkeypatch.setattr(kernels, "_laplace_nodes", lambda *a: built.append(a) or nodes(*a))
+        kernel = Product(Exp(1.0, 0.5), Pwl(0.3, 0.5, 2.0))
+        _invert_compensator(kernel, 500.0, self.U[:50] * kernel.compensator(np.array([500.0]))[0])
+        assert [a[-1] for a in built] == [500.0, 500.0]  # the mass, then the bisection
