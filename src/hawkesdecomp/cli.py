@@ -2,8 +2,9 @@
 
 Commands: ``simulate``, ``estimate``, ``decompose``, ``decompose-batch``,
 ``score``, ``report``.  Exit code 0 on success, 2 on invalid input, 3 when
-no stationary model is found.  Every flag can also be supplied through a
-``key = value`` config file (``--config``); explicit flags win.
+no stationary model is found.  Every optional flag can also be supplied
+through a ``key = value`` config file (``--config``); explicit flags win,
+and a key that no command takes is invalid input.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- the benchmark tracer patches this name
+from dataclasses import fields
 from pathlib import Path
 
 from . import io as hio
@@ -27,8 +29,19 @@ EXIT_INVALID_INPUT = 2
 EXIT_NO_STATIONARY_MODEL = 3
 
 
-def _load_config(path) -> dict:
-    """Parse a flat ``key = value`` config file."""
+def _config_keys(parser: argparse.ArgumentParser) -> set:
+    """The keys a config file may set: the optional flags of every command."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        a.dest
+        for p in commands.choices.values()
+        for a in p._actions
+        if a.option_strings and not a.required and a.dest != "help"
+    }
+
+
+def _load_config(path, keys) -> dict:
+    """Parse a flat ``key = value`` config file whose keys are in ``keys``."""
     config = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -37,7 +50,10 @@ def _load_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        config[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        config[key] = value.strip()
     return config
 
 
@@ -63,14 +79,12 @@ def _read_model(path) -> HawkesModel:
 
 
 def _decomposition_config(args, config) -> DecompositionConfig:
-    return DecompositionConfig(
-        resolution=_resolve(args, config, "resolution", int, 100),
-        horizon_percentile=_resolve(args, config, "horizon_percentile", float, 0.95),
-        tau_max=_resolve(args, config, "tau_max", float, None),
-        eta=_resolve(args, config, "eta", float, 1.2),
-        holdout=_resolve(args, config, "holdout", float, None),
-        gd_restarts=_resolve(args, config, "gd_restarts", int, 5),
-    )
+    """Each field from its flag, else the config file, else its default; a
+    field annotated ``int`` is read as an int, every other as a float."""
+    return DecompositionConfig(**{
+        f.name: _resolve(args, config, f.name, int if f.type == "int" else float, f.default)
+        for f in fields(DecompositionConfig)
+    })
 
 
 def _read_events_arg(args, config) -> EventSequence:
@@ -89,9 +103,8 @@ def _cmd_simulate(args, config) -> int:
 
 def _cmd_estimate(args, config) -> int:
     events = _read_events_arg(args, config)
-    resolution = _resolve(args, config, "resolution", int, 100)
-    percentile = _resolve(args, config, "horizon_percentile", float, 0.95)
-    horizon, delta = lag_grid(events, resolution, percentile)
+    cfg = _decomposition_config(args, config)
+    horizon, delta = lag_grid(events, cfg.resolution, cfg.horizon_percentile)
     grid = covariance_grid(events, delta, horizon)
     out = Path(args.out)
     rows = ["lag_time,nu_value"] + [
@@ -229,7 +242,7 @@ def main(argv=None) -> int:
     config = {}
     if args.config:
         try:
-            config = _load_config(args.config)
+            config = _load_config(args.config, _config_keys(parser))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT

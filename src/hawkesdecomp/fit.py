@@ -7,20 +7,29 @@ identical inputs always produce identical fits.  Negative estimate samples
 enter the objective as-is.  The simplex search handles the discontinuous
 families (SQR, SNS) that rule out gradient methods.
 
-The objective (``_objective``) is batched: it maps an (M, N) matrix of raw
-parameter vectors to M residues and builds no kernel object.  A fit reads
-the grid lags once; each call clips the matrix to one per-field bound
-vector, computes the model curves with the families' static ``curve``
-functions, one row per vector, and passes them to ``residue_of``.  A row
-with a NaN scores ``inf``.  An additive expansion adds the frozen K1 curve,
-computed once per fit; a product multiplies the two factor curves.
-``evaluate`` is built on the same curves and every grid lag is positive, so
-a fit reaches the same floats, and the same kernel, as one that evaluates a
-kernel per step.  One rule keeps the rows equal to one-at-a-time curves:
-numpy squares ``x ** 2.0`` for a scalar exponent, which can differ in the
-last bit from ``pow``, so ``Pwl.curve`` squares the rows whose exponent is
-exactly 2 (the PWL null start of an additive expansion puts ``p = 2`` on a
-simplex vertex).  Only the best vector of a fit is decoded into a kernel.
+Each of the twelve fits (four singles, then K1 plus or times each family)
+is one ``_candidate`` triple ``(starts, objective, decode)``, and
+``fit_single`` and ``fit_expansion`` both run it through ``_fit``.  Inside
+``_candidate`` a local ``parts`` reads a parameter vector as the families
+the fit builds, each a class and its arguments; the objective multiplies
+their curves (and, for a sum, adds the frozen K1 curve, computed once per
+fit) and ``decode`` builds their kernel.  The two tied products are written
+there and nowhere else: SQRxSNS is ``(b, a, omega)`` with the pulse length
+``l = pi/omega``, and SNSxSNS is ``(a1, a2, omega)`` with one frequency, so
+both factors share one support end.
+
+The objective is batched: it maps an (M, N) matrix of raw parameter vectors
+to M residues and builds no kernel object.  Each call clips the matrix to
+one per-field bound vector, computes the model curves with the families'
+static ``curve`` functions, one row per vector, and passes them to
+``residue_of``.  A row with a NaN scores ``inf``.  ``evaluate`` is built on
+the same curves and every grid lag is positive, so a fit reaches the same
+floats, and the same kernel, as one that evaluates a kernel per step.  One
+rule keeps the rows equal to one-at-a-time curves: numpy squares
+``x ** 2.0`` for a scalar exponent, which can differ in the last bit from
+``pow``, so ``Pwl.curve`` squares the rows whose exponent is exactly 2 (the
+PWL null start of an additive expansion puts ``p = 2`` on a simplex
+vertex).  Only the best vector of a fit is decoded into a kernel.
 
 ``_nelder_mead`` runs all the starts of one fit in lock-step: it holds a
 (K, N+1, N) simplex array and makes one batched objective call per phase of
@@ -40,6 +49,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import astuple, dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401 -- the benchmark tracer patches this name
@@ -89,26 +99,6 @@ def _bounds(names):
     lo = np.array([_P_LO if name == "p" else _GEN_LO for name in names])
     hi = np.array([_P_HI if name == "p" else _GEN_HI for name in names])
     return lo, hi
-
-
-def _clipped(names, params) -> list:
-    """``params`` clipped to the bounds of the fields ``names``, as floats.
-    A NaN stays NaN, and the kernel constructors reject it."""
-    return np.clip(np.asarray(params, dtype=float), *_bounds(names)).tolist()
-
-
-def _family(tag: str):
-    if tag not in FAMILIES:
-        raise ValueError(f"unknown family tag {tag!r}")
-    return FAMILIES[tag]
-
-
-def _make_kernel(tag: str, params) -> Kernel:
-    """Kernel of family ``tag`` from its parameters in field order, each
-    clipped to its bounds.  ``__match_args__`` is the field names in order.
-    A NaN parameter raises ``ValueError``."""
-    cls = _family(tag)
-    return cls(*_clipped(cls.__match_args__, params))
 
 
 def residue_of(estimate: KernelEstimate, kernel):
@@ -190,50 +180,79 @@ def _starts(tag: str, estimate: KernelEstimate):
     raise ValueError(f"unknown family tag {tag!r}")
 
 
-def _objective(estimate: KernelEstimate, family: str, op: str | None = None, base: Kernel | None = None):
-    """The batched fit objective: the residues of ``family`` alone, or, with
-    ``op``, of the base kernel ``base`` expanded by it, for each row of an
-    (M, N) parameter matrix.
+def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, base: Kernel | None = None):
+    """One of the twelve fits as ``(starts, objective, decode)``: ``family``
+    alone, or, with ``op``, the base kernel ``base`` expanded by it.
 
-    For ``"add"`` a row is the addend's parameters; for ``"multiply"`` it is
-    the joint encoding of ``_factors``.  A row with a NaN scores ``inf``.
-    Each call clips the matrix to the fields' bounds and calls
-    ``residue_of`` once.
+    A parameter vector holds the fields of ``family``; a product's holds
+    K1's fields, then the family's, except for the two tied pairs below.
+    ``objective`` maps an (M, N) matrix of vectors to M residues, a row with
+    a NaN scoring ``inf``, and ``decode`` maps one vector to its kernel.
+    Both clip to the fields' bounds and read the factors from ``parts``, so
+    a decoded kernel scores what its vector scored.
     """
-    cls = _family(family)
-    names = cls.__match_args__
-    t = estimate.times[1:]
-    if op is None:
+    if op not in (None, "add", "multiply"):
+        raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
+    own = _starts(family, estimate)  # an unknown tag raises ValueError here
+    cls = FAMILIES[family]
+    tag1 = base.family if op == "multiply" else None
+    fixed = astuple(base) if op == "multiply" else ()
+    # parts(x): the (class, arguments) of each family the fit builds, from
+    # clipped parameters, either floats or one column each
+    if op != "multiply":
+        names, starts = cls.__match_args__, own
+        if op == "add":
+            # a zero-amplitude addend keeps the sum no worse than K1
+            tau = max(estimate.tau_max, estimate.delta)
+            starts = own + [(_GEN_LO, 1.0, 2.0) if family == "PWL" else (_GEN_LO, 1.0 / tau)]
 
-        def curve(cols):
-            return cls.curve(t, *cols)
+        def parts(x):
+            return [(cls, x)]
 
-    elif op == "add":
-        frozen = evaluate(base, t)
+    elif {tag1, family} == {"SQR", "SNS"}:
+        # one support end: the pulse ends where the half-wave does, l = pi / omega
+        names = ("b", "a", "omega")
+        starts = [(fixed[0], a, omega) for a, omega in own] if tag1 == "SQR" else [(b, *fixed) for b, _ in own]
 
-        def curve(cols):
-            return frozen + cls.curve(t, *cols)
+        def parts(x):
+            b, a, omega = x
+            sqr, sns = (Sqr, (b, math.pi / omega)), (Sns, (a, omega))
+            return [sqr, sns] if tag1 == "SQR" else [sns, sqr]
 
-    elif op == "multiply":
-        tag1 = base.family
-        names = _product_fields(tag1, family)
+    elif tag1 == family == "SNS":
+        # one frequency, so one support
+        names = ("a", "a", "omega")
+        starts = [(fixed[0], a, fixed[1]) for a, _ in own]
 
-        def curve(cols):
-            (cls1, args1), (cls2, args2) = _factors(tag1, family, cols)
-            return cls1.curve(t, *args1) * cls2.curve(t, *args2)
+        def parts(x):
+            a1, a2, omega = x
+            return [(Sns, (a1, omega)), (Sns, (a2, omega))]
 
     else:
-        raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
+        names, starts = FAMILIES[tag1].__match_args__ + cls.__match_args__, [fixed + s for s in own]
+
+        def parts(x):
+            return [(FAMILIES[tag1], x[: len(fixed)]), (cls, x[len(fixed) :])]
+
     lo, hi = _bounds(names)
+    t = estimate.times[1:]
+    frozen = evaluate(base, t) if op == "add" else None
 
     def objective(params):
         x = np.minimum(np.maximum(params, lo), hi)
         # one (M, 1) column per field, so each curve broadcasts to (M, lags)
-        values = residue_of(estimate, curve(x.T[:, :, None]))
+        phi = reduce(np.multiply, [part.curve(t, *args) for part, args in parts(x.T[:, :, None])])
+        values = residue_of(estimate, phi if frozen is None else frozen + phi)
         values[np.isnan(x).any(axis=1)] = math.inf
         return values
 
-    return objective
+    def decode(x):
+        kernels = [part(*args) for part, args in parts(np.minimum(np.maximum(x, lo), hi).tolist())]
+        if op == "add":
+            return Sum(base, *kernels)
+        return Product(*kernels) if op == "multiply" else kernels[0]
+
+    return starts, objective, decode
 
 
 def _nelder_mead(objective, starts):
@@ -322,86 +341,23 @@ def _optimize(objective, starts, label: str):
     return x[i], float(fun[i])
 
 
+def _fit(estimate: KernelEstimate, candidate, label: str) -> FitResult:
+    """Optimize a ``_candidate`` triple and decode its best vector.
+    ``label`` names the fit in the log and in the error."""
+    starts, objective, decode = candidate
+    best, _ = _optimize(objective, starts, label)
+    if best is None:
+        raise FitError(f"no finite residue for {label}")
+    kernel = decode(best)
+    return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))
+
+
 def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
     """Best-fitting single kernel of the given family (tag in
     EXP/PWL/SQR/SNS) under the grid L1 residue."""
     if not np.any(estimate.values != 0):
         raise ValueError("degenerate estimate: all samples are zero")
-    objective = _objective(estimate, family)
-    best, best_val = _optimize(objective, _starts(family, estimate), family)
-    if best is None:
-        raise FitError(f"no finite residue for family {family}")
-    kernel = _make_kernel(family, best)
-    return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))
-
-
-def _product_fields(tag1: str, tag2: str) -> tuple:
-    """Field names of a product's flat parameter vector (see ``_factors``)."""
-    if {tag1, tag2} == {"SQR", "SNS"}:
-        return ("b", "a", "omega")
-    if tag1 == "SNS" and tag2 == "SNS":
-        return ("a", "a", "omega")
-    return FAMILIES[tag1].__match_args__ + FAMILIES[tag2].__match_args__
-
-
-def _factors(tag1: str, tag2: str, params):
-    """The two factors of a product, each as (class, parameters), decoded
-    from a flat vector of clipped parameters, floats or one column each.
-
-    SQRxSNS shares its support endpoint (L tied to pi/omega) and SNSxSNS
-    shares omega, so those pairs carry one fewer free parameter.
-    """
-    if {tag1, tag2} == {"SQR", "SNS"}:
-        b, a, omega = params
-        sqr, sns = (Sqr, (b, math.pi / omega)), (Sns, (a, omega))
-        return (sqr, sns) if tag1 == "SQR" else (sns, sqr)
-    if tag1 == "SNS" and tag2 == "SNS":
-        a1, a2, omega = params
-        return (Sns, (a1, omega)), (Sns, (a2, omega))
-    cls1, cls2 = FAMILIES[tag1], FAMILIES[tag2]
-    n1 = len(cls1.__match_args__)
-    return (cls1, params[:n1]), (cls2, params[n1:])
-
-
-def _product_from_params(tag1: str, tag2: str, params) -> Product:
-    """Decode a product kernel from a flat parameter vector (see ``_factors``)."""
-    (cls1, args1), (cls2, args2) = _factors(tag1, tag2, _clipped(_product_fields(tag1, tag2), params))
-    return Product(cls1(*args1), cls2(*args2))
-
-
-def _product_start_vectors(tag1: str, params1, tag2: str, estimate) -> list:
-    """Joint starts: fitted K1 parameters crossed with the new family's
-    start set, encoded for `_product_from_params`."""
-    starts2 = _starts(tag2, estimate)
-    vectors = []
-    if {tag1, tag2} == {"SQR", "SNS"}:
-        if tag1 == "SQR":
-            b0 = params1[0]
-            for a, omega in starts2:
-                vectors.append((b0, a, omega))
-        else:
-            a0, omega0 = params1
-            for b, _l in starts2:
-                vectors.append((b, a0, omega0))
-    elif tag1 == "SNS" and tag2 == "SNS":
-        a0, omega0 = params1
-        for a, _omega in starts2:
-            vectors.append((a0, a, omega0))
-    else:
-        for s2 in starts2:
-            vectors.append(tuple(params1) + tuple(s2))
-    return vectors
-
-
-def _addend_starts(family: str, estimate) -> list:
-    """The family's start set plus a zero-amplitude addend, which keeps an
-    additive expansion no worse than K1."""
-    null_start = [_GEN_LO] * len(FAMILIES[family].__match_args__)
-    null_start[-1] = 1.0 / max(estimate.tau_max, estimate.delta)
-    if family == "PWL":
-        null_start[1] = 1.0
-        null_start[2] = 2.0
-    return list(_starts(family, estimate)) + [tuple(null_start)]
+    return _fit(estimate, _candidate(estimate, family), family)
 
 
 def fit_expansion(
@@ -417,20 +373,5 @@ def fit_expansion(
     """
     if isinstance(fixed.kernel, (Sum, Product)):
         raise ValueError("expansion requires a single-kernel fit to extend")
-    tag1 = fixed.kernel.family
-    objective = _objective(estimate, family, op, fixed.kernel)
-
-    if op == "add":
-        best, _ = _optimize(objective, _addend_starts(family, estimate), f"{tag1}+{family}")
-        if best is None:
-            raise FitError(f"no finite residue for additive expansion +{family}")
-        kernel: Kernel = Sum(fixed.kernel, _make_kernel(family, best))
-
-    else:  # "multiply": _objective has rejected any other op
-        starts = _product_start_vectors(tag1, astuple(fixed.kernel), family, estimate)
-        best, _ = _optimize(objective, starts, f"{tag1}x{family}")
-        if best is None:
-            raise FitError(f"no finite residue for multiplicative expansion x{family}")
-        kernel = _product_from_params(tag1, family, best)
-
-    return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))
+    candidate = _candidate(estimate, family, op, fixed.kernel)
+    return _fit(estimate, candidate, f"{fixed.kernel.family}{'+' if op == 'add' else 'x'}{family}")

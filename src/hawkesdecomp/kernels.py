@@ -27,10 +27,13 @@ keep their flagged upper bounds.  ``compensator_within(horizon)`` gives
 the same integral as a function of the lag, with a product's term set
 built once for lags up to ``horizon``; the simulator draws its lags by
 inverting it, so every kernel it accepts is sampled through that one
-method.  The optimizer's starts for a family come from
+method.  The fits live in ``fit``: each of the twelve is one
+``fit._candidate``, whose starts come from the family's rule in
 ``fit._starts``.  A new family is a class here, its
 ``Product.compensator_within`` rows (and its term set, when it is completely
-monotone) and a start rule.
+monotone), a start rule in ``fit._starts``, and, only if its products with
+another family must tie a parameter as SQRxSNS and SNSxSNS do, an encoding
+in ``fit._candidate``.
 """
 
 from __future__ import annotations
@@ -451,16 +454,21 @@ def _sine_integral(sns: Sns, z, m):
 # stationarity norms
 
 
-def _check_shared_support(end1: float, end2: float, tol: float) -> None:
+# the relative gap allowed between the support ends of a SQRxSNS or SNSxSNS
+# product; the fits tie them exactly
+_SUPPORT_TOL = 0.05
+
+
+def _check_shared_support(end1: float, end2: float) -> None:
     ref = max(abs(end1), abs(end2))
-    if abs(end1 - end2) > tol * ref:
+    if abs(end1 - end2) > _SUPPORT_TOL * ref:
         raise SupportMismatchError(
             f"discontinuous-kernel product requires matching support endpoints "
-            f"(got {end1:g} and {end2:g}, tolerance {tol:.0%})"
+            f"(got {end1:g} and {end2:g}, tolerance {_SUPPORT_TOL:.0%})"
         )
 
 
-def stationarity_norm(kernel: Kernel, support_tol: float = 0.05) -> StationarityVerdict:
+def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
     """Stationarity norm ``int_0^inf phi``, the kernel's compensator at its
     support end.
 
@@ -470,13 +478,13 @@ def stationarity_norm(kernel: Kernel, support_tol: float = 0.05) -> Stationarity
     PWLxSNS rows are closed-form upper bounds and are flagged ``is_bound``.
     A product of two discontinuous kernels (SQRxSNS, SNSxSNS) raises
     :class:`SupportMismatchError` when its support endpoints differ by more
-    than ``support_tol`` relative.
+    than ``_SUPPORT_TOL`` relative.
     """
     end = kernel.support_end()
     if isinstance(kernel, Product):
         a, b = in_family_order(kernel.left, kernel.right)
         if isinstance(a, (Sqr, Sns)) and isinstance(b, Sns):
-            _check_shared_support(a.support_end(), b.support_end(), support_tol)
+            _check_shared_support(a.support_end(), b.support_end())
         if isinstance(a, Pwl) and isinstance(b, Pwl):
             q = a.p + b.p - 1.0
             return _verdict(a.k * b.k / (q * min(a.c, b.c) ** q), is_bound=True)

@@ -60,6 +60,15 @@ class DecompositionConfig:
     holdout: float | None = None
     gd_restarts: int = 5
 
+    def __post_init__(self):
+        # written so that NaN fails each test
+        if not self.resolution >= 2:
+            raise ValueError(f"resolution must be at least 2, got {self.resolution!r}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        if not 1 <= self.gd_restarts <= 5:  # the length of the GD restart ladder
+            raise ValueError(f"gd_restarts must be between 1 and 5, got {self.gd_restarts!r}")
+
 
 @dataclass(frozen=True)
 class GdFit:
@@ -98,13 +107,16 @@ class DecompositionResult:
 
     @property
     def chosen_model(self) -> HawkesModel:
-        if self.chosen == "GD":
-            return self.gd.model
-        return HawkesModel(mu=self.mu_hat_for(self.chosen), kernel=self.chosen_kernel)
+        return HawkesModel(self.mu_hat, self.chosen_kernel)
 
     def mu_hat_for(self, level: str) -> float:
-        fit = self.k1 if level == "K1" else self.k2
-        return max(self.grid.lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
+        return _level_mu(self.k1 if level == "K1" else self.k2, self.grid.lambda_hat)
+
+
+def _level_mu(fit: FitResult, lambda_hat: float) -> float:
+    """Background rate of a decomposition level: the mean event rate times
+    one minus the kernel's norm, floored at 1e-12."""
+    return max(lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
 
 
 def train_test_split(
@@ -258,13 +270,11 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
 
     level = select_level(k1, k2, config.eta)
 
-    def level_mu(fit: FitResult) -> float:
-        return max(grid.lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
-
     def level_llh(fit: FitResult) -> float:
         if not fit.verdict.stationary:
             return -math.inf
-        return log_likelihood(HawkesModel(mu=level_mu(fit), kernel=fit.kernel), eval_events).value
+        model = HawkesModel(mu=_level_mu(fit, grid.lambda_hat), kernel=fit.kernel)
+        return log_likelihood(model, eval_events).value
 
     llh_k1 = level_llh(k1)
     llh_k2 = level_llh(k2)
@@ -283,7 +293,7 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
     chosen = level if level is not None else "GD"
     if gd.llh > llh_level:
         chosen = "GD"
-    mu_hat = gd.model.mu if chosen == "GD" else level_mu(k1 if chosen == "K1" else k2)
+    mu_hat = gd.model.mu if chosen == "GD" else _level_mu(k1 if chosen == "K1" else k2, grid.lambda_hat)
 
     return DecompositionResult(
         chosen=chosen,

@@ -53,6 +53,9 @@ class EventSequence:
             raise ValueError("timestamps must be one-dimensional")
         if not (np.isfinite(self.horizon_T) and self.horizon_T > 0):
             raise ValueError(f"horizon_T must be positive, got {self.horizon_T!r}")
+        # NaN fails every comparison below, so it must be caught here
+        if not np.isfinite(ts).all():
+            raise ValueError("timestamps must be finite")
         if ts.size:
             if np.any(np.diff(ts) <= 0):
                 raise ValueError("timestamps must be strictly increasing (simple process)")

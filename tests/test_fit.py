@@ -196,28 +196,8 @@ class TestObjective:
     @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
     def test_matches_residue_of_decoded_kernel(self, spectral_estimate, tag1, op, tag):
         est = spectral_estimate
-        if op is None:
-            objective = fit._objective(est, tag)
-            n = len(FAMILIES[tag].__match_args__)
-
-            def decode(x):
-                return fit._make_kernel(tag, x)
-
-        elif op == "add":
-            objective = fit._objective(est, tag, op, BASES[tag1])
-            n = len(FAMILIES[tag].__match_args__)
-
-            def decode(x):
-                return Sum(BASES[tag1], fit._make_kernel(tag, x))
-
-        else:
-            objective = fit._objective(est, tag, op, BASES[tag1])
-            n = len(fit._product_start_vectors(tag1, astuple(BASES[tag1]), tag, est)[0])
-
-            def decode(x):
-                return fit._product_from_params(tag1, tag, x)
-
-        vectors = _vectors(n)
+        starts, objective, decode = fit._candidate(est, tag, op, BASES.get(tag1))
+        vectors = _vectors(len(starts[0]))
         values = objective(np.array(list(vectors.values())))
         assert values.shape == (len(vectors),)
         for (name, x), value in zip(vectors.items(), values):
@@ -226,16 +206,24 @@ class TestObjective:
             else:
                 assert value == residue_of(est, decode(x)), name
 
-    def test_shared_support_encodings(self):
+    def test_shared_support_encodings(self, spectral_estimate):
         b, a, omega = 0.4, 0.7, 1.3
         sqr, sns = Sqr(b, math.pi / omega), Sns(a, omega)
-        assert fit._product_from_params("SQR", "SNS", (b, a, omega)) == Product(sqr, sns)
-        assert fit._product_from_params("SNS", "SQR", (b, a, omega)) == Product(sns, sqr)
-        assert fit._product_from_params("SNS", "SNS", (a, b, omega)) == Product(Sns(a, omega), Sns(b, omega))
+
+        def product(tag1, tag):
+            return fit._candidate(spectral_estimate, tag, "multiply", BASES[tag1])
+
+        assert product("SQR", "SNS")[2]((b, a, omega)) == Product(sqr, sns)
+        assert product("SNS", "SQR")[2]((b, a, omega)) == Product(sns, sqr)
+        assert product("SNS", "SNS")[2]((a, b, omega)) == Product(Sns(a, omega), Sns(b, omega))
+        # the starts carry K1's fitted fields in the tied places
+        assert all(s[0] == BASES["SQR"].b for s in product("SQR", "SNS")[0])
+        assert all(s[1:] == astuple(BASES["SNS"]) for s in product("SNS", "SQR")[0])
+        assert all((s[0], s[2]) == astuple(BASES["SNS"]) for s in product("SNS", "SNS")[0])
 
     def test_unknown_family_is_value_error(self, spectral_estimate):
         with pytest.raises(ValueError):
-            fit._objective(spectral_estimate, "GAUSS")
+            fit._candidate(spectral_estimate, "GAUSS")
 
 
 def _scipy_runs(objective, starts):
@@ -278,34 +266,26 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
     def test_matches_scipy(self, spectral_estimate, k1_fits, tag1, op, tag):
-        est = spectral_estimate
-        if op is None:
-            objective, starts = fit._objective(est, tag), fit._starts(tag, est)
-        elif op == "add":
-            objective, starts = fit._objective(est, tag, op, k1_fits[tag1]), fit._addend_starts(tag, est)
-        else:
-            objective = fit._objective(est, tag, op, k1_fits[tag1])
-            starts = fit._product_start_vectors(tag1, astuple(k1_fits[tag1]), tag, est)
+        starts, objective, _ = fit._candidate(spectral_estimate, tag, op, k1_fits.get(tag1))
         _assert_matches_scipy(objective, starts)
 
     def test_exponent_exactly_two(self, spectral_estimate):
         # p is exactly 2 on most vertices of the first simplexes, where
         # Pwl.curve squares (TestObjective's p_two vector checks the values)
         starts = [(0.1, 0.5, 2.0), (0.05, 1.0, 2.0), (0.2, 0.25, 1.5)]
-        _assert_matches_scipy(fit._objective(spectral_estimate, "PWL"), starts)
+        _assert_matches_scipy(fit._candidate(spectral_estimate, "PWL")[1], starts)
 
     def test_nan_start(self, spectral_estimate):
         starts = fit._starts("EXP", spectral_estimate)
         starts[3] = (math.nan, 1.0)
-        _assert_matches_scipy(fit._objective(spectral_estimate, "EXP"), starts)
-        _, fun, _, success = fit._nelder_mead(fit._objective(spectral_estimate, "EXP"), starts)
+        objective = fit._candidate(spectral_estimate, "EXP")[1]
+        _assert_matches_scipy(objective, starts)
+        _, fun, _, success = fit._nelder_mead(objective, starts)
         assert fun[3] == math.inf and not success[3]
 
     def test_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
-        est = spectral_estimate
-        objective = fit._objective(est, "PWL", "multiply", k1_fits["EXP"])
-        starts = fit._product_start_vectors("EXP", astuple(k1_fits["EXP"]), "PWL", est)
+        starts, objective, _ = fit._candidate(spectral_estimate, "PWL", "multiply", k1_fits["EXP"])
         _assert_matches_scipy(objective, starts)
         assert not fit._nelder_mead(objective, starts)[3].any()
 

@@ -308,3 +308,30 @@ class TestCli:
         config = tmp_path / "broken.cfg"
         config.write_text("this is not key value\n")
         assert cli.main(["--config", str(config), "decompose", "--in", "x", "--out", "y"]) == 2
+
+    def test_unknown_config_key_exit_code(self, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("# lag horizon\ntau_maxx = 10\n")
+        assert cli.main(["--config", str(config), "decompose", "--in", "x", "--out", "y"]) == 2
+        assert f"{config}:2: unknown key 'tau_maxx'" in capsys.readouterr().err
+
+    def test_nan_event_time_exit_code(self, tmp_path, capsys):
+        events_path = tmp_path / "events.csv"
+        events_path.write_text("t\nnan\n1.0\n2.0\n3.5\n")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"mu": 0.5, "kernel": kernel_to_dict(Exp(0.5, 1.0))}))
+        assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--resolution", "0"), ("--resolution", "1"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "inf"),
+         ("--gd-restarts", "0"), ("--gd-restarts", "-3"), ("--gd-restarts", "9")],
+    )
+    def test_invalid_config_value_exit_code(self, tmp_path, capsys, flag, value):
+        events_path = tmp_path / "events.csv"
+        events_path.write_text("t\n0.5\n1.0\n2.0\n3.5\n")
+        out = tmp_path / "out.json"
+        assert cli.main(["decompose", "--in", str(events_path), flag, value, "--out", str(out)]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()

@@ -35,6 +35,14 @@ class TestEventSequence:
         with pytest.raises(ValueError):
             EventSequence(np.array([-0.5, 1.0]), 2.0)
 
+    @pytest.mark.parametrize(
+        "ts", [[math.nan, 1.0, 2.0, 3.5], [1.0, math.nan, 2.0, 3.5]], ids=["first", "middle"]
+    )
+    def test_rejects_nan(self, ts):
+        # NaN fails every comparison, so the order and range checks pass it
+        with pytest.raises(ValueError, match="finite"):
+            EventSequence(np.array(ts), 4.0)
+
     def test_empty_allowed(self):
         seq = EventSequence(np.array([]), 1.0)
         assert len(seq) == 0
