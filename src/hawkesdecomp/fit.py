@@ -79,11 +79,7 @@ _log = logging.getLogger(__name__)
 
 
 class FitError(RuntimeError):
-    """Optimizer produced no finite residue; carries the best attempt."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """Optimizer produced no finite residue from any start."""
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -144,15 +144,7 @@ def extract_events_by_threshold(
 
 
 def _fit_to_dict(fit: FitResult) -> dict:
-    return {
-        "kernel": kernel_to_dict(fit.kernel),
-        "residue": fit.residue,
-        "stationarity": {
-            "norm_value": fit.verdict.norm_value,
-            "is_bound": fit.verdict.is_bound,
-            "stationary": fit.verdict.stationary,
-        },
-    }
+    return {"kernel": kernel_to_dict(fit.kernel), "residue": fit.residue, "stationarity": asdict(fit.verdict)}
 
 
 def result_to_dict(result: DecompositionResult) -> dict:

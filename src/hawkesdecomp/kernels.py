@@ -14,16 +14,16 @@ kernels, or the product of two base kernels.  All kernel objects are
 immutable values; every function in this module is pure.
 
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
-holds all of the family's one-kernel math as methods: ``evaluate``,
-``compensator`` and ``support_end``, plus the static ``curve``, the
-family's formula on raw parameters, which ``evaluate`` wraps.  Its
+holds all of the family's one-kernel math: the static ``curve``, the
+family's formula on raw parameters, and the methods ``compensator`` and
+``support_end``; the one ``_Family.evaluate`` wraps ``curve``.  Its
 dataclass fields, in order, are its parameters and its JSON keys.  The
 integral of a product of two families is in one pair table,
 ``Product.compensator_within``, whose rows for the completely monotone pairs
 (EXPxEXP, EXPxPWL, PWLxPWL) and the decaying sines (EXPxSNS, PWLxSNS) run
-on the exponential-sum term sets of ``_terms``.  The stationarity norm is
-the compensator at the support end; only the PWLxPWL and PWLxSNS norms
-keep their flagged upper bounds.  ``compensator_within(horizon)`` gives
+on the exponential-sum term sets of ``_terms``.  The stationarity norm of
+every kernel is its compensator at the support end, so each norm is exact
+to the term sets' tolerance.  ``compensator_within(horizon)`` gives
 the same integral as a function of the lag, with a product's term set
 built once for lags up to ``horizon``; the simulator draws its lags by
 inverting it, so every kernel it accepts is sampled through that one
@@ -95,6 +95,12 @@ class _Family:
             if not (math.isfinite(value) and value > floor):
                 raise ValueError(f"{name} must be finite and > {floor:g}, got {value!r}")
 
+    def evaluate(self, t):
+        # the curve is 0 past the support end, so lags clamp to twice that
+        # end, which keeps sin off infinite lags
+        end = 2.0 * self.support_end()
+        return np.where(t >= 0, self.curve(np.minimum(np.maximum(t, 0.0), end), *astuple(self)), 0.0)
+
     def compensator_within(self, horizon: float):
         """``compensator`` for lags up to ``horizon``; a base family's needs
         nothing built first."""
@@ -116,9 +122,6 @@ class Exp(_Family):
     @staticmethod
     def curve(t, alpha, beta):
         return alpha * np.exp(-beta * t)
-
-    def evaluate(self, t):
-        return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.alpha, self.beta), 0.0)
 
     def compensator(self, s):
         return (self.alpha / self.beta) * -np.expm1(-self.beta * s)
@@ -148,9 +151,6 @@ class Pwl(_Family):
                 power[two] = np.square(base[two])
         return k / power
 
-    def evaluate(self, t):
-        return np.where(t >= 0, self.curve(np.maximum(t, 0.0), self.k, self.c, self.p), 0.0)
-
     def compensator(self, s):
         # k (c^-q - (c+s)^-q) / q without cancellation at small q or s
         q = self.p - 1.0
@@ -171,9 +171,6 @@ class Sqr(_Family):
     def curve(t, b, l):
         return np.where(t <= l, b, 0.0)
 
-    def evaluate(self, t):
-        return np.where(t >= 0, self.curve(t, self.b, self.l), 0.0)
-
     def compensator(self, s):
         return self.b * np.minimum(s, self.l)
 
@@ -191,12 +188,6 @@ class Sns(_Family):
     @staticmethod
     def curve(t, a, omega):
         return np.where(t <= math.pi / omega, a * np.sin(omega * t), 0.0)
-
-    def evaluate(self, t):
-        # the curve is 0 at lag 0 and past pi/omega, so negative lags clamp
-        # to 0 and long ones to 2*pi/omega, which keeps sin off infinite lags
-        end = math.pi / self.omega
-        return self.curve(np.minimum(np.maximum(t, 0.0), 2.0 * end), self.a, self.omega)
 
     def compensator(self, s):
         # (a/omega)(1 - cos(omega m)) without cancellation at small lags
@@ -289,7 +280,7 @@ Kernel = Union[BaseKernel, Sum, Product]
 
 @dataclass(frozen=True)
 class StationarityVerdict:
-    """Value of the kernel norm, or of its upper bound when ``is_bound``.
+    """Value of the kernel norm ``int_0^inf phi``.
 
     ``stationary`` is true exactly when ``norm_value`` lies in ``[0, 1)``;
     the boundary value 1 is rejected because the steady arrival rate
@@ -297,16 +288,7 @@ class StationarityVerdict:
     """
 
     norm_value: float
-    is_bound: bool
     stationary: bool
-
-
-def _verdict(norm_value: float, is_bound: bool = False) -> StationarityVerdict:
-    return StationarityVerdict(
-        norm_value=float(norm_value),
-        is_bound=is_bound,
-        stationary=bool(0.0 <= norm_value < 1.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +330,20 @@ def _laplace_nodes(shape: float, c_lo: float, c_hi: float, horizon: float):
     no faster than ``(c_hi + t)^-shape``.
 
     The ends of the ``s`` range each cut off ``_TAIL_TOL`` of the mass at
-    lags up to ``horizon``.  In ``x`` the integrand is analytic in the strip
-    ``|Im x| < pi/2`` and grows there as ``cos(Im x)^-shape``, so the
-    trapezoid error is about ``cos(d)^-shape exp(-2 pi d / h)`` for any
-    ``d`` in the strip; ``h`` is the largest step that keeps it at
-    ``_TERM_TOL``.
+    lags up to ``horizon``.  At ``horizon = inf`` the terms are only
+    integrated, to ``sum_j w_j / z_j``, which weighs ``s^(shape-2)``, so the
+    lower end cuts ``_TAIL_TOL`` of that mass instead.  In ``x`` the
+    integrand is analytic in the strip ``|Im x| < pi/2`` and grows there as
+    ``cos(Im x)^-shape``, so the trapezoid error is about
+    ``cos(d)^-shape exp(-2 pi d / h)`` for any ``d`` in the strip; ``h`` is
+    the largest step that keeps it at ``_TERM_TOL``.
     """
     d = np.linspace(0.01, 1.56, 156)
     h = float(np.max(2.0 * np.pi * d / (-math.log(_TERM_TOL) - shape * np.log(np.cos(d)))))
-    s_lo = special.gammaincinv(shape, _TAIL_TOL) / (c_hi + horizon)
+    if math.isinf(horizon):
+        s_lo = special.gammaincinv(shape - 1.0, _TAIL_TOL) / c_hi
+    else:
+        s_lo = special.gammaincinv(shape, _TAIL_TOL) / (c_hi + horizon)
     s_hi = special.gammainccinv(shape, _TAIL_TOL) / c_lo
     return h, np.arange(math.log(s_lo), math.log(s_hi) + h, h)
 
@@ -474,8 +461,8 @@ def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
 
     A product with an EXP factor is integrated to ``min(end, 40/beta)``: it
     decays at least as fast as ``exp(-beta t)``, and ``exp(-40) < 5e-18``
-    leaves the rest at rounding level.  The PWLxPWL and
-    PWLxSNS rows are closed-form upper bounds and are flagged ``is_bound``.
+    leaves the rest at rounding level.  Every other kernel is integrated
+    to its support end, ``inf`` for PWL and PWLxPWL, so no norm is a bound.
     A product of two discontinuous kernels (SQRxSNS, SNSxSNS) raises
     :class:`SupportMismatchError` when its support endpoints differ by more
     than ``_SUPPORT_TOL`` relative.
@@ -485,14 +472,10 @@ def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
         a, b = in_family_order(kernel.left, kernel.right)
         if isinstance(a, (Sqr, Sns)) and isinstance(b, Sns):
             _check_shared_support(a.support_end(), b.support_end())
-        if isinstance(a, Pwl) and isinstance(b, Pwl):
-            q = a.p + b.p - 1.0
-            return _verdict(a.k * b.k / (q * min(a.c, b.c) ** q), is_bound=True)
-        if isinstance(a, Pwl) and isinstance(b, Sns):
-            return _verdict(b.a * a.compensator(end), is_bound=True)
         if isinstance(a, Exp):
             end = min(end, 40.0 / a.beta)
-    return _verdict(kernel.compensator(np.array([end]))[0])
+    norm = float(kernel.compensator(np.array([end]))[0])
+    return StationarityVerdict(norm_value=norm, stationary=0.0 <= norm < 1.0)
 
 
 # ---------------------------------------------------------------------------

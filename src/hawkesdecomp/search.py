@@ -119,14 +119,12 @@ def _level_mu(fit: FitResult, lambda_hat: float) -> float:
     return max(lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
 
 
-def train_test_split(
-    events: EventSequence, fraction: float, shift: bool = True
-) -> tuple[EventSequence, EventSequence]:
+def train_test_split(events: EventSequence, fraction: float) -> tuple[EventSequence, EventSequence]:
     """First ``ceil(fraction * n)`` events for training, the rest held out.
 
     The training horizon ends at the split time (the last training event);
-    the test sequence is time-shifted to start at 0 unless ``shift`` is
-    false.
+    the test sequence is time-shifted to start at 0 there, so its
+    likelihood charges the background rate over the test window only.
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must lie strictly between 0 and 1")
@@ -137,11 +135,7 @@ def train_test_split(
     ts = events.timestamps
     split_time = float(ts[n_train - 1])
     train = EventSequence(ts[:n_train], split_time)
-    rest = ts[n_train:]
-    if shift:
-        test = EventSequence(rest - split_time, events.horizon_T - split_time)
-    else:
-        test = EventSequence(rest, events.horizon_T)
+    test = EventSequence(ts[n_train:] - split_time, events.horizon_T - split_time)
     return train, test
 
 

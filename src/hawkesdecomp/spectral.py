@@ -68,6 +68,10 @@ def hilbert_transform(samples: np.ndarray) -> np.ndarray:
     return np.fft.ifft(X * mult).real
 
 
+# the spectrum is clamped below at this share of its peak before the log
+_FLOOR_RATIO = 1e-8
+
+
 def _next_fft_size(n: int) -> int:
     size = 1
     while size < 4 * n:
@@ -75,13 +79,13 @@ def _next_fft_size(n: int) -> int:
     return size
 
 
-def invert_to_kernel(grid: CovarianceGrid, floor_ratio: float = 1e-8) -> KernelEstimate:
+def invert_to_kernel(grid: CovarianceGrid) -> KernelEstimate:
     """Recover the discretized triggering kernel from a covariance grid.
 
     Steps: symmetrize the covariance samples and take their FFT (zero-padded
     to at least 4x the grid length to limit circular leakage); divide by the
     mean rate to obtain ``|1 + psi|^2``; clamp the spectrum below at
-    ``floor_ratio`` times its maximum; rebuild the minimal-phase spectrum
+    ``_FLOOR_RATIO`` times its maximum; rebuild the minimal-phase spectrum
     from the half-log and its Hilbert transform; inverse-transform and keep
     the real part on ``[0, tau_max]``.
     """
@@ -104,7 +108,7 @@ def invert_to_kernel(grid: CovarianceGrid, floor_ratio: float = 1e-8) -> KernelE
     peak = spectrum.max()
     if peak <= 0:
         raise DegenerateSpectrumError("covariance spectrum is nonpositive everywhere")
-    floor = floor_ratio * peak
+    floor = _FLOOR_RATIO * peak
     clamped = np.maximum(spectrum, floor)
     if np.all(spectrum <= floor):
         raise DegenerateSpectrumError("covariance spectrum entirely at the clamp floor")

@@ -274,9 +274,7 @@ def test_criterion_8_selection_branches(tmp_path, monkeypatch, report):
         return FitResult(
             kernel=Exp(1.0, 2.0),
             residue=residue,
-            verdict=StationarityVerdict(
-                norm_value=0.5 if stationary else 1.5, is_bound=False, stationary=stationary
-            ),
+            verdict=StationarityVerdict(norm_value=0.5 if stationary else 1.5, stationary=stationary),
         )
 
     never_k2 = select_level(fit(1.0, True), fit(1e-6, True), eta=1e12) == "K1"

@@ -104,6 +104,11 @@ class TestResultSerialization:
         assert doc["grid"]["n_lags"] == 100
         json.dumps(doc)  # fully JSON-serializable
 
+    def test_stationarity_keys(self, exp_result):
+        doc = result_to_dict(exp_result)
+        for fit in (doc["k1"], doc["k2"], *doc["audit"]):
+            assert set(fit["stationarity"]) == {"norm_value", "stationary"}
+
     def test_negative_infinity_becomes_null(self, exp_result):
         doc = result_to_dict(exp_result)
         for key in ("llh_k1", "llh_k2", "llh_k_chosen"):

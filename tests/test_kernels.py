@@ -117,7 +117,7 @@ class TestStationarityNorm:
     def test_exp(self):
         v = stationarity_norm(Exp(0.5, 1.0))
         assert v.norm_value == pytest.approx(0.5)
-        assert v.stationary and not v.is_bound
+        assert v.stationary
 
     def test_sqr_boundary_not_stationary(self):
         v = stationarity_norm(Sqr(1, 1))
@@ -138,11 +138,6 @@ class TestStationarityNorm:
         assert total == pytest.approx(
             stationarity_norm(a).norm_value + stationarity_norm(b).norm_value
         )
-
-    def test_bound_rows_flagged(self):
-        assert stationarity_norm(Product(Pwl(1, 1, 2), Pwl(1, 1, 2))).is_bound
-        assert stationarity_norm(Product(Pwl(1, 1, 2), Sns(1, 1))).is_bound
-        assert not stationarity_norm(Product(Exp(1, 1), Pwl(1, 1, 2))).is_bound
 
     def test_support_mismatch_rejected(self):
         with pytest.raises(SupportMismatchError):
@@ -195,7 +190,8 @@ def mp_relative_error(value, exact) -> float:
 
 
 class TestNormsAtFitBounds:
-    """Product norms against 40-digit closed forms, with unit amplitudes."""
+    """Product norms against 40-digit closed forms or quadrature, with unit
+    amplitudes."""
 
     def test_exp_sqr(self):
         with mpmath.workdps(40):
@@ -221,6 +217,31 @@ class TestNormsAtFitBounds:
                 exact = mpmath.mpf(beta) ** (p - 1) * mpmath.exp(x) * mpmath.gammainc(1 - mpmath.mpf(p), x)
                 value = stationarity_norm(Product(Exp(1.0, beta), Pwl(1.0, c, p))).norm_value
                 assert mp_relative_error(value, exact) <= 1e-12, (beta, c, p)
+
+    def test_pwl_pwl(self):
+        # with c1 >= c2, u = c2 / (c2 + t) turns the integral into Euler's,
+        # c2^-q / q 2F1(p1, q; q + 1; -(c1 - c2) / c2) with q = p1 + p2 - 1
+        with mpmath.workdps(40):
+            for c1, c2, p1, p2 in itertools.product(SCALES, SCALES, EXPONENTS, EXPONENTS):
+                if c1 < c2:
+                    continue  # the other operand order is the same norm
+                q = mpmath.mpf(p1) + p2 - 1
+                z = -(mpmath.mpf(c1) - c2) / c2
+                exact = mpmath.mpf(c2) ** -q / q * mpmath.hyp2f1(p1, q, q + 1, z)
+                value = stationarity_norm(Product(Pwl(1.0, c1, p1), Pwl(1.0, c2, p2))).norm_value
+                assert mp_relative_error(value, exact) <= 1e-12, (c1, c2, p1, p2)
+
+    def test_pwl_sns(self):
+        # with z = -i omega, int_0^L (c+t)^-p e^(i omega t) dt
+        # = e^(z c) z^(p-1) Gamma(1-p; z c, z (c+L)); the norm is its
+        # imaginary part at L = pi/omega
+        with mpmath.workdps(40):
+            for c, omega, p in itertools.product(SCALES, SCALES, EXPONENTS):
+                z, q = -1j * mpmath.mpf(omega), mpmath.mpf(p) - 1
+                gamma = mpmath.gammainc(-q, z * c, z * (c + mpmath.pi / omega))
+                exact = mpmath.im(mpmath.exp(z * c) * z**q * gamma)
+                value = stationarity_norm(Product(Pwl(1.0, c, p), Sns(1.0, omega))).norm_value
+                assert mp_relative_error(value, exact) <= 1e-12, (c, omega, p)
 
 
 def log_uniform(rng, lo=1e-8, hi=1e8):

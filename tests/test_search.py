@@ -22,7 +22,7 @@ def fake_fit(residue, stationary):
     return FitResult(
         kernel=Exp(1.0, 2.0),
         residue=residue,
-        verdict=StationarityVerdict(norm_value=norm, is_bound=False, stationary=stationary),
+        verdict=StationarityVerdict(norm_value=norm, stationary=stationary),
     )
 
 
@@ -64,13 +64,6 @@ class TestTrainTestSplit:
         assert train.horizon_T == pytest.approx(8.0)
         assert test.timestamps == pytest.approx([1.0, 2.0])  # shifted by 8
         assert test.horizon_T == pytest.approx(4.0)
-
-    def test_no_shift(self):
-        ts = np.arange(1.0, 11.0)
-        events = EventSequence(ts, 12.0)
-        _, test = train_test_split(events, 0.8, shift=False)
-        assert test.timestamps == pytest.approx([9.0, 10.0])
-        assert test.horizon_T == pytest.approx(12.0)
 
     def test_invalid_fraction(self):
         events = EventSequence(np.arange(1.0, 11.0), 12.0)

@@ -83,6 +83,14 @@ class TestSimulate:
         with pytest.raises(NonStationaryError):
             simulate(HawkesModel(mu=1.0, kernel=Sqr(1.0, 1.0)), 10.0, seed=0)
 
+    def test_accepts_pwl_sns_below_one(self):
+        # the exact norm is about 0.21; the closed-form bound
+        # a * int_0^(pi/omega) of the PWL factor is about 4.98
+        kernel = Product(Pwl(1.0, 0.01, 2.0), Sns(0.05, 1.0))
+        assert kernels.stationarity_norm(kernel).norm_value < 1.0
+        events = simulate(HawkesModel(mu=1.0, kernel=kernel), 100.0, seed=0)
+        assert len(events) > 0
+
     def test_blowup_guard(self):
         with pytest.raises(BlowUpError):
             simulate(HawkesModel(mu=100.0, kernel=Exp(0.5, 1.0)), 100.0, seed=0, max_events=1000)
