@@ -11,10 +11,8 @@ from .kernels import (  # noqa: F401
     StationarityVerdict,
     evaluate,
     stationarity_norm,
-    kernel_to_json,
-    kernel_from_json,
 )
-from .simulate import EventSequence, HawkesModel, intensity_at, simulate  # noqa: F401
+from .simulate import EventSequence, HawkesModel, simulate  # noqa: F401
 from .covariance import covariance_grid, estimate_lambda, horizon_from_histogram  # noqa: F401
 from .spectral import hilbert_transform, invert_to_kernel  # noqa: F401
 from .fit import FitResult, fit_expansion, fit_single, residue_of  # noqa: F401

@@ -104,7 +104,7 @@ def _cmd_simulate(args, config) -> int:
 def _cmd_estimate(args, config) -> int:
     events = _read_events_arg(args, config)
     cfg = _decomposition_config(args, config)
-    horizon, delta = lag_grid(events, cfg.resolution, cfg.horizon_percentile)
+    horizon, delta = lag_grid(events, cfg.resolution, cfg.horizon_percentile, cfg.tau_max)
     grid = covariance_grid(events, delta, horizon)
     out = Path(args.out)
     rows = ["lag_time,nu_value"] + [

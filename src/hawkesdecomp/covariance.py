@@ -1,14 +1,15 @@
 """Empirical mean rate and discretized covariance of an event sequence.
 
 The covariance grid bins the counting process into adjacent windows of
-width ``delta`` (bandwidth ``h`` fixed equal to ``delta``), centers each
-bin count by ``lambda_hat * h``, and averages lagged products, one lag
-after another in a single process.
+width ``delta`` (the bandwidth is the grid step), centers each bin count by
+``lambda_hat * delta``, and averages lagged products, one lag after another
+in a single process.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,10 @@ class CovarianceGrid:
 
     values: np.ndarray
     delta: float
-    h: float
     tau_max: float
     lambda_hat: float
 
     def __post_init__(self):
-        if not math.isclose(self.h, self.delta):
-            raise ValueError("bandwidth h must equal the grid step delta")
         if self.lambda_hat < 0:
             raise ValueError("lambda_hat must be nonnegative")
 
@@ -51,8 +49,9 @@ def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> Cova
 
     For lag ``k*delta`` the estimate is ``(1/T) * sum_i (C_i - L*d)(C_{i+k} - L*d)``
     over adjacent bin counts ``C_i`` in windows ``[i*delta, (i+1)*delta)``,
-    with ``L = lambda_hat`` and ``d = delta``.  Lags whose window would
-    extend past the observation horizon are dropped.
+    with ``L = lambda_hat`` and ``d = delta``, for the lags below
+    ``tau_max``.  Lags whose window would extend past the observation
+    horizon are dropped.
     """
     T = events.horizon_T
     if not (0 < delta < tau_max <= T):
@@ -62,7 +61,9 @@ def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> Cova
 
     lam = estimate_lambda(events)
     m = int(math.floor(T / delta))
-    n_lags = int(math.floor(tau_max / delta))
+    # delta = tau_max / resolution can leave the ratio a few ulps short of
+    # resolution; those ulps must not drop the last lag
+    n_lags = int(math.floor(tau_max / delta * (1.0 + 4.0 * sys.float_info.epsilon)))
     n_lags = min(n_lags, m)  # drop lags whose window exceeds T
 
     idx = np.floor(events.timestamps / delta).astype(int)
@@ -73,7 +74,7 @@ def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> Cova
     for k in range(n_lags):
         # each lag is an independent reduction over the same bin array
         values[k] = np.dot(centered[: m - k], centered[k:]) / T
-    return CovarianceGrid(values=values, delta=delta, h=delta, tau_max=tau_max, lambda_hat=lam)
+    return CovarianceGrid(values=values, delta=delta, tau_max=tau_max, lambda_hat=lam)
 
 
 def horizon_from_histogram(events: EventSequence, percentile: float = 0.95) -> float:

@@ -13,10 +13,12 @@ is one ``_candidate`` triple ``(starts, objective, decode)``, and
 ``_candidate`` a local ``parts`` reads a parameter vector as the families
 the fit builds, each a class and its arguments; the objective multiplies
 their curves (and, for a sum, adds the frozen K1 curve, computed once per
-fit) and ``decode`` builds their kernel.  The two tied products are written
-there and nowhere else: SQRxSNS is ``(b, a, omega)`` with the pulse length
-``l = pi/omega``, and SNSxSNS is ``(a1, a2, omega)`` with one frequency, so
-both factors share one support end.
+fit) and ``decode`` builds their kernel.  A product's two amplitudes would
+enter only as their product, so the added factor's amplitude is fixed at 1:
+its vector is K1's fields, then the added family's other fields.  The one
+tied encoding is written there and nowhere else: SQRxSNS, SNSxSQR and
+SNSxSNS are ``(K1 amplitude, omega)``, where ``omega`` sets both supports
+(the pulse length is ``l = pi/omega``), so both factors end together.
 
 The objective is batched: it maps an (M, N) matrix of raw parameter vectors
 to M residues and builds no kernel object.  Each call clips the matrix to
@@ -180,19 +182,21 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
     """One of the twelve fits as ``(starts, objective, decode)``: ``family``
     alone, or, with ``op``, the base kernel ``base`` expanded by it.
 
-    A parameter vector holds the fields of ``family``; a product's holds
-    K1's fields, then the family's, except for the two tied pairs below.
-    ``objective`` maps an (M, N) matrix of vectors to M residues, a row with
-    a NaN scoring ``inf``, and ``decode`` maps one vector to its kernel.
-    Both clip to the fields' bounds and read the factors from ``parts``, so
-    a decoded kernel scores what its vector scored.
+    A parameter vector holds the fields of ``family``.  A product's holds
+    K1's fields, then the family's other than its amplitude, which is fixed
+    at 1, so K1's amplitude alone scales the product; the tied products
+    (SQRxSNS, SNSxSQR, SNSxSNS) hold ``(K1 amplitude, omega)`` instead.
+    The starts are the family's with the fixed amplitude dropped, each
+    distinct start once.  ``objective`` maps an (M, N) matrix of vectors to
+    M residues, a row with a NaN scoring ``inf``, and ``decode`` maps one
+    vector to its kernel.  Both clip to the fields' bounds and read the
+    factors from ``parts``, so a decoded kernel scores what its vector
+    scored.
     """
     if op not in (None, "add", "multiply"):
         raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
     own = _starts(family, estimate)  # an unknown tag raises ValueError here
     cls = FAMILIES[family]
-    tag1 = base.family if op == "multiply" else None
-    fixed = astuple(base) if op == "multiply" else ()
     # parts(x): the (class, arguments) of each family the fit builds, from
     # clipped parameters, either floats or one column each
     if op != "multiply":
@@ -205,31 +209,25 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
         def parts(x):
             return [(cls, x)]
 
-    elif {tag1, family} == {"SQR", "SNS"}:
-        # one support end: the pulse ends where the half-wave does, l = pi / omega
-        names = ("b", "a", "omega")
-        starts = [(fixed[0], a, omega) for a, omega in own] if tag1 == "SQR" else [(b, *fixed) for b, _ in own]
+    elif {base.family, family} in ({"SQR", "SNS"}, {"SNS"}):
+        # one support end: omega sets both, the pulse's as l = pi / omega
+        names = ("amplitude", "omega")
+        omegas = [base.omega] if isinstance(base, Sns) else [omega for _, omega in own]
+        starts = [(astuple(base)[0], omega) for omega in omegas]
 
         def parts(x):
-            b, a, omega = x
-            sqr, sns = (Sqr, (b, math.pi / omega)), (Sns, (a, omega))
-            return [sqr, sns] if tag1 == "SQR" else [sns, sqr]
-
-    elif tag1 == family == "SNS":
-        # one frequency, so one support
-        names = ("a", "a", "omega")
-        starts = [(fixed[0], a, fixed[1]) for a, _ in own]
-
-        def parts(x):
-            a1, a2, omega = x
-            return [(Sns, (a1, omega)), (Sns, (a2, omega))]
+            amplitude, omega = x
+            factors = ((type(base), amplitude), (cls, 1.0))
+            return [(k, (a, math.pi / omega if k is Sqr else omega)) for k, a in factors]
 
     else:
-        names, starts = FAMILIES[tag1].__match_args__ + cls.__match_args__, [fixed + s for s in own]
+        fixed = astuple(base)
+        names, starts = base.__match_args__ + cls.__match_args__[1:], [fixed + s[1:] for s in own]
 
         def parts(x):
-            return [(FAMILIES[tag1], x[: len(fixed)]), (cls, x[len(fixed) :])]
+            return [(type(base), x[: len(fixed)]), (cls, (1.0, *x[len(fixed) :]))]
 
+    starts = list(dict.fromkeys(starts))
     lo, hi = _bounds(names)
     t = estimate.times[1:]
     frozen = evaluate(base, t) if op == "add" else None
@@ -363,9 +361,11 @@ def fit_expansion(
 
     Additive: the fitted kernel's parameters stay frozen and only the new
     addend is optimized (a near-zero-amplitude start guarantees the result
-    never degrades the single-kernel residue).  Multiplicative: all
-    parameters of both factors are re-optimized jointly, with the factor
-    families fixed.
+    never degrades the single-kernel residue).  Multiplicative: K1's
+    parameters and the new factor's shape are re-optimized jointly, with
+    the factor families fixed; the new factor, second in the product, has
+    amplitude 1.  In SQRxSNS, SNSxSQR and SNSxSNS one ``omega`` sets both
+    supports.
     """
     if isinstance(fixed.kernel, (Sum, Product)):
         raise ValueError("expansion requires a single-kernel fit to extend")

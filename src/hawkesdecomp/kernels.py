@@ -29,16 +29,19 @@ built once for lags up to ``horizon``; the simulator draws its lags by
 inverting it, so every kernel it accepts is sampled through that one
 method.  The fits live in ``fit``: each of the twelve is one
 ``fit._candidate``, whose starts come from the family's rule in
-``fit._starts``.  A new family is a class here, its
+``fit._starts``.  A fitted product is ``Product(K1, factor)``, and the
+factor's amplitude (its first field) is 1, since the two amplitudes only
+enter as their product; in SQRxSNS, SNSxSQR and SNSxSNS one ``omega`` also
+sets both supports, a pulse's as ``l = pi/omega``.  A new family is a class
+here with its amplitude as its first field, its
 ``Product.compensator_within`` rows (and its term set, when it is completely
 monotone), a start rule in ``fit._starts``, and, only if its products with
-another family must tie a parameter as SQRxSNS and SNSxSNS do, an encoding
-in ``fit._candidate``.
+another family must share a support end as SQR and SNS do, a place in the
+tied encoding of ``fit._candidate``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
@@ -64,8 +67,6 @@ __all__ = [
     "stationarity_norm",
     "kernel_to_dict",
     "kernel_from_dict",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 
@@ -531,11 +532,3 @@ def kernel_from_dict(d: dict) -> Kernel:
         raise ValueError(f"unknown kernel type {tag!r}")
     cls = FAMILIES[tag]
     return cls(*[number_entry(d, f.name, f"{tag} kernel") for f in fields(cls)])
-
-
-def kernel_to_json(kernel: Kernel) -> str:
-    return json.dumps(kernel_to_dict(kernel), sort_keys=True)
-
-
-def kernel_from_json(text: str) -> Kernel:
-    return kernel_from_dict(json.loads(text))

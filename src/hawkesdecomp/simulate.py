@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, evaluate, stationarity_norm
+from .kernels import Kernel, stationarity_norm
 
 
 class NonStationaryError(ValueError):
@@ -64,16 +64,6 @@ class EventSequence:
 
     def __len__(self) -> int:
         return int(self.timestamps.size)
-
-
-def intensity_at(model: HawkesModel, history: EventSequence, t: float) -> float:
-    """Conditional intensity ``mu + sum phi(t - t_i)`` over events strictly
-    before ``t`` (left-continuity: an event at exactly ``t`` is excluded)."""
-    ts = history.timestamps
-    past = ts[ts < t]
-    if past.size == 0:
-        return float(model.mu)
-    return float(model.mu + np.sum(evaluate(model.kernel, t - past)))
 
 
 # bisection steps of the lag inversion: the bracket after them is below

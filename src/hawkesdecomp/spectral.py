@@ -4,9 +4,9 @@ estimate.
 The covariance samples are symmetrized, Fourier transformed, and divided by
 the mean rate to give the squared modulus of the renewal spectrum
 ``|1 + psi|^2``.  Because the bandwidth equals the grid step, the triangular
-window spectra at the aliased frequencies sum to exactly ``h``, so the
-window division reduces to the constant ``h`` and cancels against the DFT
-scaling.  The causal (minimal-phase) kernel spectrum is then recovered from
+window spectra at the aliased frequencies sum to exactly ``delta``, so the
+window division reduces to the constant ``delta`` and cancels against the
+DFT scaling.  The causal (minimal-phase) kernel spectrum is then recovered from
 the half-log of the clamped modulus and its Hilbert transform.
 """
 
@@ -102,8 +102,8 @@ def invert_to_kernel(grid: CovarianceGrid) -> KernelEstimate:
     full[1:n] = v[1:]
     full[size - n + 1 :] = v[1:][::-1]
 
-    # h = delta: the aliased triangular-window spectrum is the constant h,
-    # which cancels the DFT step factor, leaving spectrum / lambda_hat.
+    # the bandwidth is delta: the aliased triangular-window spectrum is the
+    # constant delta, which cancels the DFT step factor, leaving spectrum / lambda_hat.
     spectrum = np.fft.fft(full).real / grid.lambda_hat
     peak = spectrum.max()
     if peak <= 0:

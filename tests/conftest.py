@@ -29,3 +29,14 @@ def _parts(kernel):
     if isinstance(kernel, (Sum, Product)):
         return [kernel.left, kernel.right]
     return [kernel]
+
+
+def intensity_at(model, history, t: float) -> float:
+    """Conditional intensity ``mu + sum phi(t - t_i)`` over events strictly
+    before ``t`` (left-continuity: an event at exactly ``t`` is excluded),
+    one kernel evaluation per call."""
+    ts = history.timestamps
+    past = ts[ts < t]
+    if past.size == 0:
+        return float(model.mu)
+    return float(model.mu + np.sum(evaluate(model.kernel, t - past)))

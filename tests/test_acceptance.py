@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import quad_norm
+from conftest import intensity_at, quad_norm
 from hawkesdecomp import cli
 from hawkesdecomp.covariance import covariance_grid
 from hawkesdecomp.fit import FitResult
@@ -36,7 +36,7 @@ from hawkesdecomp.search import (
     decompose,
     select_level,
 )
-from hawkesdecomp.simulate import HawkesModel, intensity_at, simulate
+from hawkesdecomp.simulate import HawkesModel, simulate
 from hawkesdecomp.spectral import hilbert_transform, invert_to_kernel
 
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from hawkesdecomp.covariance import (
-    CovarianceGrid,
     covariance_grid,
     estimate_lambda,
     horizon_from_histogram,
 )
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
 from hawkesdecomp.kernels import Exp
+from hawkesdecomp.search import lag_grid
 
 
 class TestLambdaHat:
@@ -32,9 +32,20 @@ class TestCovarianceGrid:
         assert grid.values == pytest.approx([2.0 / 3.0, 0.0])
         assert grid.lags == pytest.approx([0.0, 1.0])
 
-    def test_bandwidth_tied_to_delta(self):
-        with pytest.raises(ValueError):
-            CovarianceGrid(np.zeros(3), delta=0.1, h=0.2, tau_max=0.3, lambda_hat=1.0)
+    @pytest.mark.parametrize("seed", [6, 8, 41, 43, 47, 48])
+    def test_resolution_steps_give_resolution_lags(self, seed):
+        # on these sequences horizon / (horizon / 100) is a few ulps below 100
+        events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 2000.0, seed=seed)
+        horizon, delta = lag_grid(events, 100, 0.95)
+        assert horizon / delta < 100
+        grid = covariance_grid(events, delta, horizon)
+        assert len(grid.values) == 100
+        assert grid.lags[-1] < horizon
+
+    def test_lag_count_is_floor_of_ratio(self):
+        seq = EventSequence(np.linspace(0.05, 9.95, 100), 10.0)
+        assert len(covariance_grid(seq, delta=0.3, tau_max=1.0).values) == 3
+        assert len(covariance_grid(seq, delta=0.25, tau_max=1.0).values) == 4
 
     def test_parameter_validation(self):
         seq = EventSequence(np.array([0.1, 0.2, 1.1]), 3.0)

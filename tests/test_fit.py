@@ -207,19 +207,46 @@ class TestObjective:
                 assert value == residue_of(est, decode(x)), name
 
     def test_shared_support_encodings(self, spectral_estimate):
-        b, a, omega = 0.4, 0.7, 1.3
-        sqr, sns = Sqr(b, math.pi / omega), Sns(a, omega)
+        # (K1 amplitude, omega): one omega sets both supports, and the added
+        # factor has amplitude 1
+        amplitude, omega = 0.4, 1.3
+        sqr, sns = Sqr(1.0, math.pi / omega), Sns(1.0, omega)
 
         def product(tag1, tag):
             return fit._candidate(spectral_estimate, tag, "multiply", BASES[tag1])
 
-        assert product("SQR", "SNS")[2]((b, a, omega)) == Product(sqr, sns)
-        assert product("SNS", "SQR")[2]((b, a, omega)) == Product(sns, sqr)
-        assert product("SNS", "SNS")[2]((a, b, omega)) == Product(Sns(a, omega), Sns(b, omega))
-        # the starts carry K1's fitted fields in the tied places
-        assert all(s[0] == BASES["SQR"].b for s in product("SQR", "SNS")[0])
-        assert all(s[1:] == astuple(BASES["SNS"]) for s in product("SNS", "SQR")[0])
-        assert all((s[0], s[2]) == astuple(BASES["SNS"]) for s in product("SNS", "SNS")[0])
+        assert product("SQR", "SNS")[2]((amplitude, omega)) == Product(Sqr(amplitude, math.pi / omega), sns)
+        assert product("SNS", "SQR")[2]((amplitude, omega)) == Product(Sns(amplitude, omega), sqr)
+        assert product("SNS", "SNS")[2]((amplitude, omega)) == Product(Sns(amplitude, omega), sns)
+        # the starts carry K1's fitted fields in the tied places: an SQR K1
+        # keeps its height and takes each distinct SNS start frequency, and an
+        # SNS K1 is the one start
+        omegas = [w for _, w in fit._starts("SNS", spectral_estimate)]
+        assert product("SQR", "SNS")[0] == [(BASES["SQR"].b, w) for w in dict.fromkeys(omegas)]
+        assert product("SNS", "SQR")[0] == [astuple(BASES["SNS"])]
+        assert product("SNS", "SNS")[0] == [astuple(BASES["SNS"])]
+
+    @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
+    def test_starts_distinct(self, spectral_estimate, tag1, op, tag):
+        starts = fit._candidate(spectral_estimate, tag, op, BASES.get(tag1))[0]
+        assert len(set(starts)) == len(starts)
+
+    def test_flat_estimate_single_starts_distinct(self):
+        # no lag falls below peak / e, so t_e is tau_max / 2 and two of the
+        # SQR rule's eight starts are equal
+        est = estimate_from(Sqr(0.3, 100.0))
+        assert len(set(fit._starts("SQR", est))) == 7
+        assert len(fit._candidate(est, "SQR")[0]) == 7
+
+    def test_product_starts_drop_the_added_amplitude(self, spectral_estimate):
+        # each distinct start of the added family's rule, less its amplitude
+        def starts(tag):
+            return fit._candidate(spectral_estimate, tag, "multiply", BASES["EXP"])[0]
+
+        assert {tag: len(starts(tag)) for tag in FAMILIES} == {"EXP": 5, "PWL": 4, "SQR": 5, "SNS": 6}
+        # the PWL rule's starts come in pairs that differ only in amplitude
+        pwl = fit._starts("PWL", spectral_estimate)[::2]
+        assert starts("PWL") == [astuple(BASES["EXP"]) + s[1:] for s in pwl]
 
     def test_unknown_family_is_value_error(self, spectral_estimate):
         with pytest.raises(ValueError):
@@ -297,6 +324,18 @@ class TestNelderMead:
         assert json.dumps(result_to_dict(decompose(events, config)), sort_keys=True) == ours
 
 
+class TestProductFits:
+    @pytest.mark.parametrize("tag", FAMILIES)
+    @pytest.mark.parametrize("tag1", FAMILIES)
+    def test_added_factor_has_unit_amplitude(self, spectral_estimate, k1_fits, tag1, tag):
+        k1 = FitResult(kernel=k1_fits[tag1], residue=math.nan, verdict=None)
+        kernel = fit_expansion(spectral_estimate, k1, "multiply", tag).kernel
+        assert (type(kernel.left), type(kernel.right)) == (FAMILIES[tag1], FAMILIES[tag])
+        assert astuple(kernel.right)[0] == 1.0
+        if "SNS" in (tag1, tag) and {tag1, tag} <= {"SQR", "SNS"}:
+            assert kernel.left.support_end() == kernel.right.support_end()
+
+
 class TestLogging:
     def test_unconverged_runs_logged_at_debug(self, caplog, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 3)
@@ -305,8 +344,9 @@ class TestLogging:
             k1 = fit_single(est, "EXP")
             fit_expansion(est, k1, "multiply", "SQR")
         records = [r for r in caplog.records if r.name == "hawkesdecomp.fit"]
+        # the eight EXP starts, then EXPxSQR's five distinct pulse lengths
         assert [r.args[:2] for r in records] == [("EXP", i) for i in range(8)] + [
-            ("EXPxSQR", i) for i in range(8)
+            ("EXPxSQR", i) for i in range(5)
         ]
         assert all(r.levelno == logging.DEBUG and r.args[2] == 3 for r in records)
         assert logging.getLogger("hawkesdecomp.fit").handlers == []

@@ -263,6 +263,20 @@ class TestCli:
         assert code == 0
         assert json.loads(out.read_text())["grid"]["tau_max"] == pytest.approx(10.0)
 
+    def test_estimate_and_decompose_share_config_grid(self, tmp_path, exp_events):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        config = tmp_path / "run.cfg"
+        config.write_text("tau_max = 3\n")
+        cov, result = tmp_path / "cov.csv", tmp_path / "result.json"
+        for command, out in (("estimate", cov), ("decompose", result)):
+            argv = ["--config", str(config), command, "--in", str(events_path), "--out", str(out)]
+            assert cli.main(argv) == 0
+        grid = json.loads(result.read_text())["grid"]
+        assert grid["delta"] == pytest.approx(0.03)
+        lags = [row.split(",")[0] for row in cov.read_text().splitlines()[1:]]
+        assert lags == [f"{k * grid['delta']:.12g}" for k in range(grid["n_lags"])]
+
     def test_invalid_input_exit_code(self, tmp_path):
         missing = tmp_path / "missing.csv"
         out = tmp_path / "out.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import quad_norm
+from conftest import intensity_at, quad_norm
 from hawkesdecomp import kernels, likelihood
 from hawkesdecomp.kernels import (
     Exp,
@@ -24,7 +24,7 @@ from hawkesdecomp.likelihood import (
     exp_log_likelihood,
     log_likelihood,
 )
-from hawkesdecomp.simulate import EventSequence, HawkesModel, intensity_at, simulate
+from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
 
 
 def quad_compensator(kernel, s):

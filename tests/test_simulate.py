@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import quad_norm
+from conftest import intensity_at, quad_norm
 from hawkesdecomp import kernels
 from hawkesdecomp.kernels import Exp, Product, Pwl, Sns, Sqr, Sum
 from hawkesdecomp.likelihood import compensator_increments
@@ -15,7 +15,6 @@ from hawkesdecomp.simulate import (
     HawkesModel,
     NonStationaryError,
     _invert_compensator,
-    intensity_at,
     simulate,
 )
 

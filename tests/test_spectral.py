@@ -36,7 +36,7 @@ def exp_hawkes_covariance_grid(mu, alpha, beta, delta, tau_max):
             tau + delta,
         )[0]
         vals[k] = lam * tri(tau) + smooth
-    return CovarianceGrid(values=vals, delta=delta, h=delta, tau_max=tau_max, lambda_hat=lam)
+    return CovarianceGrid(values=vals, delta=delta, tau_max=tau_max, lambda_hat=lam)
 
 
 class TestHilbert:
@@ -80,7 +80,7 @@ class TestInversion:
         lam = 2.0
         vals = np.zeros(100)
         vals[0] = lam  # atom through the triangle window at lag 0
-        grid = CovarianceGrid(values=vals, delta=delta, h=delta, tau_max=10.0, lambda_hat=lam)
+        grid = CovarianceGrid(values=vals, delta=delta, tau_max=10.0, lambda_hat=lam)
         est = invert_to_kernel(grid)
         assert np.max(np.abs(est.values)) < 1e-8
 
@@ -107,13 +107,13 @@ class TestInversion:
         # a purely negative atom gives a constant negative spectrum
         vals = np.zeros(16)
         vals[0] = -1.0
-        grid = CovarianceGrid(values=vals, delta=0.1, h=0.1, tau_max=1.6, lambda_hat=1.0)
+        grid = CovarianceGrid(values=vals, delta=0.1, tau_max=1.6, lambda_hat=1.0)
         with pytest.raises(DegenerateSpectrumError):
             invert_to_kernel(grid)
 
     def test_invalid_lambda(self):
         grid = CovarianceGrid(
-            values=np.ones(16), delta=0.1, h=0.1, tau_max=1.6, lambda_hat=0.0
+            values=np.ones(16), delta=0.1, tau_max=1.6, lambda_hat=0.0
         )
         with pytest.raises(ValueError):
             invert_to_kernel(grid)
