@@ -78,24 +78,33 @@ def _split(kernel: Kernel, horizon: float):
     return np.concatenate(ws), np.concatenate(zs), finite
 
 
-def _recursion(decay: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``x_i = decay_i x_{i-1} + rhs_i`` along each row of (B, n) arrays.
+def _recursion(decay: np.ndarray, rhs: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """``x_i = decay_i x_{i-1} + rhs_i`` along each row of (B, n) arrays,
+    solved in place in ``rhs``; ``band`` is a (B n, 2) buffer for the matrix.
 
     ``decay[:, 0]`` must be 0, which starts every row afresh, so the rows
     run as one bidiagonal solve of length B n.
     """
     flat = decay.ravel()
-    band = np.zeros((flat.size, 2))
     band[:-1, 1] = -flat[1:]
-    return blas.dtbsv(1, band.T, rhs.ravel(), lower=1, diag=1).reshape(decay.shape)
+    return blas.dtbsv(1, band.T, rhs.ravel(), lower=1, diag=1, overwrite_x=1).reshape(decay.shape)
 
 
 def _decay_sums(z: np.ndarray, gaps: np.ndarray):
-    """``R[j, i] = sum_{k<i} exp(-z_j (t_i - t_k))`` for a block of rates,
-    with the per-event decays ``exp(-z_j gaps_i)``; ``gaps`` is
-    ``diff(ts, prepend=-inf)``."""
-    decay = np.exp(np.multiply.outer(-z, gaps))
-    return _recursion(decay, decay), decay
+    """Blocks ``(j, R)`` of ``R[j', i] = sum_{k<i} exp(-z_j' (t_i - t_k))``
+    for the ``_BLOCK`` rates from ``z[j]`` on; ``gaps`` is
+    ``diff(ts, prepend=-inf)``.
+
+    Every block is solved in the same (B, n) and (B n, 2) buffers, kept for
+    the whole pass, so each block's ``R`` overwrites the one before; fresh
+    arrays per block would be mapped and faulted in again every time.
+    """
+    rows = min(_BLOCK, z.size)
+    decay, band = np.empty((rows, gaps.size)), np.zeros((rows * gaps.size, 2))
+    for j in range(0, z.size, _BLOCK):
+        block = decay[: min(_BLOCK, z.size - j)]
+        np.exp(np.multiply.outer(-z[j : j + _BLOCK], gaps, out=block), out=block)
+        yield j, _recursion(block, block, band[: block.size])
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +165,8 @@ def _event_intensities(model: HawkesModel, events: EventSequence) -> np.ndarray:
     lam = np.full(ts.size, model.mu, dtype=float)
     w, z, finite = _split(model.kernel, float(ts[-1] - ts[0]))
     gaps = np.diff(ts, prepend=-np.inf)
-    for j in range(0, z.size, _BLOCK):
-        lam += w[j : j + _BLOCK] @ _decay_sums(z[j : j + _BLOCK], gaps)[0]
+    for j, sums in _decay_sums(z, gaps):
+        lam += w[j : j + _BLOCK] @ sums
     for part in finite:
         for rows, i, k in _window_pairs(ts, part.support_end(), 0):
             values = part.evaluate(ts[i] - ts[k])
@@ -196,12 +205,14 @@ def compensator_increments(model: HawkesModel, events: EventSequence) -> np.ndar
     inc = model.mu * np.diff(ts, prepend=0.0)
     w, z, finite = _split(model.kernel, float(ts[-1] - ts[0]))
     gaps = np.diff(ts, prepend=-np.inf)
-    for j in range(0, z.size, _BLOCK):
-        wb, zb = w[j : j + _BLOCK], z[j : j + _BLOCK]
-        sums = _decay_sums(zb, gaps)[0]
-        # the events k < i add w/z (R_{i-1} + 1) (1 - exp(-z (t_i - t_{i-1})))
-        rise = -np.expm1(np.multiply.outer(-zb, gaps[1:]))
-        inc[1:] += (wb / zb) @ ((1.0 + sums[:, :-1]) * rise)
+    weights, steps, falls = w / z, gaps[1:], np.empty((min(_BLOCK, z.size), n - 1))
+    for j, sums in _decay_sums(z, gaps):
+        # the events k < i add w/z (R_{i-1} + 1) (1 - exp(-z (t_i - t_{i-1}))),
+        # summed here as the negated exp(-z (t_i - t_{i-1})) - 1
+        fall = falls[: sums.shape[0]]
+        np.expm1(np.multiply.outer(-z[j : j + _BLOCK], steps, out=fall), out=fall)
+        fall *= np.add(sums[:, :-1], 1.0, out=sums[:, :-1])
+        inc[1:] -= weights[j : j + _BLOCK] @ fall
     for part in finite:
         integral = part.compensator_within(part.support_end())
         for rows, i, k in _window_pairs(ts, part.support_end(), 1):
@@ -220,11 +231,11 @@ def exp_log_likelihood(mu: float, alpha: float, beta: float, events: EventSequen
     """
     ts, T = events.timestamps, events.horizon_T
     gaps = np.diff(ts, prepend=-np.inf)
-    sums, decay = _decay_sums(np.array([beta]), gaps)
-    r = sums[0]
+    decay = np.exp(-beta * gaps)[None, :]
+    r = _recursion(decay, decay.copy(), np.zeros((gaps.size, 2)))[0]
     drive = np.zeros_like(r)
     drive[1:] = decay[0, 1:] * gaps[1:] * (r[:-1] + 1.0)
-    s = _recursion(decay, drive[None, :])[0]
+    s = _recursion(decay, drive[None, :], np.zeros((gaps.size, 2)))[0]
     lam = mu + alpha * r
     left = T - ts
     mass = -np.expm1(-beta * left)  # 1 - exp(-beta (T - t_i))

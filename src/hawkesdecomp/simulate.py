@@ -6,7 +6,9 @@ not, starts an independent Poisson process of children at rate
 ``phi(t - t_i)``.  The sampler draws it one generation at a time
 (Møller & Rasmussen 2005), each generation in one numpy pass, so no step
 scans the history and every kernel takes the same path.  A child's lag
-comes from inverting the kernel's compensator by bisection.
+comes from inverting the kernel's compensator: a table of the compensator
+at lags a factor of two apart brackets each target, and a safeguarded
+Newton iteration on the density narrows the bracket to rounding.
 """
 
 from __future__ import annotations
@@ -66,26 +68,76 @@ class EventSequence:
         return int(self.timestamps.size)
 
 
-# bisection steps of the lag inversion: the bracket after them is below
-# T * 2^-64, finer than the float spacing of times near T
-_HALVINGS = 64
+# the lags of the bracket table, in units of the horizon: 0 and 2^-k for
+# k = 64..0, so every target lies between two knots a factor of two apart
+_KNOTS = np.concatenate([[0.0], np.exp2(np.arange(-64.0, 1.0))])
+# a target u is met at a lag s once |C(s) - u| <= _RESIDUAL (m + phi(s) s):
+# the rounding of a compensator of mass m, plus that of the lag itself
+_RESIDUAL = 2.0 * np.finfo(float).eps
+# the largest last Newton correction taken, relative to the lag: a larger
+# one at a met target is rounding noise on a nearly flat stretch
+_LAST_STEP = 2.0**-20
+# Newton steps at most.  Towards a zero of the density at a support end
+# each step only halves the distance to that end; a target within 2^-53 of
+# the mass lies about 2^-26 of the support from it, some 30 steps
+_MAX_STEPS = 64
+
+
+def _compensator_inverse(kernel: Kernel, horizon_T: float):
+    """The kernel's mass on ``[0, horizon_T]`` and the map from targets in
+    ``[0, mass)`` to lags ``s`` in ``(0, horizon_T]`` with
+    ``compensator(s) == target`` to rounding.
+
+    Both come from one ``compensator_within(horizon_T)``, so a product's term
+    set is built once, for lags up to the horizon.  The map brackets each
+    target between two knots of a table of the compensator, then takes
+    Newton steps ``s - (C(s) - target) / phi(s)``; a step that would leave
+    the bracket, or meets a zero density, halves the bracket instead.  Each
+    target stops once it is met, so the evaluations follow the slowest
+    target, not a fixed count.  A lag below the table's first knot,
+    ``horizon_T 2^-64``, is raised to it.
+    """
+    integral = kernel.compensator_within(horizon_T)
+    knots = horizon_T * _KNOTS
+    # the running maximum keeps the table sorted through rounding
+    table = np.maximum.accumulate(integral(knots))
+    mass = float(table[-1])
+
+    def invert(targets: np.ndarray) -> np.ndarray:
+        # table[i - 1] < target <= table[i]; start at the linear interpolant
+        i = np.clip(np.searchsorted(table, targets), 1, knots.size - 1)
+        lo, hi = knots[i - 1], knots[i]
+        rise = table[i] - table[i - 1]
+        frac = np.divide(targets - table[i - 1], rise, out=np.ones(targets.shape), where=rise > 0)
+        s, u = lo + frac * (hi - lo), targets
+        lags, todo = np.empty(targets.shape), np.arange(targets.size)
+        for _ in range(_MAX_STEPS):
+            gap, density = integral(s) - u, kernel.evaluate(s)
+            below = gap < 0
+            lo, hi = np.where(below, s, lo), np.where(below, hi, s)
+            # the Newton step lands strictly inside (lo, hi); tested without
+            # dividing, so a zero or tiny density takes the halving
+            inside = (density * (s - hi) < gap) & (gap < density * (s - lo))
+            step = s - np.divide(gap, density, out=np.zeros(s.shape), where=inside)
+            met = np.abs(gap) <= _RESIDUAL * (density * s + mass)
+            last = inside & (np.abs(gap) <= _LAST_STEP * density * s)
+            lags[todo[met]] = np.where(last, step, s)[met]
+            s = np.where(inside, step, 0.5 * (lo + hi))
+            keep = ~met
+            todo, s, u, lo, hi = todo[keep], s[keep], u[keep], lo[keep], hi[keep]
+            if not todo.size:
+                break
+        lags[todo] = s
+        return np.maximum(lags, knots[1])
+
+    return mass, invert
 
 
 def _invert_compensator(kernel: Kernel, horizon_T: float, targets: np.ndarray) -> np.ndarray:
     """Lags ``s`` in ``(0, horizon_T]`` with ``kernel.compensator(s) == targets``,
-    for targets below the mass on ``[0, horizon_T]``, by one vectorized
-    bisection; a flat stretch of the compensator maps to its left end.
-
-    A product's term set is built once, for lags up to ``horizon_T``, so
-    every halving does the same work whatever lags the targets map to."""
-    integral = kernel.compensator_within(horizon_T)
-    lo, hi = np.zeros(targets.shape), np.full(targets.shape, float(horizon_T))
-    for _ in range(_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        below = integral(mid) < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return hi
+    for targets below the mass on ``[0, horizon_T]``; one call of the map
+    of ``_compensator_inverse``."""
+    return _compensator_inverse(kernel, horizon_T)[1](targets)
 
 
 def simulate(
@@ -118,13 +170,13 @@ def simulate(
 
     rng = np.random.default_rng(seed)
     kernel, T = model.kernel, float(horizon_T)
-    mass = float(kernel.compensator(np.array([T]))[0])
+    mass, invert = _compensator_inverse(kernel, T)
     generation = rng.uniform(0.0, T, rng.poisson(model.mu * T))
     # lags come from a pool sized from the model alone: the expected
     # offspring plus three standard deviations of the event count, capped
-    # at the expected event count.  One bisection of that fixed size
-    # usually serves every generation, so its cost does not follow the
-    # realization
+    # at the expected event count.  One inversion of that fixed size
+    # usually serves every generation, so the number of inversions does
+    # not follow the realization
     offspring = model.mu * T * mass / (1.0 - mass)
     spread = math.sqrt(model.mu * T / (1.0 - mass) ** 3)
     pool_size = int(min(offspring + 3.0 * spread, expected)) + 1
@@ -137,7 +189,7 @@ def simulate(
         need = int(children.sum())
         if need > pool.size:
             fresh = rng.uniform(size=max(need - pool.size, pool_size)) * mass
-            pool = np.concatenate([pool, _invert_compensator(kernel, T, fresh)])
+            pool = np.concatenate([pool, invert(fresh)])
         lags, pool = pool[:need], pool[need:]
         generation = np.repeat(generation, children) + lags
         generation = generation[generation < T]

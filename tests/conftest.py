@@ -40,3 +40,18 @@ def intensity_at(model, history, t: float) -> float:
     if past.size == 0:
         return float(model.mu)
     return float(model.mu + np.sum(evaluate(model.kernel, t - past)))
+
+
+def bisect_compensator(kernel, horizon: float, targets: np.ndarray) -> np.ndarray:
+    """The sampler's former lag inversion, kept as an oracle: 64 halvings of
+    ``(0, horizon]`` give the lags where ``kernel.compensator`` crosses
+    ``targets``, to a bracket of ``horizon 2^-64``; a flat stretch of the
+    compensator maps to its left end."""
+    integral = kernel.compensator_within(horizon)
+    lo, hi = np.zeros(targets.shape), np.full(targets.shape, float(horizon))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = integral(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return hi

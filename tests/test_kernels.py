@@ -334,6 +334,18 @@ class TestCompensatorAtSmallLags:
                 value = k.compensator(np.array([s]))[0]
                 assert mp_relative_error(value, exact) <= 1e-14, s
 
+    @pytest.mark.parametrize("omegas", [(1.0, 1.0), (1.0, 1.0 + 1e-13), (1.5, 1.4), (1.0, 1.05)])
+    def test_sns_sns(self, omegas):
+        # m/2 - sin(2 omega m)/(4 omega), and its unequal-frequency form,
+        # cancel for omega m << 1: at m = 1e-8 the old forms gave 0
+        w1, w2 = omegas
+        k = Product(Sns(1.0, w1), Sns(1.0, w2))
+        with mpmath.workdps(40):
+            for s in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, k.support_end()):
+                exact = mpmath.quad(lambda u: mpmath.sin(w1 * u) * mpmath.sin(w2 * u), [0, s])
+                value = k.compensator(np.array([s]))[0]
+                assert mp_relative_error(value, exact) <= 1e-14, s
+
 
 class TestSerialization:
     def test_field_names(self):

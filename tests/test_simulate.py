@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import intensity_at, quad_norm
+from conftest import bisect_compensator, intensity_at, quad_norm
 from hawkesdecomp import kernels
 from hawkesdecomp.kernels import Exp, Product, Pwl, Sns, Sqr, Sum
 from hawkesdecomp.likelihood import compensator_increments
@@ -14,6 +16,7 @@ from hawkesdecomp.simulate import (
     EventSequence,
     HawkesModel,
     NonStationaryError,
+    _compensator_inverse,
     _invert_compensator,
     simulate,
 )
@@ -168,8 +171,8 @@ class TestSamplerLaw:
 
 
 class TestLagInversion:
-    """Bisection lags against closed-form inverses of the normalized
-    compensator.  64 halvings leave a bracket of ``T 2^-64``; the
+    """Lags against closed-form inverses of the normalized compensator.  The
+    bound allows ``T 2^-60``, above the finest lag of the bracket table; the
     compensator's own rounding, about ``eps m`` for mass ``m``, moves the
     crossing by ``eps m / phi(s)``, which the bound adds."""
 
@@ -192,10 +195,121 @@ class TestLagInversion:
         self.check(Sqr(0.2, 2.5), horizon, self.U * 2.5)
 
     def test_product_builds_one_term_set(self, monkeypatch):
-        # every halving sums the same term set, built once for the horizon
+        # every Newton step sums the same term set, built once for the horizon
         built = []
         nodes = kernels._laplace_nodes
         monkeypatch.setattr(kernels, "_laplace_nodes", lambda *a: built.append(a) or nodes(*a))
         kernel = Product(Exp(1.0, 0.5), Pwl(0.3, 0.5, 2.0))
         _invert_compensator(kernel, 500.0, self.U[:50] * kernel.compensator(np.array([500.0]))[0])
-        assert [a[-1] for a in built] == [500.0, 500.0]  # the mass, then the bisection
+        assert [a[-1] for a in built] == [500.0, 500.0]  # the mass, then the inversion
+
+
+# the long-history and law shapes above, plus two half-waves of one frequency
+INVERSION_SHAPES = {label: kernel for label, (_, kernel) in LAW_SHAPES.items()}
+INVERSION_SHAPES["sns_x_sns"] = Product(Sns(0.5, 1.5), Sns(1.0, 1.5))
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("horizon", [3.0, 1e4])
+@pytest.mark.parametrize("label", list(INVERSION_SHAPES))
+class TestNewtonInversion:
+    """The Newton lags against the 64-halving bisection of ``conftest``,
+    within ``TestLagInversion``'s bound, and against the compensator."""
+
+    U = np.random.default_rng(9).uniform(size=2000)
+
+    def test_matches_bisection(self, label, horizon):
+        kernel = INVERSION_SHAPES[label]
+        targets = self.U * kernel.compensator(np.array([horizon]))[0]
+        lags = _invert_compensator(kernel, horizon, targets)
+        oracle = bisect_compensator(kernel, horizon, targets)
+        rounding = 2.0 * EPS * targets.max() / kernel.evaluate(oracle)
+        assert np.all(np.abs(lags - oracle) <= horizon * 2.0**-60 + rounding)
+
+    def test_meets_targets(self, label, horizon):
+        kernel = INVERSION_SHAPES[label]
+        mass, invert = _compensator_inverse(kernel, horizon)
+        targets = self.U * mass
+        lags = invert(targets)
+        assert np.all((lags > 0.0) & (lags <= horizon))
+        miss = np.abs(kernel.compensator_within(horizon)(lags) - targets)
+        assert np.all(miss <= 4.0 * EPS * mass)
+
+    def test_few_compensator_evaluations(self, label, horizon, monkeypatch):
+        # one batched call for the bracket table, then one per Newton step of
+        # the slowest target; the bisection took 65
+        kernel, calls = INVERSION_SHAPES[label], []
+        within = type(kernel).compensator_within
+
+        def counted(self, h):
+            integral = within(self, h)
+            return lambda s: calls.append(s.size) or integral(s)
+
+        monkeypatch.setattr(type(kernel), "compensator_within", counted)
+        mass, invert = _compensator_inverse(kernel, horizon)
+        invert(self.U * mass)
+        assert len(calls) <= 16
+
+
+def test_simulate_builds_one_term_set_at_the_horizon(monkeypatch):
+    # the mass and every lag come from one compensator_within(T); the other
+    # build is the stationarity norm's, up to 40 / beta
+    built = []
+    nodes = kernels._laplace_nodes
+    monkeypatch.setattr(kernels, "_laplace_nodes", lambda *a: built.append(a) or nodes(*a))
+    simulate(HawkesModel(mu=0.5, kernel=Product(Exp(1.0, 0.5), Pwl(0.3, 0.5, 2.0))), 500.0, seed=1)
+    assert [a[-1] for a in built] == [80.0, 500.0]
+
+
+def _shared_support(kernel):
+    """False for the products that ``simulate`` refuses, two discontinuous
+    factors whose supports end apart (``SupportMismatchError``)."""
+    try:
+        kernels.stationarity_norm(kernel)
+    except kernels.SupportMismatchError:
+        return False
+    return True
+
+
+# kernels across the fit bounds: every field in [1e-8, 1e8], p in (1, 10]
+_FIELD = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+_BASE = st.one_of(
+    st.builds(Exp, _FIELD, _FIELD),
+    st.builds(Pwl, _FIELD, _FIELD, st.floats(1.0 + 1e-8, 10.0)),
+    st.builds(Sqr, _FIELD, _FIELD),
+    st.builds(Sns, _FIELD, _FIELD),
+)
+# the tied products of the fits: one omega sets both supports
+_TIED = st.one_of(
+    st.builds(lambda b, a, w: Product(Sqr(b, math.pi / w), Sns(a, w)), _FIELD, _FIELD, _FIELD),
+    st.builds(lambda a, b, w: Product(Sns(a, w), Sqr(b, math.pi / w)), _FIELD, _FIELD, _FIELD),
+    st.builds(lambda a1, a2, w: Product(Sns(a1, w), Sns(a2, w)), _FIELD, _FIELD, _FIELD),
+)
+_KERNEL = st.one_of(
+    _BASE,
+    st.builds(Sum, _BASE, _BASE),
+    st.builds(Product, _BASE, _BASE).filter(_shared_support),
+    _TIED,
+)
+
+
+@given(
+    kernel=_KERNEL,
+    horizon=st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+)
+@settings(max_examples=150, deadline=None)
+def test_inversion_across_fit_bounds(kernel, horizon, fractions):
+    # a RuntimeWarning is an error in this suite.  The compensator is exact
+    # to rounding of the mass on its whole support (on [0, horizon] when that
+    # is unbounded), so targets are met to that; a lag at the table's first
+    # knot, horizon 2^-64, may miss a target below the compensator there
+    mass, invert = _compensator_inverse(kernel, horizon)
+    end = kernel.support_end()
+    reach = horizon if math.isinf(end) else max(horizon, end)
+    scale = kernel.compensator(np.array([reach]))[0]
+    targets = np.array(fractions) * mass
+    lags = invert(targets)
+    assert np.all((lags > 0.0) & (lags <= horizon))
+    miss = np.abs(kernel.compensator_within(horizon)(lags) - targets)
+    assert np.all((miss <= 4.0 * EPS * scale) | (lags == horizon * 2.0**-64))
