@@ -8,10 +8,9 @@ enter the objective as-is.  The simplex search handles the discontinuous
 families (SQR, SNS) that rule out gradient methods.
 
 Each of the twelve fits (four singles, then K1 plus or times each family)
-is one ``_candidate`` triple ``(starts, objective, decode)``, and
-``fit_single`` and ``fit_expansion`` both run it through ``_fit``.  Inside
+is one ``_candidate`` tuple ``(starts, bounds, curves, decode)``.  Inside
 ``_candidate`` a local ``parts`` reads a parameter vector as the families
-the fit builds, each a class and its arguments; the objective multiplies
+the fit builds, each a class and its arguments; ``curves`` multiplies
 their curves (and, for a sum, adds the frozen K1 curve, computed once per
 fit) and ``decode`` builds their kernel.  A product's two amplitudes would
 enter only as their product, so the added factor's amplitude is fixed at 1:
@@ -20,10 +19,13 @@ tied encoding is written there and nowhere else: SQRxSNS, SNSxSQR and
 SNSxSNS are ``(K1 amplitude, omega)``, where ``omega`` sets both supports
 (the pulse length is ``l = pi/omega``), so both factors end together.
 
-The objective is batched: it maps an (M, N) matrix of raw parameter vectors
-to M residues and builds no kernel object.  Each call clips the matrix to
-one per-field bound vector, computes the model curves with the families'
-static ``curve`` functions, one row per vector, and passes them to
+The fits of one level (the four singles, or K1's eight expansions) are one
+search: ``_level`` joins their starts, and its objective maps an (M, N)
+matrix of raw parameter vectors, each padded with zeros to the level's
+largest dimension N, and the start each row belongs to, to M residues.  It
+builds no kernel object.  Each call clips every row to its own fit's bound
+vector, computes each fit's model curves on that fit's rows with the
+families' static ``curve`` functions, and passes all the curves to one
 ``residue_of``.  A row with a NaN scores ``inf``.  ``evaluate`` is built on
 the same curves and every grid lag is positive, so a fit reaches the same
 floats, and the same kernel, as one that evaluates a kernel per step.  One
@@ -33,14 +35,21 @@ rule keeps the rows equal to one-at-a-time curves: numpy squares
 PWL null start of an additive expansion puts ``p = 2`` on a simplex
 vertex).  Only the best vector of a fit is decoded into a kernel.
 
-``_nelder_mead`` runs all the starts of one fit in lock-step: it holds a
+``_nelder_mead`` runs all the starts of a level in lock-step: it holds a
 (K, N+1, N) simplex array and makes one batched objective call per phase of
-a step (reflect; then expand or contract; shrink only for the runs that
-need it).  It is scipy's non-adaptive Nelder-Mead step for step, with its
-initial simplex, convergence test, vertex sort, ``nit`` and ``success``, so
-each run ends at the same ``x`` and ``fun`` as ``scipy.optimize.minimize``
-from that start; the tests hold it to that.  A converged run leaves the
-batch at once, so the batch shrinks as the runs finish.
+a step (reflect; then expand or contract for the runs that need it; shrink
+only for the runs that need it).  It is scipy's non-adaptive Nelder-Mead
+step for step, with its initial simplex, convergence test, vertex sort,
+``nit`` and ``success``, so each run ends at the same ``x`` and ``fun`` as
+``scipy.optimize.minimize`` from that start; the tests hold it to that.  A
+run of dimension n < N keeps its padded coordinates at exactly 0, since
+every step maps 0 to 0; its vertices past n score ``inf``, are never
+evaluated, and enter neither its centroid, nor its worst vertex, nor its
+convergence tests.  Its vertices are sorted with the other runs of the same
+n, over the n + 1 real ones: numpy's argsort is unstable, and the order it
+gives tied values (the plateaus of the SQR fits) depends on the row length,
+so one sort over padded rows would leave scipy's path.  A converged run
+leaves the batch at once, so the batch shrinks as the runs finish.
 
 Each Nelder-Mead run that stops without converging (``maxiter``) is logged
 at DEBUG on the ``hawkesdecomp.fit`` logger.
@@ -69,7 +78,7 @@ from .kernels import (
 )
 from .spectral import KernelEstimate
 
-__all__ = ["FitResult", "FitError", "fit_single", "fit_expansion", "residue_of"]
+__all__ = ["FitResult", "FitError", "fit_singles", "fit_expansions", "fit_single", "fit_expansion", "residue_of"]
 
 # parameter bounds, enforced by projection inside the objective
 _P_LO, _P_HI = 1.0 + 1e-8, 10.0
@@ -179,19 +188,20 @@ def _starts(tag: str, estimate: KernelEstimate):
 
 
 def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, base: Kernel | None = None):
-    """One of the twelve fits as ``(starts, objective, decode)``: ``family``
-    alone, or, with ``op``, the base kernel ``base`` expanded by it.
+    """One of the twelve fits as ``(starts, bounds, curves, decode)``:
+    ``family`` alone, or, with ``op``, the base kernel ``base`` expanded by
+    it.
 
     A parameter vector holds the fields of ``family``.  A product's holds
     K1's fields, then the family's other than its amplitude, which is fixed
     at 1, so K1's amplitude alone scales the product; the tied products
     (SQRxSNS, SNSxSQR, SNSxSNS) hold ``(K1 amplitude, omega)`` instead.
     The starts are the family's with the fixed amplitude dropped, each
-    distinct start once.  ``objective`` maps an (M, N) matrix of vectors to
-    M residues, a row with a NaN scoring ``inf``, and ``decode`` maps one
-    vector to its kernel.  Both clip to the fields' bounds and read the
-    factors from ``parts``, so a decoded kernel scores what its vector
-    scored.
+    distinct start once.  ``bounds`` is the pair of per-field bound
+    vectors, ``curves`` maps an (M, N) matrix of vectors, clipped to them,
+    to their M model curves on the grid lags, and ``decode`` maps one
+    vector to its kernel, clipping it first.  Both read the factors from
+    ``parts``, so a decoded kernel scores what its vector scored.
     """
     if op not in (None, "add", "multiply"):
         raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
@@ -227,18 +237,14 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
         def parts(x):
             return [(type(base), x[: len(fixed)]), (cls, (1.0, *x[len(fixed) :]))]
 
-    starts = list(dict.fromkeys(starts))
     lo, hi = _bounds(names)
     t = estimate.times[1:]
     frozen = evaluate(base, t) if op == "add" else None
 
-    def objective(params):
-        x = np.minimum(np.maximum(params, lo), hi)
+    def curves(x):
         # one (M, 1) column per field, so each curve broadcasts to (M, lags)
         phi = reduce(np.multiply, [part.curve(t, *args) for part, args in parts(x.T[:, :, None])])
-        values = residue_of(estimate, phi if frozen is None else frozen + phi)
-        values[np.isnan(x).any(axis=1)] = math.inf
-        return values
+        return phi if frozen is None else frozen + phi
 
     def decode(x):
         kernels = [part(*args) for part, args in parts(np.minimum(np.maximum(x, lo), hi).tolist())]
@@ -246,118 +252,182 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
             return Sum(base, *kernels)
         return Product(*kernels) if op == "multiply" else kernels[0]
 
-    return starts, objective, decode
+    return list(dict.fromkeys(starts)), (lo, hi), curves, decode
+
+
+def _level(estimate: KernelEstimate, candidates):
+    """The fits ``candidates`` (``_candidate`` tuples) as one search:
+    ``(starts, edges, objective)``.
+
+    ``starts`` joins the fits' starts in order, and fit ``c`` owns the runs
+    ``edges[c]`` to ``edges[c + 1]``.  ``objective(params, runs)`` maps an
+    (M, N) matrix of vectors, zero-padded to the longest start, and the
+    ascending run of each row to M residues, a row with a NaN scoring
+    ``inf``.
+    """
+    starts = [start for candidate in candidates for start in candidate[0]]
+    edges = np.cumsum([0] + [len(candidate[0]) for candidate in candidates])
+    # each run's bounds; a padded coordinate is clipped to 0, which it is
+    lo, hi = np.zeros((2, len(starts), max(map(len, starts))))
+    for (_, (low, high), _, _), a, b in zip(candidates, edges, edges[1:]):
+        lo[a:b, : low.size], hi[a:b, : high.size] = low, high
+
+    def objective(params, runs):
+        x = np.minimum(np.maximum(params, lo[runs]), hi[runs])
+        rows = runs.searchsorted(edges)
+        phi = [
+            curves(x[a:b, : low.size])
+            for (_, (low, _), curves, _), a, b in zip(candidates, rows, rows[1:])
+            if a < b
+        ]
+        values = residue_of(estimate, phi[0] if len(phi) == 1 else np.concatenate(phi))
+        values[np.isnan(x).any(axis=1)] = math.inf
+        return values
+
+    return starts, edges, objective
 
 
 def _nelder_mead(objective, starts):
     """Nelder-Mead from every start at once; returns ``(x, fun, nit,
-    success)``, one entry per start.
+    success)``, one entry per start, each ``x`` as long as its start.
 
     Each run takes the steps of scipy's non-adaptive Nelder-Mead with
     ``_NM_OPTIONS`` (reflection 1, expansion 2, contraction and shrink 0.5),
-    so it ends where ``scipy.optimize.minimize`` from that start ends.  All
-    live runs are at the same iteration, and each phase of a step is one
-    objective call for all of them.
+    so it ends where ``scipy.optimize.minimize`` from that start ends.
+    Starts may differ in length; each is padded with zeros to the longest,
+    N.  All live runs are at the same iteration, and each phase of a step is
+    one call ``objective(params, runs)`` for the runs that need it: ``params``
+    holds one padded (M, N) row per vertex or trial point, and ``runs`` the
+    index of its start, ascending.
     """
     maxiter, xatol, fatol = _NM_OPTIONS["maxiter"], _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
-    x0 = np.asarray(starts, dtype=float)
-    k, n = x0.shape
-    # vertex j + 1 scales coordinate j by 1.05, or sets it to 0.00025 if zero
+    dims = np.array([len(start) for start in starts])
+    k, n = dims.size, int(dims.max())
+    x0 = np.zeros((k, n))
+    for i, start in enumerate(starts):
+        x0[i, : dims[i]] = start
+    # vertex j + 1 scales coordinate j by 1.05, or sets it to 0.00025 if
+    # zero; a padded vertex is the start itself
     sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     diag = np.arange(n)
-    sim[:, diag + 1, diag] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = objective(sim.reshape(-1, n)).reshape(k, n + 1)
-    rows = np.arange(k)[:, None]
+    step = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    sim[:, diag + 1, diag] = np.where(diag < dims[:, None], step, 0.0)
+    real = np.arange(n + 1) <= dims[:, None]
+    fsim = np.full((k, n + 1), math.inf)
+    fsim[real] = objective(sim[real], np.nonzero(real)[0])
+    slots = np.tile(np.arange(n + 1), (k, 1))
+
+    def layout(dims):
+        """What a step reads of the live runs' dimensions, rebuilt only
+        when a run ends: row indices, the runs of each distinct dimension,
+        a mask of the vertices 1..n that are real (the same mask picks out
+        vertices 0..n-1 before the worst), and the dimensions as a float
+        column."""
+        groups = [(d, np.flatnonzero(dims == d)) for d in np.unique(dims)]
+        real = np.arange(1, n + 1) <= dims[:, None]
+        return np.arange(dims.size), groups, real, dims[:, None].astype(float)
+
+    def ordered(sim, fsim):
+        """The vertices of each run sorted by value, as scipy sorts them: the
+        real ones only, in one argsort per dimension; the padded ones keep
+        their slots."""
+        order = slots[: len(fsim)].copy()
+        for d, g in groups:
+            order[g, : d + 1] = fsim[g, : d + 1].argsort()
+        return sim[rows[:, None], order], fsim[rows[:, None], order]
+
+    rows, groups, others, scale = layout(dims)
     for _ in range(2):  # as scipy does: argsort is unstable, so ties may move
-        order = fsim.argsort()
-        sim, fsim = sim[rows, order], fsim[rows, order]
+        sim, fsim = ordered(sim, fsim)
 
     x, fun, nit = np.empty((k, n)), np.empty(k), np.empty(k, dtype=int)
     live = np.arange(k)
     iterations = 1
     while True:
         # scipy's stopping rule; it tests the values only where the vertices have met
-        done = np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol
+        spread = np.where(others[:, :, None], np.abs(sim[:, 1:] - sim[:, :1]), 0.0)
+        done = spread.max(axis=(1, 2)) <= xatol
         if iterations >= maxiter or done.any():
             if iterations >= maxiter:
                 done[:] = True
             else:
-                done[done] = np.abs(fsim[done, :1] - fsim[done, 1:]).max(axis=1) <= fatol
-            ended = live[done]
-            x[ended], fun[ended], nit[ended] = sim[done, 0], fsim[done].min(axis=1), iterations
-            live, sim, fsim = live[~done], sim[~done], fsim[~done]
-            if not len(live):
-                return x, fun, nit, nit < maxiter
-            rows = rows[: len(live)]
+                gaps = np.where(others[done], np.abs(fsim[done, :1] - fsim[done, 1:]), 0.0)
+                done[done] = gaps.max(axis=1) <= fatol
+            if done.any():
+                ended = live[done]
+                x[ended], fun[ended], nit[ended] = sim[done, 0], fsim[done].min(axis=1), iterations
+                live, sim, fsim, dims = live[~done], sim[~done], fsim[~done], dims[~done]
+                if not live.size:
+                    success = nit < maxiter
+                    return [x[i, :d] for i, d in enumerate(map(len, starts))], fun, nit, success
+                rows, groups, others, scale = layout(dims)
 
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        worst, fworst = sim[:, -1], fsim[:, -1]
+        below = np.where(others[:, :, None], sim[:, :-1], 0.0)
+        xbar = np.add.reduce(below, 1) / scale
+        worst, fworst, fsecond = sim[rows, dims], fsim[rows, dims], fsim[rows, dims - 1]
         # scipy writes each point as c * xbar - d * worst; with its coefficients
         # these are the same floats (1 * w is w, and x - (-y) is x + y)
         xr = 2 * xbar - worst
-        fxr = objective(xr)
+        fxr = objective(xr, live)
         expand = fxr < fsim[:, 0]
-        contract = ~expand & ~(fxr < fsim[:, -2])
-        if not (expand | contract).any():
-            sim[:, -1], fsim[:, -1] = xr, fxr
+        contract = ~(expand | (fxr < fsecond))
+        trying = expand | contract
+        if not trying.any():
+            sim[rows, dims], fsim[rows, dims] = xr, fxr
         else:
             # the trial point: expand, or contract outside or inside
             outside = fxr < fworst
-            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
-            b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
-            trial = a * xbar - b * worst
-            ftrial = objective(trial)
+            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
+            b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
+            trial = a[:, None] * xbar - b[:, None] * worst
+            ftrial = np.full(len(live), math.inf)
+            ftrial[trying] = objective(trial[trying], live[trying])
             take = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < fworst))
-            use = take & (expand | contract)
+            use = take & trying
             shrink = contract & ~take
-            sim[:, -1] = np.where(use[:, None], trial, np.where(contract[:, None], worst, xr))
-            fsim[:, -1] = np.where(use, ftrial, np.where(contract, fworst, fxr))
+            sim[rows, dims] = np.where(use[:, None], trial, np.where(contract[:, None], worst, xr))
+            fsim[rows, dims] = np.where(use, ftrial, np.where(contract, fworst, fxr))
             if shrink.any():
                 s = np.flatnonzero(shrink)
                 best = sim[s, :1]
                 sim[s, 1:] = best + 0.5 * (sim[s, 1:] - best)
-                fsim[s, 1:] = objective(sim[s, 1:].reshape(-1, n)).reshape(-1, n)
+                shrunk = fsim[s, 1:]
+                shrunk[others[s]] = objective(sim[s, 1:][others[s]], np.repeat(live[s], dims[s]))
+                fsim[s, 1:] = shrunk
         iterations += 1
-        order = fsim.argsort()
-        sim, fsim = sim[rows, order], fsim[rows, order]
+        sim, fsim = ordered(sim, fsim)
 
 
-def _optimize(objective, starts, label: str):
-    """Nelder-Mead over each start; returns (best_params, best_value), the
-    first run with the lowest finite value.  ``label`` names the fit in the
-    log."""
+def _fit_level(estimate: KernelEstimate, labelled) -> list[FitResult]:
+    """Optimize the ``(label, _candidate tuple)`` pairs ``labelled`` in one
+    search and decode each fit's best vector: the first run with the lowest
+    finite value.  A label names its fit in the log and in the error."""
+    candidates = [candidate for _, candidate in labelled]
+    starts, edges, objective = _level(estimate, candidates)
     x, fun, nit, success = _nelder_mead(objective, starts)
-    for i in np.flatnonzero(~success):
-        _log.debug("%s: Nelder-Mead start %d did not converge after %d iterations", label, int(i), int(nit[i]))
-    i = int(np.argmin(fun))
-    if not math.isfinite(fun[i]):
-        return None, math.inf
-    return x[i], float(fun[i])
+    fits = []
+    for (label, (_, _, _, decode)), a, b in zip(labelled, edges, edges[1:]):
+        for i in np.flatnonzero(~success[a:b]).tolist():
+            _log.debug("%s: Nelder-Mead start %d did not converge after %d iterations", label, i, int(nit[a + i]))
+        best = a + int(np.argmin(fun[a:b]))
+        if not math.isfinite(fun[best]):
+            raise FitError(f"no finite residue for {label}")
+        kernel = decode(x[best])
+        fits.append(FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel)))
+    return fits
 
 
-def _fit(estimate: KernelEstimate, candidate, label: str) -> FitResult:
-    """Optimize a ``_candidate`` triple and decode its best vector.
-    ``label`` names the fit in the log and in the error."""
-    starts, objective, decode = candidate
-    best, _ = _optimize(objective, starts, label)
-    if best is None:
-        raise FitError(f"no finite residue for {label}")
-    kernel = decode(best)
-    return FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel))
-
-
-def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
-    """Best-fitting single kernel of the given family (tag in
-    EXP/PWL/SQR/SNS) under the grid L1 residue."""
+def fit_singles(estimate: KernelEstimate, families) -> list[FitResult]:
+    """Best-fitting single kernel of each family in ``families`` (tags in
+    EXP/PWL/SQR/SNS) under the grid L1 residue, in one search."""
     if not np.any(estimate.values != 0):
         raise ValueError("degenerate estimate: all samples are zero")
-    return _fit(estimate, _candidate(estimate, family), family)
+    return _fit_level(estimate, [(family, _candidate(estimate, family)) for family in families])
 
 
-def fit_expansion(
-    estimate: KernelEstimate, fixed: FitResult, op: str, family: str
-) -> FitResult:
-    """Expand a fitted single kernel by one addend or factor.
+def fit_expansions(estimate: KernelEstimate, fixed: FitResult, pairs) -> list[FitResult]:
+    """Expand a fitted single kernel by one addend or factor for each
+    ``(op, family)`` in ``pairs``, in one search.
 
     Additive: the fitted kernel's parameters stay frozen and only the new
     addend is optimized (a near-zero-amplitude start guarantees the result
@@ -367,7 +437,21 @@ def fit_expansion(
     amplitude 1.  In SQRxSNS, SNSxSQR and SNSxSNS one ``omega`` sets both
     supports.
     """
-    if isinstance(fixed.kernel, (Sum, Product)):
+    base = fixed.kernel
+    if isinstance(base, (Sum, Product)):
         raise ValueError("expansion requires a single-kernel fit to extend")
-    candidate = _candidate(estimate, family, op, fixed.kernel)
-    return _fit(estimate, candidate, f"{fixed.kernel.family}{'+' if op == 'add' else 'x'}{family}")
+    labelled = [
+        (f"{base.family}{'+' if op == 'add' else 'x'}{family}", _candidate(estimate, family, op, base))
+        for op, family in pairs
+    ]
+    return _fit_level(estimate, labelled)
+
+
+def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
+    """``fit_singles`` for the one family ``family``."""
+    return fit_singles(estimate, [family])[0]
+
+
+def fit_expansion(estimate: KernelEstimate, fixed: FitResult, op: str, family: str) -> FitResult:
+    """``fit_expansions`` for the one pair ``(op, family)``."""
+    return fit_expansions(estimate, fixed, [(op, family)])[0]

@@ -320,9 +320,11 @@ def support_end(kernel: Kernel) -> float:
 # trapezoid error and cut-off tail mass of a term set, relative to the kernel
 _TERM_TOL = 1e-13
 _TAIL_TOL = 1e-14
-# terms per block, in the sums here and in each likelihood recursion call:
-# (_BLOCK, n) arrays bound the working set
+# terms per block of a weighted sum, here and in each likelihood recursion
+# call; the likelihood's (_BLOCK, n) arrays bound its working set
 _BLOCK = 4
+# the elements of one chunk of ``_term_sum``'s integrals, at most
+_CHUNK = 2**16
 
 
 def _laplace_nodes(shape: float, c_lo: float, c_hi: float, horizon: float):
@@ -406,10 +408,19 @@ def _terms(kernel: Kernel, horizon: float):
 
 
 def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_j w_j integral(z_j, s)`` at each ``s``, ``_BLOCK`` terms at a time."""
+    """``sum_j w_j integral(z_j, s)`` at each ``s``.
+
+    The integrals are evaluated a chunk of terms at a time, the largest
+    multiple of ``_BLOCK`` terms whose values fit in ``_CHUNK`` elements
+    (at least ``_BLOCK``).  The sum adds ``_BLOCK`` terms at a time, in
+    term order, so its bits do not depend on the chunk.
+    """
     out = np.zeros(s.shape)
-    for j in range(0, z.size, _BLOCK):
-        out += w[j : j + _BLOCK] @ integral(z[j : j + _BLOCK, None], s)
+    chunk = max(_CHUNK // max(s.size, 1) // _BLOCK, 1) * _BLOCK
+    for c in range(0, z.size, chunk):
+        values = integral(z[c : c + chunk, None], s)
+        for j in range(0, len(values), _BLOCK):
+            out += w[c + j : c + j + _BLOCK] @ values[j : j + _BLOCK]
     return out
 
 

@@ -192,13 +192,20 @@ def _vectors(n):
     }
 
 
+def _alone(estimate, tag, op=None, base=None):
+    """One fit as a level of its own: ``(starts, objective, decode)``."""
+    candidate = fit._candidate(estimate, tag, op, base)
+    starts, _, objective = fit._level(estimate, [candidate])
+    return starts, objective, candidate[3]
+
+
 class TestObjective:
     @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
     def test_matches_residue_of_decoded_kernel(self, spectral_estimate, tag1, op, tag):
         est = spectral_estimate
-        starts, objective, decode = fit._candidate(est, tag, op, BASES.get(tag1))
+        starts, objective, decode = _alone(est, tag, op, BASES.get(tag1))
         vectors = _vectors(len(starts[0]))
-        values = objective(np.array(list(vectors.values())))
+        values = objective(np.array(list(vectors.values())), np.zeros(len(vectors), dtype=int))
         assert values.shape == (len(vectors),)
         for (name, x), value in zip(vectors.items(), values):
             if name == "nan":
@@ -215,9 +222,9 @@ class TestObjective:
         def product(tag1, tag):
             return fit._candidate(spectral_estimate, tag, "multiply", BASES[tag1])
 
-        assert product("SQR", "SNS")[2]((amplitude, omega)) == Product(Sqr(amplitude, math.pi / omega), sns)
-        assert product("SNS", "SQR")[2]((amplitude, omega)) == Product(Sns(amplitude, omega), sqr)
-        assert product("SNS", "SNS")[2]((amplitude, omega)) == Product(Sns(amplitude, omega), sns)
+        assert product("SQR", "SNS")[3]((amplitude, omega)) == Product(Sqr(amplitude, math.pi / omega), sns)
+        assert product("SNS", "SQR")[3]((amplitude, omega)) == Product(Sns(amplitude, omega), sqr)
+        assert product("SNS", "SNS")[3]((amplitude, omega)) == Product(Sns(amplitude, omega), sns)
         # the starts carry K1's fitted fields in the tied places: an SQR K1
         # keeps its height and takes each distinct SNS start frequency, and an
         # SNS K1 is the one start
@@ -255,22 +262,23 @@ class TestObjective:
 
 def _scipy_runs(objective, starts):
     """The reference: scipy's Nelder-Mead from each start, one objective
-    row at a time."""
-    return [
-        minimize(lambda x: objective(x[None, :])[0], np.asarray(x0, dtype=float), method="Nelder-Mead",
-                 options=fit._NM_OPTIONS)
-        for x0 in starts
-    ]
+    row at a time, padded with zeros to the longest start."""
+    width = max(map(len, starts))
+
+    def run(i, x0):
+        def row(x):
+            return objective(np.concatenate([x, np.zeros(width - x.size)])[None, :], np.array([i]))[0]
+
+        return minimize(row, np.asarray(x0, dtype=float), method="Nelder-Mead", options=fit._NM_OPTIONS)
+
+    return [run(i, x0) for i, x0 in enumerate(starts)]
 
 
-def _scipy_optimize(objective, starts, label):
-    """``fit._optimize`` on the reference runs: the first run with the
-    lowest finite value."""
-    best, best_val = None, math.inf
-    for res in _scipy_runs(objective, starts):
-        if math.isfinite(res.fun) and res.fun < best_val:
-            best, best_val = res.x, float(res.fun)
-    return best, best_val
+def _scipy_nelder_mead(objective, starts):
+    """``fit._nelder_mead`` made of the reference runs."""
+    runs = _scipy_runs(objective, starts)
+    return ([res.x for res in runs], np.array([res.fun for res in runs]), np.array([res.nit for res in runs]),
+            np.array([res.success for res in runs]))
 
 
 def _assert_matches_scipy(objective, starts):
@@ -287,32 +295,76 @@ def k1_fits(spectral_estimate):
     return {tag: fit_single(spectral_estimate, tag).kernel for tag in FAMILIES}
 
 
+EXPANSIONS = [(op, tag) for op in ("add", "multiply") for tag in FAMILIES]
+
+
+def _singles_level(estimate):
+    return fit._level(estimate, [fit._candidate(estimate, tag) for tag in FAMILIES])
+
+
 class TestNelderMead:
     """``fit._nelder_mead`` against scipy's Nelder-Mead, run by run, on the
     objectives and starts of the real fits."""
 
     @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
     def test_matches_scipy(self, spectral_estimate, k1_fits, tag1, op, tag):
-        starts, objective, _ = fit._candidate(spectral_estimate, tag, op, k1_fits.get(tag1))
+        starts, objective, _ = _alone(spectral_estimate, tag, op, k1_fits.get(tag1))
+        _assert_matches_scipy(objective, starts)
+
+    def test_singles_level_matches_scipy(self, spectral_estimate):
+        # the 2-field EXP, SQR and SNS runs beside the 3-field PWL runs
+        starts, _, objective = _singles_level(spectral_estimate)
+        assert sorted(set(map(len, starts))) == [2, 3]
+        _assert_matches_scipy(objective, starts)
+
+    @pytest.mark.parametrize("tag1", FAMILIES)
+    def test_expansions_level_matches_scipy(self, spectral_estimate, k1_fits, tag1):
+        candidates = [fit._candidate(spectral_estimate, tag, op, k1_fits[tag1]) for op, tag in EXPANSIONS]
+        starts, _, objective = fit._level(spectral_estimate, candidates)
+        assert len(set(map(len, starts))) > 1
         _assert_matches_scipy(objective, starts)
 
     def test_exponent_exactly_two(self, spectral_estimate):
         # p is exactly 2 on most vertices of the first simplexes, where
         # Pwl.curve squares (TestObjective's p_two vector checks the values)
         starts = [(0.1, 0.5, 2.0), (0.05, 1.0, 2.0), (0.2, 0.25, 1.5)]
-        _assert_matches_scipy(fit._candidate(spectral_estimate, "PWL")[1], starts)
+        _assert_matches_scipy(_alone(spectral_estimate, "PWL")[1], starts)
 
     def test_nan_start(self, spectral_estimate):
         starts = fit._starts("EXP", spectral_estimate)
         starts[3] = (math.nan, 1.0)
-        objective = fit._candidate(spectral_estimate, "EXP")[1]
+        objective = _alone(spectral_estimate, "EXP")[1]
         _assert_matches_scipy(objective, starts)
         _, fun, _, success = fit._nelder_mead(objective, starts)
         assert fun[3] == math.inf and not success[3]
 
+    def test_mixed_dimensions_nan_start(self, spectral_estimate):
+        # a NaN in a 3-field PWL start among 2-field starts
+        starts, _, objective = _singles_level(spectral_estimate)
+        i = next(i for i, start in enumerate(starts) if len(start) == 3)
+        starts[i] = (starts[i][0], math.nan, starts[i][2])
+        _assert_matches_scipy(objective, starts)
+        _, fun, _, success = fit._nelder_mead(objective, starts)
+        assert fun[i] == math.inf and not success[i]
+
+    def test_fit_without_finite_residue_raises(self, spectral_estimate):
+        # every start of the second fit is NaN; the error names that fit
+        est = spectral_estimate
+        single = fit._candidate(est, "EXP")
+        unusable = ([(math.nan, 1.0)],) + single[1:]
+        with pytest.raises(fit.FitError, match="no finite residue for NAN"):
+            fit._fit_level(est, [("EXP", single), ("NAN", unusable)])
+
     def test_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
-        starts, objective, _ = fit._candidate(spectral_estimate, "PWL", "multiply", k1_fits["EXP"])
+        starts, objective, _ = _alone(spectral_estimate, "PWL", "multiply", k1_fits["EXP"])
+        _assert_matches_scipy(objective, starts)
+        assert not fit._nelder_mead(objective, starts)[3].any()
+
+    def test_mixed_dimensions_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
+        monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
+        candidates = [fit._candidate(spectral_estimate, tag, op, k1_fits["PWL"]) for op, tag in EXPANSIONS]
+        starts, _, objective = fit._level(spectral_estimate, candidates)
         _assert_matches_scipy(objective, starts)
         assert not fit._nelder_mead(objective, starts)[3].any()
 
@@ -320,7 +372,7 @@ class TestNelderMead:
         events = simulate(HawkesModel(mu=0.5, kernel=Pwl(0.2, 0.5, 2.0)), 1500.0, seed=4)
         config = DecompositionConfig(tau_max=5.0, resolution=25)
         ours = json.dumps(result_to_dict(decompose(events, config)), sort_keys=True)
-        monkeypatch.setattr(fit, "_optimize", _scipy_optimize)
+        monkeypatch.setattr(fit, "_nelder_mead", _scipy_nelder_mead)
         assert json.dumps(result_to_dict(decompose(events, config)), sort_keys=True) == ours
 
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_norm
+from conftest import quad_norm, term_sum_blocks
+from hawkesdecomp import kernels
 from hawkesdecomp.kernels import (
     FAMILIES,
     Exp,
@@ -322,6 +323,27 @@ class TestCompensatorWithin:
             integral = k.compensator_within(self.HORIZON)
             full = integral(self.LAGS)
             np.testing.assert_array_equal(integral(self.LAGS[:50]), full[:50], err_msg=str(k))
+
+
+class TestTermSumChunks:
+    # the term-set products; EXPxSNS has one term
+    PRODUCTS = [
+        Product(Exp(1.0, 0.5), Pwl(0.3, 0.5, 2.0)),
+        Product(Pwl(0.2, 0.5, 2.0), Pwl(1.0, 0.5, 2.0)),
+        Product(Exp(1.0, 0.5), Sns(0.6, 1.5)),
+        Product(Pwl(1.0, 0.5, 2.0), Sns(0.3, 1.5)),
+    ]
+    HORIZON = 50.0
+
+    @pytest.mark.parametrize("size", [1, 7, 4097, 2**16 + 3])
+    @pytest.mark.parametrize("kernel", PRODUCTS, ids=str)
+    def test_same_bits_as_four_term_blocks(self, kernel, size, monkeypatch):
+        # at 4097 lags a chunk is 12 terms of the 67-91, so chunk edges fall
+        # mid-set; past 2^16 lags a chunk is one block
+        s = np.random.default_rng(size).uniform(0.0, self.HORIZON, size)
+        chunked = kernel.compensator_within(self.HORIZON)(s)
+        monkeypatch.setattr(kernels, "_term_sum", term_sum_blocks)
+        assert np.array_equal(chunked, kernel.compensator_within(self.HORIZON)(s))
 
 
 class TestCompensatorAtSmallLags:
