@@ -2,8 +2,12 @@
 
 The covariance grid bins the counting process into adjacent windows of
 width ``delta`` (the bandwidth is the grid step), centers each bin count by
-``lambda_hat * delta``, and averages lagged products, one lag after another
-in a single process.
+``lambda_hat * delta``, and averages lagged products.  It is computed in the
+pair-count form of the second-order estimator (Bacry & Muzy 2016): the
+lagged sums of bin-count products are exact integer counts taken over the
+occupied bins only, and the centring terms are integer event counts, so the
+work is O(occupied bins x lags), the memory O(n + lags), nothing is sized by
+the horizon, and no BLAS call is made.
 """
 
 from __future__ import annotations
@@ -47,11 +51,18 @@ def estimate_lambda(events: EventSequence) -> float:
 def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> CovarianceGrid:
     """Estimate the stationary covariance on a lag grid of step ``delta``.
 
-    For lag ``k*delta`` the estimate is ``(1/T) * sum_i (C_i - L*d)(C_{i+k} - L*d)``
-    over adjacent bin counts ``C_i`` in windows ``[i*delta, (i+1)*delta)``,
-    with ``L = lambda_hat`` and ``d = delta``, for the lags below
-    ``tau_max``.  Lags whose window would extend past the observation
-    horizon are dropped.
+    For lag ``k*delta`` the estimate is ``(1/T) * sum_i (C_i - L)(C_{i+k} - L)``
+    over the ``m = floor(T/delta)`` adjacent bin counts ``C_i`` in windows
+    ``[i*delta, (i+1)*delta)``, ``i < m - k``, with ``L = lambda_hat * delta``,
+    for the lags below ``tau_max``.  Lags whose window would extend past the
+    observation horizon are dropped.
+
+    Expanded, the sum is ``pairs_k - L * edge_k + (m - k) L^2``: ``pairs_k =
+    sum_i C_i C_{i+k}`` is counted over the occupied bins that lie ``k`` apart,
+    and ``edge_k`` is the number of events in bins ``[0, m - k)`` plus those
+    in ``[k, m)``.  The work is O(occupied bins x lags) and the memory
+    O(n + lags); no array is sized by ``T/delta`` and no BLAS call is made,
+    so the values do not depend on the BLAS thread count.
     """
     T = events.horizon_T
     if not (0 < delta < tau_max <= T):
@@ -66,14 +77,25 @@ def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> Cova
     n_lags = int(math.floor(tau_max / delta * (1.0 + 4.0 * sys.float_info.epsilon)))
     n_lags = min(n_lags, m)  # drop lags whose window exceeds T
 
-    idx = np.floor(events.timestamps / delta).astype(int)
-    counts = np.bincount(idx[idx < m], minlength=m).astype(float)
-    centered = counts - lam * delta
-
-    values = np.empty(n_lags, dtype=float)
-    for k in range(n_lags):
-        # each lag is an independent reduction over the same bin array
-        values[k] = np.dot(centered[: m - k], centered[k:]) / T
+    idx = np.floor(events.timestamps / delta).astype(np.int64)
+    idx = idx[idx < m]  # events in the trailing partial bin are dropped
+    bins, counts = np.unique(idx, return_counts=True)
+    lags = np.arange(n_lags)
+    # pairs[k] = sum_i C_i C_{i+k}: for each offset j between occupied bins,
+    # the count products of the bin pairs fewer than n_lags bins apart.  The
+    # bins are strictly increasing, so once an offset has no such pair no
+    # larger one has; the float sums are exact integers below 2^53
+    pairs = np.zeros(n_lags)
+    for j in range(bins.size):
+        gap = bins[j:] - bins[: bins.size - j]
+        near = gap < n_lags
+        if not near.any():
+            break
+        pairs += np.bincount(gap[near], weights=(counts[j:] * counts[: counts.size - j])[near], minlength=n_lags)
+    # events in bins [0, m - k) and in bins [k, m)
+    edge = np.searchsorted(idx, m - lags) + idx.size - np.searchsorted(idx, lags)
+    L = lam * delta
+    values = (pairs - L * edge + (m - lags) * L * L) / T
     return CovarianceGrid(values=values, delta=delta, tau_max=tau_max, lambda_hat=lam)
 
 
@@ -88,10 +110,7 @@ def horizon_from_histogram(events: EventSequence, percentile: float = 0.95) -> f
         raise ValueError("percentile must lie strictly between 0 and 1")
     if len(events) < 2:
         raise ValueError("need at least two events")
-    intervals = np.diff(events.timestamps)
-    if np.all(intervals == 0):
-        raise ValueError("degenerate sequence: all inter-event intervals are zero")
-    hist, edges = np.histogram(intervals, bins=100)
+    hist, edges = np.histogram(np.diff(events.timestamps), bins=100)
     cum = np.cumsum(hist) / hist.sum()
     idx = int(np.argmax(cum > percentile))
     return float(edges[idx + 1])

@@ -123,9 +123,14 @@ def residue_of(estimate: KernelEstimate, kernel):
 
 
 def _estimate_stats(estimate: KernelEstimate):
-    """Deterministic shape statistics used to seed the optimizer starts."""
-    v = estimate.values[1:] if len(estimate.values) > 1 else estimate.values
-    t = estimate.times[1:] if len(estimate.values) > 1 else estimate.times
+    """Deterministic shape statistics used to seed the optimizer starts.
+
+    They read the samples past lag 0, the ones ``residue_of`` scores, so an
+    estimate needs at least two samples.
+    """
+    if len(estimate.values) < 2:
+        raise ValueError("an estimate needs at least two samples to fit")
+    v, t = estimate.values[1:], estimate.times[1:]
     peak = float(max(v.max(), 1e-8))
     i_peak = int(np.argmax(v))
     t_peak = float(max(t[i_peak], estimate.delta))

@@ -133,13 +133,6 @@ def _compensator_inverse(kernel: Kernel, horizon_T: float):
     return mass, invert
 
 
-def _invert_compensator(kernel: Kernel, horizon_T: float, targets: np.ndarray) -> np.ndarray:
-    """Lags ``s`` in ``(0, horizon_T]`` with ``kernel.compensator(s) == targets``,
-    for targets below the mass on ``[0, horizon_T]``; one call of the map
-    of ``_compensator_inverse``."""
-    return _compensator_inverse(kernel, horizon_T)[1](targets)
-
-
 def simulate(
     model: HawkesModel,
     horizon_T: float,

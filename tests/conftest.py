@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,3 +66,31 @@ def term_sum_blocks(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np
     for j in range(0, z.size, 4):
         out += w[j : j + 4] @ integral(z[j : j + 4, None], s)
     return out
+
+
+def dense_covariance(events, delta: float, n_lags: int):
+    """The covariance grid by its dense definition, in exact rationals: bin
+    counts ``C_i`` over all ``m = floor(T/delta)`` windows ``[i delta, (i+1)
+    delta)``, centred by ``L = N(T) delta / T``, and ``nu_k = (1/T) sum_{i <
+    m-k} (C_i - L)(C_{i+k} - L)``.  Returns ``(nu, scale)``, two lists of
+    ``Fraction``; ``scale[k]`` is the summed magnitude of the three terms of
+    ``nu_k = (sum C_i C_{i+k} - L (head + tail) + (m - k) L^2) / T``, against
+    which a float evaluation's rounding is measured.  A bin index is the
+    floor of the rounded quotient ``t / delta``, as ``covariance_grid``
+    takes it: with ``delta = 0.1``, ``200 / delta`` rounds to 2000, one above
+    its exact floor."""
+    T, d = Fraction(events.horizon_T), Fraction(delta)
+    m = math.floor(events.horizon_T / delta)
+    counts = [0] * m
+    for t in events.timestamps:
+        i = math.floor(float(t) / delta)
+        if i < m:
+            counts[i] += 1
+    L = len(events) * d / T
+    nu, scale = [], []
+    for k in range(n_lags):
+        head, tail = counts[: m - k], counts[k:]
+        nu.append(sum((a - L) * (b - L) for a, b in zip(head, tail)) / T)
+        pairs = sum(a * b for a, b in zip(head, tail))
+        scale.append((pairs + L * (sum(head) + sum(tail)) + (m - k) * L * L) / T)
+    return nu, scale

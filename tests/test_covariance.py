@@ -1,14 +1,26 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hawkesdecomp
+from conftest import dense_covariance
 from hawkesdecomp.covariance import (
     covariance_grid,
     estimate_lambda,
     horizon_from_histogram,
 )
+from hawkesdecomp.fit import FitError
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
 from hawkesdecomp.kernels import Exp
-from hawkesdecomp.search import lag_grid
+from hawkesdecomp.search import DecompositionConfig, NoStationaryModelError, decompose, lag_grid
+from hawkesdecomp.spectral import DegenerateSpectrumError
 
 
 class TestLambdaHat:
@@ -72,6 +84,99 @@ class TestCovarianceGrid:
         assert np.all(grid.values[:4] > 0)
         # and it decays with the lag
         assert np.mean(grid.values[1:5]) > np.mean(grid.values[12:20])
+
+
+def _uniform(n, T, seed):
+    return np.sort(np.random.default_rng(seed).uniform(0.0, T, size=n))
+
+
+# (timestamps, horizon_T, delta, tau_max) of small sequences, each a shape of
+# bin occupancy that the pair count must get right
+ORACLE_CASES = {
+    "one_bin": (np.array([0.1, 0.2, 0.3, 0.4, 0.45]), 10.0, 1.0, 5.0),
+    "many_per_bin": (_uniform(400, 8.0, 1), 8.0, 0.5, 4.0),
+    "sparse": (_uniform(12, 2000.0, 2), 2000.0, 0.5, 2.5),
+    # half-open bins: each event opens its bin, and one at T lies past bin m
+    "bin_edges": (np.array([0.25, 0.5, 0.75, 1.5, 2.0, 2.25, 3.0]), 3.0, 0.25, 1.0),
+    # the events in [10, 10.5] fill no whole bin and are dropped
+    "trailing_partial_bin": (np.array([0.5, 1.2, 1.7, 4.0, 9.9, 10.0, 10.2, 10.5]), 10.5, 1.0, 3.0),
+    "every_lag": (_uniform(30, 8.0, 3), 8.0, 1.0, 8.0),
+    "hawkes": (simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 200.0, seed=5).timestamps, 200.0, 0.1, 2.0),
+}
+
+
+class TestPairCountOracle:
+    """``covariance_grid`` against the dense definition in exact rationals,
+    to 8 eps times the summed magnitude of the three terms of its expanded
+    form (the rounding of ``L``, the two products and two sums)."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_dense_definition(self, case):
+        ts, T, delta, tau_max = ORACLE_CASES[case]
+        events = EventSequence(ts, T)
+        grid = covariance_grid(events, delta, tau_max)
+        nu, scale = dense_covariance(events, delta, len(grid.values))
+        bound = 8 * Fraction(np.finfo(float).eps)
+        for k, value in enumerate(grid.values):
+            assert abs(Fraction(float(value)) - nu[k]) <= bound * scale[k], (case, k)
+
+    def test_lag_count_can_equal_bin_count(self):
+        ts, T, delta, tau_max = ORACLE_CASES["every_lag"]
+        assert len(covariance_grid(EventSequence(ts, T), delta, tau_max).values) == int(T / delta)
+
+
+class TestEpochOffset:
+    """Epoch-second timestamps: nothing in the estimate is sized by the
+    horizon."""
+
+    @pytest.fixture(scope="class")
+    def shifted(self):
+        events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 10_000.0, seed=3)
+        assert len(events) > 9000
+        return EventSequence(events.timestamps + 1.6e9, events.horizon_T + 1.6e9)
+
+    def test_covariance_memory_bounded(self, shifted):
+        tracemalloc.start()
+        try:
+            grid = covariance_grid(shifted, 0.1, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(grid.values) == 100 and np.all(np.isfinite(grid.values))
+
+    def test_decompose_ends_in_result_or_typed_error(self, shifted):
+        try:
+            decompose(shifted, DecompositionConfig(tau_max=10.0))
+        except (ValueError, NoStationaryModelError, DegenerateSpectrumError, FitError):
+            pass
+
+
+# decomposes one PWL sequence and prints result.json's bytes
+_DECOMPOSE_PWL = """
+import json, sys
+from hawkesdecomp import DecompositionConfig, HawkesModel, Pwl, decompose, simulate
+from hawkesdecomp.io import result_to_dict
+events = simulate(HawkesModel(mu=0.5, kernel=Pwl(0.15, 0.3, 2.0)), 2000.0, seed=4)
+result = decompose(events, DecompositionConfig(tau_max=10.0))
+sys.stdout.write(json.dumps(result_to_dict(result), sort_keys=True, indent=2))
+"""
+
+
+def test_result_independent_of_blas_threads():
+    # np.dot sums in an order set by the thread count; the covariance grid
+    # makes no BLAS call, so result.json must not depend on it
+    src = str(Path(hawkesdecomp.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _DECOMPOSE_PWL], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    json.loads(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 class TestHorizonHeuristic:

@@ -93,6 +93,18 @@ class TestFitSingle:
         with pytest.raises(ValueError):
             fit_single(estimate_from(Exp(1, 1)), "GAUSS")
 
+    def test_one_sample_estimate_rejected(self):
+        # a one-lag grid leaves no sample past lag 0 for residue_of to score,
+        # so every fit would report residue 0.0
+        events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 200.0, seed=1)
+        est = invert_to_kernel(covariance_grid(events, 0.6, 1.0))
+        assert len(est.values) == 1
+        with pytest.raises(ValueError, match="two samples"):
+            fit.fit_singles(est, list(FAMILIES))
+        k1 = FitResult(kernel=Exp(0.5, 1.0), residue=0.1, verdict=stationarity_norm(Exp(0.5, 1.0)))
+        with pytest.raises(ValueError, match="two samples"):
+            fit.fit_expansions(est, k1, [("add", "EXP"), ("multiply", "SQR")])
+
     def test_noise_robust(self):
         est = estimate_from(Exp(0.5, 1.0), noise=0.01, seed=3)
         fit = fit_single(est, "EXP")
