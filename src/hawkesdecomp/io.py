@@ -22,6 +22,7 @@ __all__ = [
     "InvalidSequenceError",
     "read_events",
     "write_events",
+    "write_csv",
     "read_ticks",
     "extract_events_by_threshold",
     "result_to_dict",
@@ -203,6 +204,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length ``columns`` side by side under ``header``, each value
+    in ``_fmt``'s 12 significant digits."""
+    rows = [header] + [",".join(map(_fmt, row)) for row in zip(*columns)]
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
 def _svg_polyline(xs, ys, box, xlim, ylim, color: str) -> str:
     x0, y0, w, h = box
     xmin, xmax = xlim
@@ -293,18 +301,11 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
     files.append(path)
 
     path = out / "phi_curves.csv"
-    rows = ["t,phi_hat,phi_fit"] + [
-        f"{_fmt(t)},{_fmt(e)},{_fmt(f)}"
-        for t, e, f in zip(bundle.curve_times, bundle.curve_estimate, bundle.curve_fitted)
-    ]
-    path.write_text("\n".join(rows) + "\n")
+    write_csv(path, "t,phi_hat,phi_fit", bundle.curve_times, bundle.curve_estimate, bundle.curve_fitted)
     files.append(path)
 
     path = out / "qq.csv"
-    rows = ["theoretical,observed"] + [
-        f"{_fmt(a)},{_fmt(b)}" for a, b in zip(bundle.qq_theoretical, bundle.qq_observed)
-    ]
-    path.write_text("\n".join(rows) + "\n")
+    write_csv(path, "theoretical,observed", bundle.qq_theoretical, bundle.qq_observed)
     files.append(path)
 
     path = out / "report.svg"

@@ -106,14 +106,9 @@ def invert_to_kernel(grid: CovarianceGrid) -> KernelEstimate:
     # constant delta, which cancels the DFT step factor, leaving spectrum / lambda_hat.
     spectrum = np.fft.fft(full).real / grid.lambda_hat
     peak = spectrum.max()
-    if peak <= 0:
-        raise DegenerateSpectrumError("covariance spectrum is nonpositive everywhere")
-    floor = _FLOOR_RATIO * peak
-    clamped = np.maximum(spectrum, floor)
-    if np.all(spectrum <= floor):
-        raise DegenerateSpectrumError("covariance spectrum entirely at the clamp floor")
-
-    logmag = 0.5 * np.log(clamped)
+    if peak <= 0 or peak == np.inf:
+        raise DegenerateSpectrumError(f"covariance spectrum peak is {peak}, not positive and finite")
+    logmag = 0.5 * np.log(np.maximum(spectrum, _FLOOR_RATIO * peak))
     phase = hilbert_transform(logmag)
     phi_spectrum = 1.0 - np.exp(-logmag + 1j * phase)
     phi = np.fft.ifft(phi_spectrum).real / grid.delta

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -276,6 +277,74 @@ class TestCli:
         assert grid["delta"] == pytest.approx(0.03)
         lags = [row.split(",")[0] for row in cov.read_text().splitlines()[1:]]
         assert lags == [f"{k * grid['delta']:.12g}" for k in range(grid["n_lags"])]
+
+    def test_estimate_tau_max_flag_matches_config(self, tmp_path, exp_events):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        config = tmp_path / "run.cfg"
+        config.write_text("tau_max = 3\n")
+        outputs = {}
+        for name, before, after in (("flag", [], ["--tau-max", "3"]), ("config", ["--config", str(config)], [])):
+            out_dir = tmp_path / name
+            out_dir.mkdir()
+            argv = [*before, "estimate", "--in", str(events_path), "--out", str(out_dir / "cov.csv"), *after]
+            assert cli.main(argv) == 0
+            outputs[name] = [(out_dir / f).read_bytes() for f in ("cov.csv", "phi_est.csv")]
+        assert outputs["flag"] == outputs["config"]
+
+    @pytest.mark.parametrize("command", ["estimate", "decompose", "decompose-batch", "report"])
+    def test_every_config_field_flag_reaches_command(self, tmp_path, exp_events, monkeypatch, command):
+        expected = DecompositionConfig(
+            resolution=37, horizon_percentile=0.9, tau_max=7.5, eta=1.7, holdout=0.6, gd_restarts=3
+        )
+        flags = []
+        for f in fields(DecompositionConfig):
+            assert getattr(expected, f.name) != f.default
+            flags += ["--" + f.name.replace("_", "-"), str(getattr(expected, f.name))]
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        write_events(exp_events, in_dir / "events.csv")
+        seen = []
+
+        def capture_config(events, cfg):
+            seen.append(cfg)
+            raise NoStationaryModelError("captured")
+
+        def capture_grid(events, resolution, percentile, tau_max=None):
+            seen.append((resolution, percentile, tau_max))
+            raise ValueError("captured")
+
+        monkeypatch.setattr(cli, "decompose", capture_config)
+        monkeypatch.setattr(cli, "lag_grid", capture_grid)
+        events_path, out = str(in_dir / "events.csv"), str(tmp_path / "out")
+        io_flags = {
+            "estimate": ["--in", events_path, "--out", out],
+            "decompose": ["--in", events_path, "--out", out],
+            "decompose-batch": ["--in-dir", str(in_dir), "--out-dir", out],
+            "report": ["--in", events_path, "--out-dir", out],
+        }[command]
+        code = cli.main([command, *io_flags, *flags])
+        if command == "estimate":
+            assert code == 2
+            assert seen == [(expected.resolution, expected.horizon_percentile, expected.tau_max)]
+        else:
+            assert code == 3
+            assert seen == [expected]
+
+    def test_config_keys_are_the_options(self, tmp_path, exp_events, capsys):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        argv = ["score", "--model", str(self.model_file(tmp_path)), "--in", str(events_path)]
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "seed = 1\nunit = 1\nresolution = 50\nhorizon_percentile = 0.9\ntau_max = 5\n"
+            "eta = 1.2\nholdout = 0.7\ngd_restarts = 2\n"
+        )
+        assert cli.main(["--config", str(config), *argv]) == 0
+        for key in ("config", "command", "model", "horizon", "in", "infile", "out", "in_dir", "out_dir"):
+            config.write_text(f"{key} = 1\n")
+            assert cli.main(["--config", str(config), *argv]) == 2
+            assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_invalid_input_exit_code(self, tmp_path):
         missing = tmp_path / "missing.csv"

@@ -111,6 +111,14 @@ class TestInversion:
         with pytest.raises(DegenerateSpectrumError):
             invert_to_kernel(grid)
 
+    def test_infinite_spectrum_rejected(self):
+        # a subnormal lambda_hat overflows the spectrum to +inf
+        vals = np.zeros(16)
+        vals[0] = 1.0
+        grid = CovarianceGrid(values=vals, delta=0.1, tau_max=1.6, lambda_hat=5e-324)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateSpectrumError):
+            invert_to_kernel(grid)
+
     def test_invalid_lambda(self):
         grid = CovarianceGrid(
             values=np.ones(16), delta=0.1, tau_max=1.6, lambda_hat=0.0
