@@ -17,12 +17,10 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import io as hio
-from .covariance import covariance_grid
 from .kernels import kernel_from_dict, number_entry
 from .likelihood import log_likelihood
-from .search import DecompositionConfig, NoStationaryModelError, decompose, lag_grid
+from .search import DecompositionConfig, NoStationaryModelError, decompose, kernel_estimate
 from .simulate import HawkesModel, simulate
-from .spectral import invert_to_kernel
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -67,7 +65,9 @@ def _read_model(path) -> HawkesModel:
 
 
 def _decomposition_config(args) -> DecompositionConfig:
-    return DecompositionConfig(**{f.name: getattr(args, f.name) for f in fields(DecompositionConfig)})
+    """The options the command takes; every other field keeps its default."""
+    names = [f.name for f in fields(DecompositionConfig) if hasattr(args, f.name)]
+    return DecompositionConfig(**{name: getattr(args, name) for name in names})
 
 
 def _cmd_simulate(args) -> int:
@@ -80,12 +80,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     events = hio.read_events(args.infile, unit=args.unit)
-    cfg = _decomposition_config(args)
-    horizon, delta = lag_grid(events, cfg.resolution, cfg.horizon_percentile, cfg.tau_max)
-    grid = covariance_grid(events, delta, horizon)
+    _, _, grid, estimate = kernel_estimate(events, _decomposition_config(args))
     out = Path(args.out)
     hio.write_csv(out, "lag_time,nu_value", grid.lags, grid.values)
-    estimate = invert_to_kernel(grid)
     phi_path = out.parent / "phi_est.csv"
     hio.write_csv(phi_path, "t,phi_hat", estimate.times, estimate.values)
     print(f"wrote {out} and {phi_path} ({len(grid.values)} lags, delta {grid.delta:.6g})")
@@ -103,11 +100,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_decompose_batch(args) -> int:
     in_dir = Path(args.in_dir)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfg = _decomposition_config(args)
     files = sorted(in_dir.glob("*.csv"))
     if not files:
         raise ValueError(f"no .csv sequences in {in_dir}")
-    cfg = _decomposition_config(args)
+    # only once the options and the inputs check out, so exit 2 leaves no empty directory
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def run(path: Path) -> tuple[str, int]:
         try:
@@ -166,14 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, "seed")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "estimate",
-        help="covariance grid + nonparametric kernel estimate",
-        description="--eta, --holdout and --gd-restarts are checked as for decompose but do not change the estimate",
-    )
+    about = "the covariance grid and kernel estimate that decompose fits, from the training part under --holdout"
+    p = sub.add_parser("estimate", help="covariance grid + nonparametric kernel estimate", description=about)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True, help="covariance CSV (phi_est.csv written alongside)")
-    _add_options(p, *_DECOMPOSE_OPTIONS)
+    _add_options(p, "unit", "resolution", "horizon_percentile", "tau_max", "holdout")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("decompose", help="automatic kernel decomposition")

@@ -44,6 +44,7 @@ __all__ = [
     "decompose",
     "select_level",
     "fit_gd_exponential",
+    "kernel_estimate",
     "lag_grid",
     "train_test_split",
 ]
@@ -235,18 +236,25 @@ def lag_grid(
     return horizon, horizon / resolution
 
 
-def decompose(events: EventSequence, config: DecompositionConfig = DecompositionConfig()) -> DecompositionResult:
-    """Run the full decomposition pipeline on an event sequence."""
-    if config.holdout is not None:
-        train, test = train_test_split(events, config.holdout)
-        eval_events = test
-    else:
-        train = events
-        eval_events = events
+def kernel_estimate(
+    events: EventSequence, config: DecompositionConfig = DecompositionConfig()
+) -> tuple[EventSequence, EventSequence, CovarianceGrid, KernelEstimate]:
+    """The pipeline's first stage: ``(train, scored, grid, estimate)``.
 
+    With ``config.holdout`` set, the first ``holdout`` share of the events
+    trains and the rest is scored; without it the whole sequence does both.
+    The covariance grid and its nonparametric kernel estimate come from the
+    training part only.
+    """
+    train, scored = (events, events) if config.holdout is None else train_test_split(events, config.holdout)
     horizon, delta = lag_grid(train, config.resolution, config.horizon_percentile, config.tau_max)
     grid = covariance_grid(train, delta, horizon)
-    estimate = invert_to_kernel(grid)
+    return train, scored, grid, invert_to_kernel(grid)
+
+
+def decompose(events: EventSequence, config: DecompositionConfig = DecompositionConfig()) -> DecompositionResult:
+    """Run the full decomposition pipeline on an event sequence."""
+    train, scored, grid, estimate = kernel_estimate(events, config)
 
     # in FAMILIES order, which also breaks residue ties
     singles = fit_singles(estimate, FAMILIES)
@@ -270,7 +278,7 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
         if not fit.verdict.stationary:
             return -math.inf
         model = HawkesModel(mu=_level_mu(fit, grid.lambda_hat), kernel=fit.kernel)
-        return log_likelihood(model, eval_events).value
+        return log_likelihood(model, scored).value
 
     llh_k1 = level_llh(k1)
     llh_k2 = level_llh(k2)
@@ -278,7 +286,7 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
 
     gd_train = fit_gd_exponential(train, config.gd_restarts)
     if math.isfinite(gd_train.llh):
-        gd_llh = log_likelihood(gd_train.model, eval_events).value
+        gd_llh = log_likelihood(gd_train.model, scored).value
     else:
         gd_llh = -math.inf
     gd = GdFit(model=gd_train.model, llh=gd_llh)

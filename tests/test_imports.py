@@ -1,7 +1,9 @@
-"""Every import in a ``hawkesdecomp`` module is used there, or marked ``# noqa``.
+"""Every import in a ``hawkesdecomp`` module is used there, or marked ``# noqa``,
+and every module-level private name is read somewhere in the package.
 
-The package re-exports names from ``__init__.py``, which is left out.  No lint
-tool is a dependency, so the check parses the source with ``ast``.
+The package re-exports names from ``__init__.py``, which the import check
+leaves out.  No lint tool is a dependency, so the checks parse the source
+with ``ast``.
 """
 
 import ast
@@ -40,3 +42,47 @@ def test_every_import_is_used(path):
 def test_check_flags_unused_import():
     source = "import json\nimport sys  # noqa: F401\nfrom .simulate import EventSequence, simulate\nsimulate(json)\n"
     assert unused_imports(source) == ["EventSequence"]
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level ``_name`` (function, class or
+    assignment target) in ``sources`` that no module of them reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {
+        node.id
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [
+                f"{module}:{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return unused
+
+
+def test_every_private_name_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []
+
+
+def test_check_flags_unused_private_name():
+    sources = {
+        "a.py": (
+            "__all__ = ['f']\n_LIMIT = 3\n_SCALE: float = 2.0\n"
+            "def _helper():\n    return 1\ndef f():\n    return _LIMIT\n"
+        ),
+        "b.py": "from .a import _SCALE\nclass _Unused:\n    pass\ny = _SCALE\n",
+    }
+    assert unused_private_names(sources) == ["a.py:_helper", "b.py:_Unused"]

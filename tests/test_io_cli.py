@@ -15,6 +15,7 @@ from hawkesdecomp.io import (
     read_events,
     read_ticks,
     result_to_dict,
+    write_csv,
     write_events,
 )
 from hawkesdecomp.kernels import Exp, kernel_to_dict
@@ -225,6 +226,20 @@ class TestCli:
         assert code == 0
         assert (out_dir / "s1.json").exists() and (out_dir / "s2.json").exists()
 
+    @pytest.mark.parametrize("case", ["invalid option", "no csv"])
+    def test_decompose_batch_invalid_input_leaves_no_out_dir(self, tmp_path, exp_events, case):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out" / "results"
+        in_dir.mkdir()
+        if case == "invalid option":
+            write_events(exp_events, in_dir / "a.csv")
+            extra = ["--eta", "0"]
+        else:
+            (in_dir / "a.txt").write_text("t\n1.0\n")
+            extra = []
+        argv = ["decompose-batch", "--in-dir", str(in_dir), *extra, "--out-dir", str(out_dir)]
+        assert cli.main(argv) == 2
+        assert not out_dir.parent.exists()
+
     def test_decompose_batch_nothing_decomposed(self, tmp_path, exp_events, monkeypatch):
         in_dir, out_dir = tmp_path / "in", tmp_path / "out"
         in_dir.mkdir()
@@ -278,6 +293,34 @@ class TestCli:
         lags = [row.split(",")[0] for row in cov.read_text().splitlines()[1:]]
         assert lags == [f"{k * grid['delta']:.12g}" for k in range(grid["n_lags"])]
 
+    @pytest.mark.parametrize("holdout", [None, 0.5])
+    def test_estimate_writes_decompose_grid_and_estimate(self, tmp_path, exp_events, holdout):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        out_dir, expected_dir = tmp_path / "estimate", tmp_path / "expected"
+        out_dir.mkdir()
+        expected_dir.mkdir()
+        flags = [] if holdout is None else ["--holdout", str(holdout)]
+        assert cli.main(["estimate", "--in", str(events_path), "--out", str(out_dir / "cov.csv"), *flags]) == 0
+        result = decompose(read_events(events_path), DecompositionConfig(holdout=holdout))
+        write_csv(expected_dir / "cov.csv", "lag_time,nu_value", result.grid.lags, result.grid.values)
+        write_csv(expected_dir / "phi_est.csv", "t,phi_hat", result.estimate.times, result.estimate.values)
+        for name in ("cov.csv", "phi_est.csv"):
+            assert (out_dir / name).read_bytes() == (expected_dir / name).read_bytes()
+
+    def test_estimate_takes_only_grid_options(self, tmp_path, exp_events):
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        argv = ["estimate", "--in", str(events_path), "--out", str(tmp_path / "cov.csv")]
+        for flag in (["--eta", "1.2"], ["--gd-restarts", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, *flag])
+            assert exc.value.code == 2
+        # a config key that estimate has no flag for is not parsed there
+        config = tmp_path / "run.cfg"
+        config.write_text("eta = 0\ngd_restarts = 9\n")
+        assert cli.main(["--config", str(config), *argv]) == 0
+
     def test_estimate_tau_max_flag_matches_config(self, tmp_path, exp_events):
         events_path = tmp_path / "events.csv"
         write_events(exp_events, events_path)
@@ -294,13 +337,18 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["estimate", "decompose", "decompose-batch", "report"])
     def test_every_config_field_flag_reaches_command(self, tmp_path, exp_events, monkeypatch, command):
-        expected = DecompositionConfig(
+        full = DecompositionConfig(
             resolution=37, horizon_percentile=0.9, tau_max=7.5, eta=1.7, holdout=0.6, gd_restarts=3
         )
+        # estimate has no flag for the fields past its grid; they keep their defaults
+        names = [f.name for f in fields(DecompositionConfig)]
+        if command == "estimate":
+            names = [name for name in names if name not in ("eta", "gd_restarts")]
+        expected = DecompositionConfig(**{name: getattr(full, name) for name in names})
         flags = []
-        for f in fields(DecompositionConfig):
-            assert getattr(expected, f.name) != f.default
-            flags += ["--" + f.name.replace("_", "-"), str(getattr(expected, f.name))]
+        for name in names:
+            assert getattr(full, name) != getattr(DecompositionConfig(), name)
+            flags += ["--" + name.replace("_", "-"), str(getattr(full, name))]
         in_dir = tmp_path / "in"
         in_dir.mkdir()
         write_events(exp_events, in_dir / "events.csv")
@@ -310,12 +358,8 @@ class TestCli:
             seen.append(cfg)
             raise NoStationaryModelError("captured")
 
-        def capture_grid(events, resolution, percentile, tau_max=None):
-            seen.append((resolution, percentile, tau_max))
-            raise ValueError("captured")
-
         monkeypatch.setattr(cli, "decompose", capture_config)
-        monkeypatch.setattr(cli, "lag_grid", capture_grid)
+        monkeypatch.setattr(cli, "kernel_estimate", capture_config)
         events_path, out = str(in_dir / "events.csv"), str(tmp_path / "out")
         io_flags = {
             "estimate": ["--in", events_path, "--out", out],
@@ -323,13 +367,8 @@ class TestCli:
             "decompose-batch": ["--in-dir", str(in_dir), "--out-dir", out],
             "report": ["--in", events_path, "--out-dir", out],
         }[command]
-        code = cli.main([command, *io_flags, *flags])
-        if command == "estimate":
-            assert code == 2
-            assert seen == [(expected.resolution, expected.horizon_percentile, expected.tau_max)]
-        else:
-            assert code == 3
-            assert seen == [expected]
+        assert cli.main([command, *io_flags, *flags]) == 3
+        assert seen == [expected]
 
     def test_config_keys_are_the_options(self, tmp_path, exp_events, capsys):
         events_path = tmp_path / "events.csv"
