@@ -26,6 +26,14 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NO_STATIONARY_MODEL = 3
 
+# the errors a command reports with an exit code: input the program cannot
+# use (ValueError) and a path it cannot read or write (OSError) exit 2
+_ERRORS = (NoStationaryModelError, ValueError, OSError)
+
+
+def _exit_code(exc: Exception) -> int:
+    return EXIT_NO_STATIONARY_MODEL if isinstance(exc, NoStationaryModelError) else EXIT_INVALID_INPUT
+
 
 # every option a flag or a config key can set: its type and default; a
 # DecompositionConfig field annotated ``int`` is read as an int, every other as a float
@@ -107,21 +115,17 @@ def _cmd_decompose_batch(args) -> int:
     # only once the options and the inputs check out, so exit 2 leaves no empty directory
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run(path: Path) -> tuple[str, int]:
+    codes = set()
+    for path in files:
         try:
             events = hio.read_events(path, unit=args.unit)
             result = decompose(events, cfg)
             hio.write_result(result, out_dir / (path.stem + ".json"))
-            return f"{path.name}: {result.chosen}", EXIT_OK
-        except NoStationaryModelError:
-            return f"{path.name}: no stationary model", EXIT_NO_STATIONARY_MODEL
-        except (ValueError, OSError) as exc:
-            return f"{path.name}: invalid ({exc})", EXIT_INVALID_INPUT
-
-    codes = set()
-    for path in files:
-        line, code = run(path)
-        print(line)
+            code, outcome = EXIT_OK, result.chosen
+        except _ERRORS as exc:
+            code = _exit_code(exc)
+            outcome = "no stationary model" if code == EXIT_NO_STATIONARY_MODEL else f"invalid ({exc})"
+        print(f"{path.name}: {outcome}")
         codes.add(code)
     # one result is success; with none, invalid input outranks no stationary model
     return min(codes)
@@ -208,12 +212,9 @@ def main(argv=None) -> int:
             if hasattr(args, key) and getattr(args, key) is None:
                 setattr(args, key, cast(config[key]) if key in config else default)
         return args.func(args)
-    except NoStationaryModelError as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_STATIONARY_MODEL
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -89,8 +89,10 @@ _NM_OPTIONS = {"maxiter": 600, "xatol": 1e-10, "fatol": 1e-12}
 _log = logging.getLogger(__name__)
 
 
-class FitError(RuntimeError):
-    """Optimizer produced no finite residue from any start."""
+class FitError(ValueError):
+    """No start of a fit reached a finite residue: the estimate is one that
+    no kernel of the family can be scored against.  A ``ValueError``, so the
+    CLI reports it as invalid input (exit 2)."""
 
 
 @dataclass(frozen=True)

@@ -63,23 +63,39 @@ class ReportBundle:
     qq_observed: np.ndarray
 
 
+def _read_csv(path, header: str) -> np.ndarray:
+    """The columns of a CSV file whose first row is ``header``, as the rows
+    of one array; blank and whitespace-only lines are skipped.
+
+    Raises ``ValueError`` naming the file when the header differs, when no
+    data row follows it, or when a row is not ``header``'s width of numbers.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or [c.strip() for c in lines[0].split(",")] != header.split(","):
+        raise ValueError(f"{path}: expected CSV header {header!r}")
+    rows = [line for line in lines[1:] if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != header.count(",") + 1:
+        raise ValueError(f"{path}: rows hold {table.shape[1]} values, not one per column of {header!r}")
+    return table.T
+
+
 def read_events(path, unit: float = 1.0, horizon: float | None = None) -> EventSequence:
     """Read the canonical one-column event CSV (header ``t``).
 
-    ``unit`` rescales timestamps at ingestion (timestamps are divided by
-    it); the horizon defaults to the last event time.
+    ``unit``, finite and positive, rescales timestamps at ingestion
+    (timestamps are divided by it); the horizon defaults to the last event
+    time.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "t":
-        raise ValueError(f"{path}: expected event CSV with header 't'")
-    ts = np.asarray([float(line) for line in lines[1:] if line.strip()], dtype=float)
-    if unit != 1.0:
-        ts = ts / unit
-    if ts.size == 0:
-        raise ValueError(f"{path}: no events")
-    if horizon is None:
-        horizon = float(ts[-1])
-    return EventSequence(ts, horizon)
+    if not (math.isfinite(unit) and unit > 0):
+        raise ValueError(f"unit must be finite and positive, got {unit!r}")
+    ts = _read_csv(path, "t")[0] / unit  # exact when unit is 1
+    return EventSequence(ts, float(ts[-1]) if horizon is None else horizon)
 
 
 def write_events(events: EventSequence, path) -> None:
@@ -89,18 +105,7 @@ def write_events(events: EventSequence, path) -> None:
 
 def read_ticks(path) -> TickSeries:
     """Read a two-column CSV with header ``t,value``."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["t", "value"]:
-        raise ValueError(f"{path}: expected tick CSV with header 't,value'")
-    times = []
-    values = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        a, b = line.split(",")
-        times.append(float(a))
-        values.append(float(b))
-    return TickSeries(np.asarray(times), np.asarray(values))
+    return TickSeries(*_read_csv(path, "t,value"))
 
 
 def extract_events_by_threshold(
@@ -113,7 +118,8 @@ def extract_events_by_threshold(
 
     Relative mode (default): an event fires when the value differs from the
     reference (the value at the previous event) by more than ``threshold``
-    as a fraction; the reference then resets.  Absolute mode: an event
+    as a fraction; the reference then resets, and a reference of 0 or one
+    that is not finite raises ``ValueError``.  Absolute mode: an event
     fires at every row whose value meets the threshold (magnitude floor).
     """
     if threshold <= 0:
@@ -127,6 +133,8 @@ def extract_events_by_threshold(
         ref = series.values[0]
         out = []
         for t, v in zip(series.times[1:], series.values[1:]):
+            if ref == 0 or not math.isfinite(ref):
+                raise ValueError(f"relative change from reference value {ref:g} is undefined (at t = {t:g})")
             if abs(v / ref - 1.0) > threshold:
                 out.append(t)
                 ref = v

@@ -65,6 +65,8 @@ class DecompositionConfig:
 
     def __post_init__(self):
         # written so that NaN fails each test
+        if not 0 < self.horizon_percentile < 1:
+            raise ValueError(f"horizon_percentile must lie in (0, 1), got {self.horizon_percentile!r}")
         if not self.resolution >= 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):

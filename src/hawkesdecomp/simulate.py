@@ -25,8 +25,10 @@ class NonStationaryError(ValueError):
     """Simulation requested for a model whose kernel norm is >= 1."""
 
 
-class BlowUpError(RuntimeError):
-    """Expected or realized event count exceeds the configured cap."""
+class BlowUpError(ValueError):
+    """The expected or realized event count exceeds ``max_events``: the
+    model and horizon ask for more events than the cap allows.  A
+    ``ValueError``, so the CLI reports it as invalid input (exit 2)."""
 
 
 @dataclass(frozen=True)

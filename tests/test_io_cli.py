@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import json
 import math
-from dataclasses import fields
+import pkgutil
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import hawkesdecomp
 from hawkesdecomp import cli
 from hawkesdecomp.io import (
     InvalidSequenceError,
@@ -18,7 +22,9 @@ from hawkesdecomp.io import (
     write_csv,
     write_events,
 )
-from hawkesdecomp.kernels import Exp, kernel_to_dict
+from hawkesdecomp.fit import FitError
+from hawkesdecomp.kernels import Exp, Pwl, evaluate, kernel_to_dict
+from hawkesdecomp.likelihood import compensator_increments
 from hawkesdecomp.search import DecompositionConfig, NoStationaryModelError, decompose
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
 
@@ -31,6 +37,24 @@ def exp_events():
 @pytest.fixture(scope="module")
 def exp_result(exp_events):
     return decompose(exp_events, DecompositionConfig(tau_max=10.0))
+
+
+@pytest.fixture(scope="module")
+def pwl_events():
+    return simulate(HawkesModel(mu=0.5, kernel=Pwl(0.15, 0.3, 2.0)), 3000.0, seed=7)
+
+
+def package_errors() -> list[type]:
+    """Every exception class defined in a ``hawkesdecomp`` module."""
+    errors = []
+    for info in pkgutil.iter_modules(hawkesdecomp.__path__):
+        module = importlib.import_module(f"hawkesdecomp.{info.name}")
+        errors += [
+            cls
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        ]
+    return errors
 
 
 class TestEventIo:
@@ -64,6 +88,39 @@ class TestEventIo:
         with pytest.raises(ValueError):
             read_events(path)
 
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text(" t \n1.0\n\n  \n\t\n2.5\n")
+        assert read_events(path).timestamps.tolist() == [1.0, 2.5]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "expected CSV header 't'"),
+            ("t,value\n1.0,2.0\n", "expected CSV header 't'"),
+            ("t\n", "no data rows"),
+            ("t\n\n  \n", "no data rows"),
+            ("t\n1.0\n2.0,3.0\n4.0\n", "number of columns changed"),
+            ("t\n1.0,2.0\n3.0,4.0\n", "rows hold 2 values, not one per column of 't'"),
+            ("t\n1.0\nabc\n", "could not convert"),
+        ],
+        ids=["empty", "tick header", "header only", "blank rows only", "two-value row", "two columns",
+             "not a number"],
+    )
+    def test_malformed_csv_names_file(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            read_events(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("unit", [0.0, -1.0, math.nan, math.inf])
+    def test_unit_must_be_finite_and_positive(self, tmp_path, unit):
+        path = tmp_path / "e.csv"
+        path.write_text("t\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match="unit must be finite and positive"):
+            read_events(path, unit=unit)
+
 
 class TestTicks:
     def test_read(self, tmp_path):
@@ -72,6 +129,23 @@ class TestTicks:
         series = read_ticks(path)
         assert series.times == pytest.approx([0.0, 1.0, 2.0])
         assert series.values == pytest.approx([100.0, 101.5, 99.0])
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("t,value\n", "no data rows"), ("t,value\n0,100\n1\n2,101\n", "number of columns changed"),
+         ("t\n0\n", "expected CSV header 't,value'")],
+        ids=["header only", "one-value row", "event header"],
+    )
+    def test_malformed_csv_names_file(self, tmp_path, text, message):
+        path = tmp_path / "ticks.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as info:
+            read_ticks(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            TickSeries(np.arange(3.0), np.arange(2.0))
 
     def test_nondecreasing_enforced(self):
         with pytest.raises(ValueError):
@@ -90,6 +164,33 @@ class TestTicks:
         series = TickSeries(np.arange(5.0), np.array([0.1, 3.0, 0.2, 4.0, 5.0]))
         events = extract_events_by_threshold(series, 2.5, absolute=True, min_events=1)
         assert events.timestamps == pytest.approx([1.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], "reference value 0 is undefined \\(at t = 1\\)"),
+            # 1 -> 0 is a -100% move, so 0 becomes the reference
+            ([1.0, 0.0, 5.0], "reference value 0 is undefined \\(at t = 2\\)"),
+            ([math.nan, 1.0, 2.0], "reference value nan"),
+            ([math.inf, 1.0, 2.0], "reference value inf"),
+        ],
+        ids=["starts at 0", "falls to 0", "nan", "inf"],
+    )
+    def test_relative_extraction_needs_nonzero_finite_reference(self, values, message):
+        series = TickSeries(np.arange(float(len(values))), np.array(values))
+        with pytest.raises(ValueError, match=message):
+            extract_events_by_threshold(series, 0.5, min_events=1)
+
+    @pytest.mark.parametrize(
+        "threshold,rows,message",
+        [(0.0, 4, "threshold must be positive"), (-0.5, 4, "threshold must be positive"),
+         (0.5, 1, "need at least two rows")],
+        ids=["threshold 0", "threshold -0.5", "one row"],
+    )
+    def test_extraction_rejects_invalid_arguments(self, threshold, rows, message):
+        series = TickSeries(np.arange(float(rows)), np.arange(1.0, rows + 1.0))
+        with pytest.raises(ValueError, match=message):
+            extract_events_by_threshold(series, threshold, min_events=1)
 
     def test_minimum_event_count(self):
         series = TickSeries(np.arange(4.0), np.array([1.0, 1.0, 1.0, 5.0]))
@@ -141,6 +242,23 @@ class TestReport:
         svg = [p for p in files if p.suffix == ".svg"][0]
         root = ET.parse(svg).getroot()
         assert root.tag.endswith("svg")
+
+    @pytest.mark.parametrize("level", ["K1", "K2"])
+    def test_chosen_kernel_follows_level(self, exp_result, level):
+        result = replace(exp_result, chosen=level)
+        fit = result.k1 if level == "K1" else result.k2
+        assert result.chosen_kernel == fit.kernel
+        assert result.chosen_model == HawkesModel(result.mu_hat, fit.kernel)
+
+    def test_report_on_k1_result(self, tmp_path, pwl_events):
+        result = decompose(pwl_events, DecompositionConfig(tau_max=8.0))
+        assert result.chosen == "K1"
+        bundle = build_report(result, pwl_events)
+        assert np.array_equal(bundle.curve_fitted, evaluate(result.k1.kernel, result.estimate.times))
+        model = HawkesModel(result.mu_hat, result.k1.kernel)
+        assert np.array_equal(bundle.qq_observed, np.sort(compensator_increments(model, pwl_events)))
+        files = emit_report(bundle, tmp_path / "k1")
+        assert json.loads(files[0].read_text())["chosen"] == "K1"
 
     def test_unwritable_directory_raises(self, exp_result, exp_events):
         bundle = build_report(exp_result, exp_events)
@@ -453,7 +571,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag,value",
         [("--resolution", "0"), ("--resolution", "1"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "inf"),
-         ("--gd-restarts", "0"), ("--gd-restarts", "-3"), ("--gd-restarts", "9")],
+         ("--gd-restarts", "0"), ("--gd-restarts", "-3"), ("--gd-restarts", "9"),
+         ("--horizon-percentile", "7"), ("--horizon-percentile", "0")],
     )
     def test_invalid_config_value_exit_code(self, tmp_path, capsys, flag, value):
         events_path = tmp_path / "events.csv"
@@ -462,3 +581,79 @@ class TestCli:
         assert cli.main(["decompose", "--in", str(events_path), flag, value, "--out", str(out)]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unit_zero_exit_code(self, tmp_path, exp_events, capsys):
+        # at 0 the division warned and the horizon read inf; no RuntimeWarning now
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        argv = ["score", "--model", str(self.model_file(tmp_path)), "--in", str(events_path), "--unit", "0"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: unit must be finite and positive, got 0.0\n"
+
+    def test_two_value_event_row_exit_code(self, tmp_path, capsys):
+        events_path = tmp_path / "events.csv"
+        events_path.write_text("t\n0.5\n1.0,2.0\n3.5\n")
+        out = tmp_path / "out.json"
+        assert cli.main(["decompose", "--in", str(events_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {events_path}: ")
+        assert not out.exists()
+
+    def test_simulate_event_cap_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"mu": 1.0, "kernel": kernel_to_dict(Exp(0.5, 1.0))}))
+        out = tmp_path / "events.csv"
+        assert cli.main(["simulate", "--model", str(model), "--horizon", "1e8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: expected event count 2e+08 exceeds cap 1e+07\n"
+        assert not out.exists()
+
+
+class TestErrorContract:
+    """Every error the package raises is a ``ValueError`` (exit 2) or a
+    ``NoStationaryModelError`` (exit 3); with ``OSError`` for paths, those
+    are the errors the CLI reports."""
+
+    def test_every_package_error_is_a_value_error(self):
+        errors = package_errors()
+        assert {FitError, InvalidSequenceError, NoStationaryModelError} <= set(errors)
+        assert [e for e in errors if not issubclass(e, ValueError)] == [NoStationaryModelError]
+
+    @pytest.mark.parametrize("command", ["decompose", "simulate"])
+    @pytest.mark.parametrize("error", [*package_errors(), OSError], ids=lambda e: e.__name__)
+    def test_error_exits_with_one_line(self, tmp_path, exp_events, monkeypatch, capsys, error, command):
+        def fail(*args, **kwargs):
+            raise error("planted failure")
+
+        monkeypatch.setattr(cli, command, fail)
+        events_path = tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"mu": 0.5, "kernel": kernel_to_dict(Exp(0.5, 1.0))}))
+        argv = {
+            "decompose": ["decompose", "--in", str(events_path), "--out", str(tmp_path / "out.json")],
+            "simulate": ["simulate", "--model", str(model), "--horizon", "10", "--out", str(tmp_path / "sim.csv")],
+        }[command]
+        assert cli.main(argv) == (3 if error is NoStationaryModelError else 2)
+        assert capsys.readouterr().err == "error: planted failure\n"
+
+    def test_decompose_batch_reports_fit_error_per_file(self, tmp_path, exp_events, exp_result, monkeypatch, capsys):
+        in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+        in_dir.mkdir()
+        for name in ("a.csv", "b.csv", "c.csv"):
+            write_events(exp_events, in_dir / name)
+        calls = []
+
+        def fit_fails_on_second_file(events, config):
+            calls.append(len(events))
+            if len(calls) == 2:
+                raise FitError("no finite residue for EXP")
+            return exp_result
+
+        monkeypatch.setattr(cli, "decompose", fit_fails_on_second_file)
+        argv = ["decompose-batch", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"a.csv: {exp_result.chosen}",
+            "b.csv: invalid (no finite residue for EXP)",
+            f"c.csv: {exp_result.chosen}",
+        ]
+        assert sorted(p.name for p in out_dir.iterdir()) == ["a.json", "c.json"]

@@ -107,6 +107,14 @@ class TestCompensator:
             end = support_end(k)
             assert compensator(k, end + 5.0) == pytest.approx(quad_norm(k), rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "kernel", [Exp(0.5, 1.0), Product(Exp(0.5, 1.0), Pwl(1.0, 1.0, 2.0))], ids=["EXP", "EXPxPWL"]
+    )
+    def test_empty_lags(self, kernel):
+        # a product builds its term set from the largest lag, which an empty array lacks
+        out = compensator(kernel, np.array([]))
+        assert out.shape == (0,) and out.dtype == float
+
     def test_vectorized(self):
         k = Product(Exp(1, 1), Sns(0.5, 2.0))
         ss = np.linspace(0, 4, 17)

@@ -55,6 +55,13 @@ class TestSelectLevel:
             select_level(fake_fit(1.0, True), fake_fit(1.0, True), eta=0.0)
 
 
+@pytest.mark.parametrize("percentile", [0.0, 1.0, 7.0, -0.5, math.nan])
+def test_config_rejects_horizon_percentile_outside_unit_interval(percentile):
+    # checked where the option enters, even when tau_max leaves the histogram unused
+    with pytest.raises(ValueError, match="horizon_percentile"):
+        DecompositionConfig(horizon_percentile=percentile, tau_max=3.0)
+
+
 class TestTrainTestSplit:
     def test_counts_and_horizons(self):
         ts = np.arange(1.0, 11.0)  # 10 events at 1..10

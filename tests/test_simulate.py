@@ -49,6 +49,28 @@ class TestEventSequence:
         assert len(seq) == 0
 
 
+_EXP = HawkesModel(mu=1.0, kernel=Exp(0.5, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: HawkesModel(mu=0.0, kernel=Exp(0.5, 1.0)), "mu must be strictly positive"),
+        (lambda: HawkesModel(mu=-1.0, kernel=Exp(0.5, 1.0)), "mu must be strictly positive"),
+        (lambda: EventSequence(np.zeros((2, 2)), 1.0), "one-dimensional"),
+        (lambda: EventSequence(np.array([]), 0.0), "horizon_T must be positive, got 0.0"),
+        (lambda: EventSequence(np.array([0.5]), -1.0), "horizon_T must be positive, got -1.0"),
+        # the sequence built at the end says "..., got 0.0"; simulate refuses first
+        (lambda: simulate(_EXP, 0.0, seed=0), "^horizon_T must be positive$"),
+        (lambda: simulate(_EXP, -1.0, seed=0), "^horizon_T must be positive$"),
+    ],
+    ids=["mu 0", "mu -1", "2-D timestamps", "horizon 0", "horizon -1", "simulate 0", "simulate -1"],
+)
+def test_rejects_invalid_arguments(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestIntensity:
     def test_no_history(self):
         model = HawkesModel(mu=0.7, kernel=Exp(1, 1))
@@ -95,6 +117,13 @@ class TestSimulate:
     def test_blowup_guard(self):
         with pytest.raises(BlowUpError):
             simulate(HawkesModel(mu=100.0, kernel=Exp(0.5, 1.0)), 100.0, seed=0, max_events=1000)
+
+    def test_realized_count_cap(self):
+        # 200 events are expected, so the up-front guard passes; this seed
+        # realizes 304
+        model = HawkesModel(mu=1.0, kernel=Exp(0.5, 1.0))
+        with pytest.raises(BlowUpError, match="realized event count exceeds cap 200"):
+            simulate(model, 100.0, seed=4, max_events=200)
 
     def test_mean_rate_matches_stationary_formula(self):
         # Lambda = mu / (1 - ||phi||); mu=0.5, norm=0.5 -> rate 1

@@ -46,6 +46,12 @@ class TestHilbert:
         for k in (1, 3, 10):
             assert hilbert_transform(np.cos(k * t)) == pytest.approx(np.sin(k * t), abs=1e-10)
 
+    def test_cos_to_sin_odd_length(self):
+        # an odd length has no Nyquist bin: every bin but DC takes -i or +i
+        n = 255
+        t = 2.0 * math.pi * np.arange(n) / n
+        assert hilbert_transform(np.cos(127 * t)) == pytest.approx(np.sin(127 * t), abs=1e-10)
+
     def test_sin_to_minus_cos(self):
         n = 128
         t = 2.0 * math.pi * np.arange(n) / n
@@ -117,6 +123,11 @@ class TestInversion:
         vals[0] = 1.0
         grid = CovarianceGrid(values=vals, delta=0.1, tau_max=1.6, lambda_hat=5e-324)
         with np.errstate(over="ignore"), pytest.raises(DegenerateSpectrumError):
+            invert_to_kernel(grid)
+
+    def test_empty_grid(self):
+        grid = CovarianceGrid(values=np.array([]), delta=0.1, tau_max=1.6, lambda_hat=1.0)
+        with pytest.raises(ValueError, match="empty covariance grid"):
             invert_to_kernel(grid)
 
     def test_invalid_lambda(self):
