@@ -22,6 +22,7 @@ from .search import (  # noqa: F401
     DecompositionResult,
     NoStationaryModelError,
     decompose,
+    decompose_batch,
     fit_gd_exponential,
     select_level,
     train_test_split,

@@ -19,12 +19,16 @@ from pathlib import Path
 from . import io as hio
 from .kernels import kernel_from_dict, number_entry
 from .likelihood import log_likelihood
-from .search import DecompositionConfig, NoStationaryModelError, decompose, kernel_estimate
+from .search import DecompositionConfig, NoStationaryModelError, decompose, decompose_batch, kernel_estimate
 from .simulate import HawkesModel, simulate
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NO_STATIONARY_MODEL = 3
+
+# decompose-batch reads and fits at most this many files together, one
+# search per level over all of them
+BATCH_FILES = 16
 
 # the errors a command reports with an exit code: input the program cannot
 # use (ValueError) and a path it cannot read or write (OSError) exit 2
@@ -116,17 +120,30 @@ def _cmd_decompose_batch(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     codes = set()
-    for path in files:
-        try:
-            events = hio.read_events(path, unit=args.unit)
-            result = decompose(events, cfg)
-            hio.write_result(result, out_dir / (path.stem + ".json"))
-            code, outcome = EXIT_OK, result.chosen
-        except _ERRORS as exc:
-            code = _exit_code(exc)
-            outcome = "no stationary model" if code == EXIT_NO_STATIONARY_MODEL else f"invalid ({exc})"
-        print(f"{path.name}: {outcome}")
-        codes.add(code)
+    for first in range(0, len(files), BATCH_FILES):
+        chunk = files[first : first + BATCH_FILES]
+        outcomes, sequences = {}, {}  # per file: its result or its error; the sequences read
+        for path in chunk:
+            try:
+                sequences[path] = hio.read_events(path, unit=args.unit)
+            except _ERRORS as exc:
+                outcomes[path] = exc
+        for path, outcome in zip(sequences, decompose_batch(list(sequences.values()), cfg)):
+            if not isinstance(outcome, Exception):
+                try:
+                    hio.write_result(outcome, out_dir / (path.stem + ".json"))
+                except _ERRORS as exc:
+                    outcome = exc
+            outcomes[path] = outcome
+        for path in chunk:
+            outcome = outcomes[path]
+            if isinstance(outcome, Exception):
+                code = _exit_code(outcome)
+                line = "no stationary model" if code == EXIT_NO_STATIONARY_MODEL else f"invalid ({outcome})"
+            else:
+                code, line = EXIT_OK, outcome.chosen
+            print(f"{path.name}: {line}")
+            codes.add(code)
     # one result is success; with none, invalid input outranks no stationary model
     return min(codes)
 

@@ -8,28 +8,36 @@ enter the objective as-is.  The simplex search handles the discontinuous
 families (SQR, SNS) that rule out gradient methods.
 
 Each of the twelve fits (four singles, then K1 plus or times each family)
-is one ``_candidate`` tuple ``(starts, bounds, curves, decode)``.  Inside
-``_candidate`` a local ``parts`` reads a parameter vector as the families
-the fit builds, each a class and its arguments; ``curves`` multiplies
-their curves (and, for a sum, adds the frozen K1 curve, computed once per
-fit) and ``decode`` builds their kernel.  A product's two amplitudes would
-enter only as their product, so the added factor's amplitude is fixed at 1:
-its vector is K1's fields, then the added family's other fields.  The one
-tied encoding is written there and nowhere else: SQRxSNS, SNSxSQR and
-SNSxSNS are ``(K1 amplitude, omega)``, where ``omega`` sets both supports
-(the pulse length is ``l = pi/omega``), so both factors end together.
+is one ``_candidate`` tuple ``(starts, bounds, curves, decode, kind,
+frozen)``.  Inside ``_candidate`` a local ``parts`` reads a parameter
+vector as the families the fit builds, each a class and its arguments;
+``curves`` multiplies their curves (and, for a sum, adds the frozen K1
+curve, computed once per fit) and ``decode`` builds their kernel.  A
+product's two amplitudes would enter only as their product, so the added
+factor's amplitude is fixed at 1: its vector is K1's fields, then the added
+family's other fields.  The one tied encoding is written there and nowhere
+else: SQRxSNS, SNSxSQR and SNSxSNS are ``(K1 amplitude, omega)``, where
+``omega`` sets both supports (the pulse length is ``l = pi/omega``), so
+both factors end together.  ``curves`` takes the lags and the frozen curve
+as arguments, so it depends only on the fit's ``kind``: the single family,
+the addend family, or K1's family times the factor family.
 
 The fits of one level (the four singles, or K1's eight expansions) are one
-search: ``_level`` joins their starts, and its objective maps an (M, N)
-matrix of raw parameter vectors, each padded with zeros to the level's
-largest dimension N, and the start each row belongs to, to M residues.  It
-builds no kernel object.  Each call clips every row to its own fit's bound
-vector, computes each fit's model curves on that fit's rows with the
-families' static ``curve`` functions, and passes all the curves to one
-``residue_of``.  A row with a NaN scores ``inf``.  ``evaluate`` is built on
-the same curves and every grid lag is positive, so a fit reaches the same
-floats, and the same kernel, as one that evaluates a kernel per step.  One
-rule keeps the rows equal to one-at-a-time curves: numpy squares
+search, and one search spans the sequences of a batch: ``fit_batch`` takes
+the level's fits of several estimates of one lag count, and ``_level``
+joins their starts, ordered by kind, so the runs of one kind from every
+estimate are adjacent.  Its objective maps an (M, N) matrix of raw
+parameter vectors, each padded with zeros to the level's largest dimension
+N, and the start each row belongs to, to M residues.  It builds no kernel
+object.  Each call clips every row to its own fit's bound vector, computes
+the model curves of each kind's rows with one ``curves`` call, on each
+row's own lags and frozen curve, and passes all the curves to one
+``residue_of``, with each row's own estimate.  A row with a NaN scores
+``inf``.  Every row is scored on its own, so a fit ends where it ends in a
+search of its own, whatever else the search holds.  ``evaluate`` is built
+on the same curves and every grid lag is positive, so a fit reaches the
+same floats, and the same kernel, as one that evaluates a kernel per step.
+One rule keeps the rows equal to one-at-a-time curves: numpy squares
 ``x ** 2.0`` for a scalar exponent, which can differ in the last bit from
 ``pow``, so ``Pwl.curve`` squares the rows whose exponent is exactly 2 (the
 PWL null start of an additive expansion puts ``p = 2`` on a simplex
@@ -37,8 +45,9 @@ vertex).  Only the best vector of a fit is decoded into a kernel.
 
 ``_nelder_mead`` runs all the starts of a level in lock-step: it holds a
 (K, N+1, N) simplex array and makes one batched objective call per phase of
-a step (reflect; then expand or contract for the runs that need it; shrink
-only for the runs that need it).  It is scipy's non-adaptive Nelder-Mead
+a step (reflect; then expand or contract, scored for every live run so that
+the rows' layout changes only when a run ends; shrink only for the runs that
+need it).  It is scipy's non-adaptive Nelder-Mead
 step for step, with its initial simplex, convergence test, vertex sort,
 ``nit`` and ``success``, so each run ends at the same ``x`` and ``fun`` as
 ``scipy.optimize.minimize`` from that start; the tests hold it to that.  A
@@ -61,6 +70,7 @@ import logging
 import math
 from dataclasses import astuple, dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401 -- the benchmark tracer patches this name
@@ -78,7 +88,16 @@ from .kernels import (
 )
 from .spectral import KernelEstimate
 
-__all__ = ["FitResult", "FitError", "fit_singles", "fit_expansions", "fit_single", "fit_expansion", "residue_of"]
+__all__ = [
+    "FitResult",
+    "FitError",
+    "fit_batch",
+    "fit_singles",
+    "fit_expansions",
+    "fit_single",
+    "fit_expansion",
+    "residue_of",
+]
 
 # parameter bounds, enforced by projection inside the objective
 _P_LO, _P_HI = 1.0 + 1e-8, 10.0
@@ -115,12 +134,14 @@ def residue_of(estimate: KernelEstimate, kernel):
 
     ``kernel`` is a kernel, or an array of its values on ``estimate.times[1:]``;
     both give a float.  A 2-D array holds one curve per row and gives one
-    residue per row.  The lag-0 sample is excluded: the symmetrized spectral
-    reconstruction renders a jump at the origin at half height, which would
-    bias every family with phi(0+) > 0.
+    residue per row; with it ``estimate`` may also hold one estimate per
+    row, an (M, lags + 1) ``values`` and an (M,) ``delta``.  The lag-0
+    sample is excluded: the symmetrized spectral reconstruction renders a
+    jump at the origin at half height, which would bias every family with
+    phi(0+) > 0.
     """
     phi = kernel if isinstance(kernel, np.ndarray) else evaluate(kernel, estimate.times[1:])
-    deviation = np.abs(estimate.values[1:] - phi).sum(axis=-1) * estimate.delta
+    deviation = np.abs(estimate.values[..., 1:] - phi).sum(axis=-1) * estimate.delta
     return deviation if phi.ndim == 2 else float(deviation)
 
 
@@ -195,9 +216,9 @@ def _starts(tag: str, estimate: KernelEstimate):
 
 
 def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, base: Kernel | None = None):
-    """One of the twelve fits as ``(starts, bounds, curves, decode)``:
-    ``family`` alone, or, with ``op``, the base kernel ``base`` expanded by
-    it.
+    """One of the twelve fits as ``(starts, bounds, curves, decode, kind,
+    frozen)``: ``family`` alone, or, with ``op``, the base kernel ``base``
+    expanded by it.
 
     A parameter vector holds the fields of ``family``.  A product's holds
     K1's fields, then the family's other than its amplitude, which is fixed
@@ -205,10 +226,14 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
     (SQRxSNS, SNSxSQR, SNSxSNS) hold ``(K1 amplitude, omega)`` instead.
     The starts are the family's with the fixed amplitude dropped, each
     distinct start once.  ``bounds`` is the pair of per-field bound
-    vectors, ``curves`` maps an (M, N) matrix of vectors, clipped to them,
-    to their M model curves on the grid lags, and ``decode`` maps one
-    vector to its kernel, clipping it first.  Both read the factors from
-    ``parts``, so a decoded kernel scores what its vector scored.
+    vectors, ``curves(x, t, frozen)`` maps an (M, N) matrix of vectors,
+    clipped to them, to their M model curves on the lags ``t``, one row of
+    lags per vector, adding the rows ``frozen`` for a sum, and ``decode``
+    maps one vector to its kernel, clipping it first.  Both read the factors
+    from ``parts``, so a decoded kernel scores what its vector scored.
+    ``curves`` depends on ``kind`` alone, ``(op, K1's family for a product,
+    family)``, so one call serves the fits of one kind from every estimate.
+    ``frozen`` is K1's curve on the estimate's lags for a sum, else None.
     """
     if op not in (None, "add", "multiply"):
         raise ValueError(f"op must be 'add' or 'multiply', got {op!r}")
@@ -245,10 +270,8 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
             return [(type(base), x[: len(fixed)]), (cls, (1.0, *x[len(fixed) :]))]
 
     lo, hi = _bounds(names)
-    t = estimate.times[1:]
-    frozen = evaluate(base, t) if op == "add" else None
 
-    def curves(x):
+    def curves(x, t, frozen):
         # one (M, 1) column per field, so each curve broadcasts to (M, lags)
         phi = reduce(np.multiply, [part.curve(t, *args) for part, args in parts(x.T[:, :, None])])
         return phi if frozen is None else frozen + phi
@@ -259,39 +282,95 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
             return Sum(base, *kernels)
         return Product(*kernels) if op == "multiply" else kernels[0]
 
-    return list(dict.fromkeys(starts)), (lo, hi), curves, decode
+    kind = (op, base.family if op == "multiply" else None, family)
+    frozen = evaluate(base, estimate.times[1:]) if op == "add" else None
+    return list(dict.fromkeys(starts)), (lo, hi), curves, decode, kind, frozen
 
 
-def _level(estimate: KernelEstimate, candidates):
-    """The fits ``candidates`` (``_candidate`` tuples) as one search:
-    ``(starts, edges, objective)``.
+class _Rows(NamedTuple):
+    """One estimate per objective row, as ``residue_of`` reads it."""
 
-    ``starts`` joins the fits' starts in order, and fit ``c`` owns the runs
-    ``edges[c]`` to ``edges[c + 1]``.  ``objective(params, runs)`` maps an
-    (M, N) matrix of vectors, zero-padded to the longest start, and the
-    ascending run of each row to M residues, a row with a NaN scoring
-    ``inf``.
+    values: np.ndarray  # (M, lags + 1)
+    delta: np.ndarray  # (M,)
+
+
+def _level(fits):
+    """The fits ``fits``, ``(estimate, _candidate tuple)`` pairs from one or
+    more estimates of one lag count, as one search: ``(starts, spans,
+    objective)``.
+
+    The runs are ordered by fit kind, so that the runs of one kind are
+    adjacent whatever estimate they fit.  ``starts`` holds every run's
+    start, and fit ``f`` owns the runs ``spans[f]``, a slice.
+    ``objective(params, runs)`` maps an (M, N) matrix of vectors,
+    zero-padded to the longest start, and the ascending run of each row to
+    M residues, a row with a NaN scoring ``inf``: one ``curves`` call per
+    kind and one ``residue_of`` call.  Each row is scored on its own, so
+    its residue does not depend on the other rows.  The rows' bounds, lags,
+    estimates and frozen curves are gathered once per ``runs`` array, which
+    a search passes unchanged until a run ends, save for its shrinks.
     """
-    starts = [start for candidate in candidates for start in candidate[0]]
-    edges = np.cumsum([0] + [len(candidate[0]) for candidate in candidates])
+    by_kind = {}
+    for f, (_, candidate) in enumerate(fits):
+        by_kind.setdefault(candidate[4], []).append(f)
+    starts, spans, edges, kinds, fit_of_run = [], [None] * len(fits), [], [], []
+    for members in by_kind.values():
+        _, (low, _), curves, _, kind, _ = fits[members[0]][1]
+        edges.append(len(starts))
+        kinds.append((low.size, curves, kind[0] == "add"))
+        for f in members:
+            spans[f] = slice(len(starts), len(starts) + len(fits[f][1][0]))
+            starts += fits[f][1][0]
+            fit_of_run += [f] * len(fits[f][1][0])
+    edges.append(len(starts))
+    fit_of_run = np.array(fit_of_run)
+    # one row per fit: its estimate's samples, step and lags, and its frozen curve
+    estimates = [estimate for estimate, _ in fits]
+    values = np.array([estimate.values for estimate in estimates])
+    delta = np.array([estimate.delta for estimate in estimates])
+    times = np.array([estimate.times[1:] for estimate in estimates])
+    frozen = np.array([np.zeros(times.shape[1]) if candidate[5] is None else candidate[5] for _, candidate in fits])
+    owners = [id(estimate) for estimate in estimates]
+    first_fit = np.array([owners.index(owner) for owner in owners])  # the first fit of the same estimate
     # each run's bounds; a padded coordinate is clipped to 0, which it is
     lo, hi = np.zeros((2, len(starts), max(map(len, starts))))
-    for (_, (low, high), _, _), a, b in zip(candidates, edges, edges[1:]):
-        lo[a:b, : low.size], hi[a:b, : high.size] = low, high
+    for (_, (low, high), *_), span in zip((candidate for _, candidate in fits), spans):
+        lo[span, : low.size], hi[span, : high.size] = low, high
+
+    def layout(runs):
+        """The bounds of the rows ``runs``, their estimates, and per kind
+        ``(first row, end row, dimension, curves, lags, frozen curves)``.
+        The rows of one fit share its lags and frozen curve, and the rows of
+        one estimate share it, as in a search of their own; rows of several
+        get one row of each."""
+        cut, at = runs.searchsorted(edges), fit_of_run[runs]
+        segments = []
+        for (n, curves, add), first, end in zip(kinds, cut, cut[1:]):
+            if first < end:
+                pick = at[first] if at[first] == at[end - 1] else at[first:end]
+                segments.append((first, end, n, curves, times[pick], frozen[pick] if add else None))
+        owner = first_fit[at]
+        rows = estimates[at[0]] if (owner == owner[0]).all() else _Rows(values[at], delta[at])
+        return lo[runs], hi[runs], rows, segments
+
+    # (runs array, layout) of the last two arrays, the latest first: a shrink
+    # passes a new array between two steps that pass the live runs' array
+    recent = [(None, None), (None, None)]
 
     def objective(params, runs):
-        x = np.minimum(np.maximum(params, lo[runs]), hi[runs])
-        rows = runs.searchsorted(edges)
-        phi = [
-            curves(x[a:b, : low.size])
-            for (_, (low, _), curves, _), a, b in zip(candidates, rows, rows[1:])
-            if a < b
-        ]
-        values = residue_of(estimate, phi[0] if len(phi) == 1 else np.concatenate(phi))
-        values[np.isnan(x).any(axis=1)] = math.inf
-        return values
+        if recent[0][0] is not runs:
+            if recent[1][0] is runs:
+                recent.reverse()
+            else:
+                recent[:] = (runs, layout(runs)), recent[0]
+        low, high, rows, segments = recent[0][1]
+        x = np.minimum(np.maximum(params, low), high)
+        phi = [curves(x[a:b, :n], t, k1) for a, b, n, curves, t, k1 in segments]
+        residues = residue_of(rows, phi[0] if len(phi) == 1 else np.concatenate(phi))
+        residues[np.isnan(x).any(axis=1)] = math.inf
+        return residues
 
-    return starts, edges, objective
+    return starts, spans, objective
 
 
 def _nelder_mead(objective, starts):
@@ -303,9 +382,11 @@ def _nelder_mead(objective, starts):
     so it ends where ``scipy.optimize.minimize`` from that start ends.
     Starts may differ in length; each is padded with zeros to the longest,
     N.  All live runs are at the same iteration, and each phase of a step is
-    one call ``objective(params, runs)`` for the runs that need it: ``params``
-    holds one padded (M, N) row per vertex or trial point, and ``runs`` the
-    index of its start, ascending.
+    one call ``objective(params, runs)``: ``params`` holds one padded (M, N)
+    row per vertex or trial point, and ``runs`` the index of its start,
+    ascending.  The reflection and the trial point are scored for every live
+    run, with one ``runs`` array that is replaced only when a run ends; a
+    shrink, for the runs that need it.
     """
     maxiter, xatol, fatol = _NM_OPTIONS["maxiter"], _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
     dims = np.array([len(start) for start in starts])
@@ -387,8 +468,8 @@ def _nelder_mead(objective, starts):
             a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
             b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
             trial = a[:, None] * xbar - b[:, None] * worst
-            ftrial = np.full(len(live), math.inf)
-            ftrial[trying] = objective(trial[trying], live[trying])
+            # every live run's, so the objective sees the same runs as in the reflection
+            ftrial = objective(trial, live)
             take = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < fworst))
             use = take & trying
             shrink = contract & ~take
@@ -405,31 +486,89 @@ def _nelder_mead(objective, starts):
         sim, fsim = ordered(sim, fsim)
 
 
-def _fit_level(estimate: KernelEstimate, labelled) -> list[FitResult]:
-    """Optimize the ``(label, _candidate tuple)`` pairs ``labelled`` in one
-    search and decode each fit's best vector: the first run with the lowest
-    finite value.  A label names its fit in the log and in the error."""
-    candidates = [candidate for _, candidate in labelled]
-    starts, edges, objective = _level(estimate, candidates)
+def _fit_level(labelled) -> list:
+    """Optimize the ``(estimate, label, _candidate tuple)`` triples
+    ``labelled``, whose estimates share one lag count, in one search and
+    decode each fit's best vector: the first run with the lowest finite
+    value.  Gives a ``FitResult`` per fit, or a ``FitError`` for a fit whose
+    starts all score ``inf``.  A label names its fit in the log and in the
+    error."""
+    starts, spans, objective = _level([(estimate, candidate) for estimate, _, candidate in labelled])
     x, fun, nit, success = _nelder_mead(objective, starts)
     fits = []
-    for (label, (_, _, _, decode)), a, b in zip(labelled, edges, edges[1:]):
-        for i in np.flatnonzero(~success[a:b]).tolist():
-            _log.debug("%s: Nelder-Mead start %d did not converge after %d iterations", label, i, int(nit[a + i]))
-        best = a + int(np.argmin(fun[a:b]))
+    for (estimate, label, candidate), span in zip(labelled, spans):
+        for i in np.flatnonzero(~success[span]).tolist():
+            _log.debug("%s: Nelder-Mead start %d did not converge after %d iterations", label, i, int(nit[span][i]))
+        best = span.start + int(np.argmin(fun[span]))
         if not math.isfinite(fun[best]):
-            raise FitError(f"no finite residue for {label}")
-        kernel = decode(x[best])
+            fits.append(FitError(f"no finite residue for {label}"))
+            continue
+        kernel = candidate[3](x[best])
         fits.append(FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel)))
     return fits
+
+
+def _labelled(estimate: KernelEstimate, fixed: FitResult | None, specs):
+    """The fits of one ``fit_batch`` request as ``(estimate, label,
+    _candidate tuple)`` triples."""
+    if fixed is None:
+        if not np.any(estimate.values != 0):
+            raise ValueError("degenerate estimate: all samples are zero")
+        return [(estimate, family, _candidate(estimate, family)) for family in specs]
+    base = fixed.kernel
+    if isinstance(base, (Sum, Product)):
+        raise ValueError("expansion requires a single-kernel fit to extend")
+    return [
+        (estimate, f"{base.family}{'+' if op == 'add' else 'x'}{family}", _candidate(estimate, family, op, base))
+        for op, family in specs
+    ]
+
+
+def fit_batch(requests) -> list:
+    """The fits that ``requests`` ask for, from one or more estimates, in
+    one search per lag count: one for estimates made under one
+    ``DecompositionConfig``.
+
+    ``(estimate, None, families)`` asks for ``fit_singles(estimate,
+    families)`` and ``(estimate, fixed, pairs)`` for
+    ``fit_expansions(estimate, fixed, pairs)``.  The answer to each request
+    is that function's list of ``FitResult``, or the ``ValueError`` it
+    raises: a ``FitError`` for the first of its fits without a finite
+    residue.  Each fit ends where it ends in a search of its own.
+    """
+    jobs = []
+    for request in requests:
+        try:
+            jobs.append(_labelled(*request))
+        except ValueError as exc:
+            jobs.append(exc)
+    by_lags = {}
+    for job in jobs:
+        for fit in job if isinstance(job, list) else []:
+            by_lags.setdefault(len(fit[0].values), []).append(fit)
+    # one search per lag count, since a residue sums over its row's lags
+    results = {id(fit): result for group in by_lags.values() for fit, result in zip(group, _fit_level(group))}
+    answers = []
+    for job in jobs:
+        if isinstance(job, list):
+            fits = [results[id(fit)] for fit in job]
+            job = next((fit for fit in fits if isinstance(fit, FitError)), fits)
+        answers.append(job)
+    return answers
+
+
+def _answer(answers):
+    """The one answer of a one-request ``fit_batch``, raised if an error."""
+    (answer,) = answers
+    if isinstance(answer, ValueError):
+        raise answer
+    return answer
 
 
 def fit_singles(estimate: KernelEstimate, families) -> list[FitResult]:
     """Best-fitting single kernel of each family in ``families`` (tags in
     EXP/PWL/SQR/SNS) under the grid L1 residue, in one search."""
-    if not np.any(estimate.values != 0):
-        raise ValueError("degenerate estimate: all samples are zero")
-    return _fit_level(estimate, [(family, _candidate(estimate, family)) for family in families])
+    return _answer(fit_batch([(estimate, None, families)]))
 
 
 def fit_expansions(estimate: KernelEstimate, fixed: FitResult, pairs) -> list[FitResult]:
@@ -444,14 +583,7 @@ def fit_expansions(estimate: KernelEstimate, fixed: FitResult, pairs) -> list[Fi
     amplitude 1.  In SQRxSNS, SNSxSQR and SNSxSNS one ``omega`` sets both
     supports.
     """
-    base = fixed.kernel
-    if isinstance(base, (Sum, Product)):
-        raise ValueError("expansion requires a single-kernel fit to extend")
-    labelled = [
-        (f"{base.family}{'+' if op == 'add' else 'x'}{family}", _candidate(estimate, family, op, base))
-        for op, family in pairs
-    ]
-    return _fit_level(estimate, labelled)
+    return _answer(fit_batch([(estimate, fixed, pairs)]))
 
 
 def fit_single(estimate: KernelEstimate, family: str) -> FitResult:

@@ -68,7 +68,8 @@ def _read_csv(path, header: str) -> np.ndarray:
     of one array; blank and whitespace-only lines are skipped.
 
     Raises ``ValueError`` naming the file when the header differs, when no
-    data row follows it, or when a row is not ``header``'s width of numbers.
+    data row follows it, or when a row is not ``header``'s width of numbers;
+    a row of another width is named by its line in the file.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != header.split(","):
@@ -76,12 +77,18 @@ def _read_csv(path, header: str) -> np.ndarray:
     rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    width = header.count(",") + 1
     try:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if table.shape[1] != header.count(",") + 1:
-        raise ValueError(f"{path}: rows hold {table.shape[1]} values, not one per column of {header!r}")
+        table = exc
+    if isinstance(table, ValueError) or table.shape[1] != width:
+        # the widths are read only once the table is refused
+        for lineno, line in enumerate(lines[1:], 2):
+            found = line.count(",") + 1
+            if line.strip() and found != width:
+                raise ValueError(f"{path}: line {lineno}: column count {found}, expected {width} (header {header!r})")
+        raise ValueError(f"{path}: {table}")
     return table.T
 
 
@@ -94,7 +101,11 @@ def read_events(path, unit: float = 1.0, horizon: float | None = None) -> EventS
     """
     if not (math.isfinite(unit) and unit > 0):
         raise ValueError(f"unit must be finite and positive, got {unit!r}")
-    ts = _read_csv(path, "t")[0] / unit  # exact when unit is 1
+    raw = _read_csv(path, "t")[0]
+    with np.errstate(over="ignore"):
+        ts = raw / unit  # exact when unit is 1
+    if np.any(np.isinf(ts) & np.isfinite(raw)):
+        raise ValueError(f"{path}: unit {unit!r} rescales timestamps past the largest float")
     return EventSequence(ts, float(ts[-1]) if horizon is None else horizon)
 
 

@@ -10,12 +10,17 @@ optimized exponential scores the higher log-likelihood.  The exponential
 baseline (GD) runs L-BFGS-B on the value and analytic gradient of
 ``likelihood.exp_log_likelihood``, the likelihood engine's own recursion.
 
-The twelve fits are two searches: ``fit_singles`` runs the 32 Nelder-Mead
-starts of the four singles in lock-step, and ``fit_expansions`` the 40-56
-starts of K1's eight expansions, so each step is a few dozen small numpy
-calls on about 100 lags for all of a level's live starts at once.  Those
-calls hold the interpreter lock for most of their time, so thread pools
-gave no overlap: with them ``decompose`` measured slower than serial.
+The twelve fits are two searches, and a search spans sequences:
+``decompose_batch`` runs the first stage of each sequence, then one
+``fit.fit_batch`` search over the 32 Nelder-Mead starts of the four singles
+of every sequence, in lock-step, then one over the 40-56 starts of each
+K1's eight expansions, then each sequence's likelihoods, GD fit and level
+choice.  ``decompose`` is the batch of one.  Each step is a few dozen small
+numpy calls on about 100 lags for all of a level's live starts at once, so
+a step's cost hardly grows with the starts it carries, and a batch of four
+sequences costs far less than four fits.  Those calls hold the interpreter
+lock for most of their time, so thread pools gave no overlap: with them
+``decompose`` measured slower than serial.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .covariance import CovarianceGrid, covariance_grid, horizon_from_histogram
-from .fit import FitResult, fit_expansions, fit_singles
+from .fit import FitResult, fit_batch
 from .fit import fit_expansion, fit_single  # noqa: F401 -- the benchmark tracer patches these names
 from .kernels import FAMILIES, Exp, Kernel
 from .likelihood import exp_log_likelihood, log_likelihood
@@ -42,6 +47,7 @@ __all__ = [
     "NoStationaryModelError",
     "AuditEntry",
     "decompose",
+    "decompose_batch",
     "select_level",
     "fit_gd_exponential",
     "kernel_estimate",
@@ -254,23 +260,28 @@ def kernel_estimate(
     return train, scored, grid, invert_to_kernel(grid)
 
 
-def decompose(events: EventSequence, config: DecompositionConfig = DecompositionConfig()) -> DecompositionResult:
-    """Run the full decomposition pipeline on an event sequence."""
+# K1's eight expansions, in the order of the audit
+EXPANSION_PAIRS = tuple((op, fam) for op in ("add", "multiply") for fam in FAMILIES)
+
+
+def _decomposition(events: EventSequence, config: DecompositionConfig):
+    """``decompose`` on one sequence as a generator: it yields its two
+    ``fit_batch`` requests, the singles and then K1's expansions, is sent
+    each answer, and returns the result."""
     train, scored, grid, estimate = kernel_estimate(events, config)
 
     # in FAMILIES order, which also breaks residue ties
-    singles = fit_singles(estimate, FAMILIES)
+    singles = yield estimate, None, FAMILIES
     k1 = min(singles, key=lambda f: f.residue)
 
-    expansion_pairs = [(op, fam) for op in ("add", "multiply") for fam in FAMILIES]
-    expansions = fit_expansions(estimate, k1, expansion_pairs)
+    expansions = yield estimate, k1, EXPANSION_PAIRS
     k2 = min(expansions, key=lambda f: f.residue)
 
     audit = tuple(
         [AuditEntry(label=f"single:{tag}", fit=f) for tag, f in zip(FAMILIES, singles)]
         + [
             AuditEntry(label=f"expand:{'+' if op == 'add' else 'x'}{fam}", fit=f)
-            for (op, fam), f in zip(expansion_pairs, expansions)
+            for (op, fam), f in zip(EXPANSION_PAIRS, expansions)
         ]
     )
 
@@ -315,3 +326,41 @@ def decompose(events: EventSequence, config: DecompositionConfig = Decomposition
         grid=grid,
         estimate=estimate,
     )
+
+
+def decompose_batch(sequences, config: DecompositionConfig = DecompositionConfig()) -> list:
+    """``decompose`` on each of ``sequences``, with one search per level
+    over all of them: the first stage of each sequence, then the singles of
+    all of them, then their expansions, then each sequence's likelihoods,
+    GD fit and level choice.
+
+    Gives per sequence its ``DecompositionResult``, or the ``ValueError``
+    or ``NoStationaryModelError`` that ``decompose`` raises for it; a
+    sequence that fails leaves the others' results unchanged.
+    """
+    pipelines = [_decomposition(events, config) for events in sequences]
+    outcomes = [None] * len(pipelines)
+    answers = dict.fromkeys(range(len(pipelines)))  # what each live pipeline is sent next
+    while answers:
+        requests = {}
+        for i, answer in answers.items():
+            try:
+                if isinstance(answer, ValueError):
+                    requests[i] = pipelines[i].throw(answer)
+                else:
+                    requests[i] = pipelines[i].send(answer)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except (ValueError, NoStationaryModelError) as exc:
+                outcomes[i] = exc
+        answers = dict(zip(requests, fit_batch(list(requests.values()))))
+    return outcomes
+
+
+def decompose(events: EventSequence, config: DecompositionConfig = DecompositionConfig()) -> DecompositionResult:
+    """Run the full decomposition pipeline on an event sequence: the batch
+    of one."""
+    (outcome,) = decompose_batch([events], config)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

@@ -11,7 +11,7 @@ import pytest
 
 from hawkesdecomp import fit
 from hawkesdecomp.kernels import Exp
-from hawkesdecomp.search import DecompositionConfig, decompose
+from hawkesdecomp.search import DecompositionConfig, DecompositionResult, decompose, decompose_batch
 from hawkesdecomp.simulate import HawkesModel, simulate
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -55,3 +55,21 @@ def test_traced_decompose_counts_and_restores(tracer_module, monkeypatch):
     assert patched
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+
+
+def test_batch_fits_each_level_in_one_search(monkeypatch):
+    # decompose-batch's cost rests on this: the sequences of a batch share
+    # one Nelder-Mead search per level, not one each
+    nelder_mead, starts_run = fit._nelder_mead, []
+
+    def counted(objective, starts):
+        starts_run.append(len(starts))
+        return nelder_mead(objective, starts)
+
+    monkeypatch.setattr(fit, "_nelder_mead", counted)
+    # seeds whose estimates give 32 distinct single starts each
+    sequences = [simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 1000.0, seed=seed) for seed in (3, 5, 7)]
+    outcomes = decompose_batch(sequences, DecompositionConfig(tau_max=5.0, resolution=20))
+    assert all(isinstance(outcome, DecompositionResult) for outcome in outcomes)
+    assert len(starts_run) == 2
+    assert starts_run[0] == 3 * 32

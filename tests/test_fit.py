@@ -207,7 +207,7 @@ def _vectors(n):
 def _alone(estimate, tag, op=None, base=None):
     """One fit as a level of its own: ``(starts, objective, decode)``."""
     candidate = fit._candidate(estimate, tag, op, base)
-    starts, _, objective = fit._level(estimate, [candidate])
+    starts, _, objective = fit._level([(estimate, candidate)])
     return starts, objective, candidate[3]
 
 
@@ -303,6 +303,14 @@ def _assert_matches_scipy(objective, starts):
 
 
 @pytest.fixture(scope="module")
+def other_estimates():
+    """Two estimates from a pulse-kernel sequence: one with the spectral
+    estimate's lag count and another step, one with another lag count."""
+    events = simulate(HawkesModel(mu=0.5, kernel=Sqr(0.2, 2.0)), 1500.0, seed=1)
+    return invert_to_kernel(covariance_grid(events, 0.04, 4.0)), invert_to_kernel(covariance_grid(events, 0.1, 3.0))
+
+
+@pytest.fixture(scope="module")
 def k1_fits(spectral_estimate):
     return {tag: fit_single(spectral_estimate, tag).kernel for tag in FAMILIES}
 
@@ -311,7 +319,7 @@ EXPANSIONS = [(op, tag) for op in ("add", "multiply") for tag in FAMILIES]
 
 
 def _singles_level(estimate):
-    return fit._level(estimate, [fit._candidate(estimate, tag) for tag in FAMILIES])
+    return fit._level([(estimate, fit._candidate(estimate, tag)) for tag in FAMILIES])
 
 
 class TestNelderMead:
@@ -332,8 +340,23 @@ class TestNelderMead:
     @pytest.mark.parametrize("tag1", FAMILIES)
     def test_expansions_level_matches_scipy(self, spectral_estimate, k1_fits, tag1):
         candidates = [fit._candidate(spectral_estimate, tag, op, k1_fits[tag1]) for op, tag in EXPANSIONS]
-        starts, _, objective = fit._level(spectral_estimate, candidates)
+        starts, _, objective = fit._level([(spectral_estimate, candidate) for candidate in candidates])
         assert len(set(map(len, starts))) > 1
+        _assert_matches_scipy(objective, starts)
+
+    def test_two_estimate_singles_level_matches_scipy(self, spectral_estimate, other_estimates):
+        # the runs of one kind come from two estimates with different steps
+        fits = [(est, fit._candidate(est, tag)) for est in (spectral_estimate, other_estimates[0]) for tag in FAMILIES]
+        starts, _, objective = fit._level(fits)
+        _assert_matches_scipy(objective, starts)
+
+    def test_two_estimate_expansions_level_matches_scipy(self, spectral_estimate, other_estimates, k1_fits):
+        # K1 is EXP on one estimate and SQR on the other, so the additive
+        # runs of one kind freeze different curves and the products differ
+        other = other_estimates[0]
+        bases = [(spectral_estimate, k1_fits["EXP"]), (other, fit_single(other, "SQR").kernel)]
+        fits = [(est, fit._candidate(est, tag, op, base)) for est, base in bases for op, tag in EXPANSIONS]
+        starts, _, objective = fit._level(fits)
         _assert_matches_scipy(objective, starts)
 
     def test_exponent_exactly_two(self, spectral_estimate):
@@ -359,13 +382,14 @@ class TestNelderMead:
         _, fun, _, success = fit._nelder_mead(objective, starts)
         assert fun[i] == math.inf and not success[i]
 
-    def test_fit_without_finite_residue_raises(self, spectral_estimate):
-        # every start of the second fit is NaN; the error names that fit
+    def test_fit_without_finite_residue_gives_fit_error(self, spectral_estimate):
+        # every start of the second fit is NaN; its error names that fit
         est = spectral_estimate
         single = fit._candidate(est, "EXP")
         unusable = ([(math.nan, 1.0)],) + single[1:]
-        with pytest.raises(fit.FitError, match="no finite residue for NAN"):
-            fit._fit_level(est, [("EXP", single), ("NAN", unusable)])
+        fits = fit._fit_level([(est, "EXP", single), (est, "NAN", unusable)])
+        assert fits[0] == fit_single(est, "EXP")
+        assert isinstance(fits[1], fit.FitError) and str(fits[1]) == "no finite residue for NAN"
 
     def test_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
@@ -376,7 +400,7 @@ class TestNelderMead:
     def test_mixed_dimensions_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
         candidates = [fit._candidate(spectral_estimate, tag, op, k1_fits["PWL"]) for op, tag in EXPANSIONS]
-        starts, _, objective = fit._level(spectral_estimate, candidates)
+        starts, _, objective = fit._level([(spectral_estimate, candidate) for candidate in candidates])
         _assert_matches_scipy(objective, starts)
         assert not fit._nelder_mead(objective, starts)[3].any()
 
@@ -386,6 +410,32 @@ class TestNelderMead:
         ours = json.dumps(result_to_dict(decompose(events, config)), sort_keys=True)
         monkeypatch.setattr(fit, "_nelder_mead", _scipy_nelder_mead)
         assert json.dumps(result_to_dict(decompose(events, config)), sort_keys=True) == ours
+
+
+class TestFitBatch:
+    """``fit_batch`` answers each request as a search of its own would."""
+
+    def test_singles_and_expansions_match_separate_fits(self, spectral_estimate, other_estimates):
+        # two estimates of one lag count and a third of another
+        estimates = [spectral_estimate, *other_estimates]
+        assert len({len(est.values) for est in estimates}) == 2
+        singles = fit.fit_batch([(est, None, FAMILIES) for est in estimates])
+        assert singles == [fit.fit_singles(est, FAMILIES) for est in estimates]
+        k1s = [min(fits, key=lambda f: f.residue) for fits in singles]
+        assert len({type(k1.kernel) for k1 in k1s}) > 1
+        expansions = fit.fit_batch([(est, k1, EXPANSIONS) for est, k1 in zip(estimates, k1s)])
+        assert expansions == [fit.fit_expansions(est, k1, EXPANSIONS) for est, k1 in zip(estimates, k1s)]
+
+    def test_errors_stay_with_their_request(self, spectral_estimate):
+        degenerate = KernelEstimate(values=np.zeros(50), delta=0.1, tau_max=5.0)
+        composite = FitResult(kernel=Sum(Exp(0.3, 1.0), Sqr(0.1, 2.0)), residue=0.1, verdict=None)
+        answers = fit.fit_batch(
+            [(degenerate, None, FAMILIES), (spectral_estimate, None, ["EXP"]), (spectral_estimate, composite, EXPANSIONS)]
+        )
+        assert [type(a) for a in answers] == [ValueError, list, ValueError]
+        assert str(answers[0]) == "degenerate estimate: all samples are zero"
+        assert answers[1] == [fit_single(spectral_estimate, "EXP")]
+        assert str(answers[2]) == "expansion requires a single-kernel fit to extend"
 
 
 class TestProductFits:

@@ -100,12 +100,13 @@ class TestEventIo:
             ("t,value\n1.0,2.0\n", "expected CSV header 't'"),
             ("t\n", "no data rows"),
             ("t\n\n  \n", "no data rows"),
-            ("t\n1.0\n2.0,3.0\n4.0\n", "number of columns changed"),
-            ("t\n1.0,2.0\n3.0,4.0\n", "rows hold 2 values, not one per column of 't'"),
+            ("t\n1.0\n2.0,3.0\n4.0\n", "line 3: column count 2, expected 1 "),
+            ("t\n\n1.0\n  \n2.0,3\n", "line 5: column count 2, expected 1 "),
+            ("t\n1.0,2.0\n3.0,4.0\n", "line 2: column count 2, expected 1 "),
             ("t\n1.0\nabc\n", "could not convert"),
         ],
-        ids=["empty", "tick header", "header only", "blank rows only", "two-value row", "two columns",
-             "not a number"],
+        ids=["empty", "tick header", "header only", "blank rows only", "two-value row",
+             "two-value row after blank lines", "two columns", "not a number"],
     )
     def test_malformed_csv_names_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -121,6 +122,15 @@ class TestEventIo:
         with pytest.raises(ValueError, match="unit must be finite and positive"):
             read_events(path, unit=unit)
 
+    def test_unit_that_overflows_the_timestamps(self, tmp_path):
+        # 3.0 / 1e-310 is past the largest float: refused by name, with no
+        # overflow RuntimeWarning (pytest makes one an error)
+        path = tmp_path / "e.csv"
+        path.write_text("t\n1.0\n2.0\n3.0\n")
+        with pytest.raises(ValueError, match="unit 1e-310 rescales timestamps past the largest float") as info:
+            read_events(path, unit=1e-310)
+        assert str(info.value).startswith(f"{path}: ")
+
 
 class TestTicks:
     def test_read(self, tmp_path):
@@ -132,9 +142,10 @@ class TestTicks:
 
     @pytest.mark.parametrize(
         "text,message",
-        [("t,value\n", "no data rows"), ("t,value\n0,100\n1\n2,101\n", "number of columns changed"),
+        [("t,value\n", "no data rows"), ("t,value\n0,100\n1\n2,101\n", "line 3: column count 1, expected 2 "),
+         ("t,value\n\n0,100\n\n1,2,3\n", "line 5: column count 3, expected 2 "),
          ("t\n0\n", "expected CSV header 't,value'")],
-        ids=["header only", "one-value row", "event header"],
+        ids=["header only", "one-value row", "three-value row after blank lines", "event header"],
     )
     def test_malformed_csv_names_file(self, tmp_path, text, message):
         path = tmp_path / "ticks.csv"
@@ -366,12 +377,12 @@ class TestCli:
         argv = ["decompose-batch", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]
         assert cli.main(argv) == 2
 
-        def refuse(*args, **kwargs):
-            raise NoStationaryModelError("no stationary model found")
+        def refuse(sequences, config):
+            return [NoStationaryModelError("no stationary model found") for _ in sequences]
 
         for name in ("a.csv", "b.csv"):
             write_events(exp_events, in_dir / name)
-        monkeypatch.setattr(cli, "decompose", refuse)
+        monkeypatch.setattr(cli, "decompose_batch", refuse)
         assert cli.main(argv) == 3
 
     def test_report_command(self, tmp_path, exp_events):
@@ -477,6 +488,7 @@ class TestCli:
             raise NoStationaryModelError("captured")
 
         monkeypatch.setattr(cli, "decompose", capture_config)
+        monkeypatch.setattr(cli, "decompose_batch", capture_config)
         monkeypatch.setattr(cli, "kernel_estimate", capture_config)
         events_path, out = str(in_dir / "events.csv"), str(tmp_path / "out")
         io_flags = {
@@ -590,6 +602,14 @@ class TestCli:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == "error: unit must be finite and positive, got 0.0\n"
 
+    def test_unit_overflow_exit_code(self, tmp_path, capsys):
+        events_path = tmp_path / "events.csv"
+        events_path.write_text("t\n1.0\n2.0\n3.0\n")
+        argv = ["score", "--model", str(self.model_file(tmp_path)), "--in", str(events_path), "--unit", "1e-310"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {events_path}: unit 1e-310 rescales timestamps past the largest float\n"
+
     def test_two_value_event_row_exit_code(self, tmp_path, capsys):
         events_path = tmp_path / "events.csv"
         events_path.write_text("t\n0.5\n1.0,2.0\n3.5\n")
@@ -605,6 +625,73 @@ class TestCli:
         assert cli.main(["simulate", "--model", str(model), "--horizon", "1e8", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: expected event count 2e+08 exceeds cap 1e+07\n"
         assert not out.exists()
+
+
+BATCH_FLAGS = ["--tau-max", "5", "--resolution", "20"]
+
+
+@pytest.fixture(scope="module")
+def batch_inputs(tmp_path_factory):
+    """Five small sequence files, s0.csv to s4.csv, and the bytes that
+    ``decompose`` writes for each."""
+    in_dir = tmp_path_factory.mktemp("batch") / "in"
+    in_dir.mkdir()
+    written = {}
+    for i, kernel in enumerate([Exp(0.5, 1.0), Pwl(0.2, 0.5, 2.0), Exp(0.6, 2.0), Exp(0.4, 1.5), Pwl(0.1, 0.3, 2.0)]):
+        path = in_dir / f"s{i}.csv"
+        write_events(simulate(HawkesModel(mu=0.5, kernel=kernel), 800.0, seed=i), path)
+        out = in_dir.parent / f"s{i}.json"
+        assert cli.main(["decompose", "--in", str(path), "--out", str(out), *BATCH_FLAGS]) == 0
+        written[f"s{i}.json"] = out.read_bytes()
+    return in_dir, written
+
+
+class TestDecomposeBatch:
+    """``decompose-batch`` fits its files together and writes each the bytes
+    ``decompose`` writes for it."""
+
+    def run(self, in_dir, out_dir, capsys):
+        code = cli.main(["decompose-batch", "--in-dir", str(in_dir), "--out-dir", str(out_dir), *BATCH_FLAGS])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_files_match_decompose(self, tmp_path, batch_inputs, capsys):
+        in_dir, written = batch_inputs
+        code, lines = self.run(in_dir, tmp_path / "out", capsys)
+        assert code == 0
+        assert [line.split(":")[0] for line in lines] == [f"s{i}.csv" for i in range(5)]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == written
+
+    def test_wrong_width_row_fails_alone(self, tmp_path, batch_inputs, capsys):
+        in_dir, written = batch_inputs
+        mixed = tmp_path / "in"
+        mixed.mkdir()
+        for name in ("s0.csv", "s1.csv"):
+            (mixed / name).write_bytes((in_dir / name).read_bytes())
+        (mixed / "bad.csv").write_text("t\n1.0\n2.0,3\n4.0\n")
+        code, lines = self.run(mixed, tmp_path / "out", capsys)
+        assert code == 0
+        bad = f"invalid ({mixed / 'bad.csv'}: line 3: column count 2, expected 1 (header 't'))"
+        assert lines[0] == f"bad.csv: {bad}"
+        assert [line.split(":")[0] for line in lines[1:]] == ["s0.csv", "s1.csv"]
+        outputs = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        assert outputs == {name: written[name] for name in ("s0.json", "s1.json")}
+
+    def test_chunks_keep_order_and_bytes(self, tmp_path, batch_inputs, capsys, monkeypatch):
+        in_dir, written = batch_inputs
+        sizes = []
+        decompose_batch = cli.decompose_batch
+
+        def counted(sequences, config):
+            sizes.append(len(sequences))
+            return decompose_batch(sequences, config)
+
+        monkeypatch.setattr(cli, "BATCH_FILES", 2)
+        monkeypatch.setattr(cli, "decompose_batch", counted)
+        code, lines = self.run(in_dir, tmp_path / "out", capsys)
+        assert code == 0
+        assert sizes == [2, 2, 1]
+        assert [line.split(":")[0] for line in lines] == [f"s{i}.csv" for i in range(5)]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == written
 
 
 class TestErrorContract:
@@ -640,15 +727,12 @@ class TestErrorContract:
         in_dir.mkdir()
         for name in ("a.csv", "b.csv", "c.csv"):
             write_events(exp_events, in_dir / name)
-        calls = []
 
-        def fit_fails_on_second_file(events, config):
-            calls.append(len(events))
-            if len(calls) == 2:
-                raise FitError("no finite residue for EXP")
-            return exp_result
+        def fit_fails_on_second_file(sequences, config):
+            assert len(sequences) == 3
+            return [exp_result, FitError("no finite residue for EXP"), exp_result]
 
-        monkeypatch.setattr(cli, "decompose", fit_fails_on_second_file)
+        monkeypatch.setattr(cli, "decompose_batch", fit_fails_on_second_file)
         argv = ["decompose-batch", "--in-dir", str(in_dir), "--out-dir", str(out_dir)]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.splitlines() == [

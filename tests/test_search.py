@@ -1,20 +1,24 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hawkesdecomp import search
+from hawkesdecomp import fit, search
 from hawkesdecomp.fit import FitResult
-from hawkesdecomp.kernels import Exp, StationarityVerdict, Sqr, Sum
+from hawkesdecomp.io import result_to_dict
+from hawkesdecomp.kernels import Exp, Pwl, StationarityVerdict, Sqr, Sum
 from hawkesdecomp.search import (
     DecompositionConfig,
     NoStationaryModelError,
     decompose,
+    decompose_batch,
     fit_gd_exponential,
     select_level,
     train_test_split,
 )
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
+from hawkesdecomp.spectral import KernelEstimate
 
 
 def fake_fit(residue, stationary):
@@ -189,3 +193,98 @@ class TestDecompose:
         events = simulate(model, 6000.0, seed=20)
         result = decompose(events, DecompositionConfig(tau_max=8.0))
         assert result.k2.residue < result.k1.residue
+
+
+BATCH_CONFIG = DecompositionConfig(tau_max=5.0, resolution=25)
+
+
+@pytest.fixture(scope="module")
+def three_sequences():
+    """Three small sequences whose K1 families differ: EXP, PWL and SQR."""
+    truths = [(Exp(0.6, 2.0), 1), (Pwl(0.2, 0.5, 2.0), 4), (Sqr(0.2, 2.0), 1)]
+    return [simulate(HawkesModel(mu=0.5, kernel=kernel), 1500.0, seed=seed) for kernel, seed in truths]
+
+
+def _json(result):
+    return json.dumps(result_to_dict(result), sort_keys=True)
+
+
+def _one_by_one(sequences):
+    """``decompose`` on each sequence: its JSON, or its error as (type, message)."""
+    outcomes = []
+    for events in sequences:
+        try:
+            outcomes.append(_json(decompose(events, BATCH_CONFIG)))
+        except (ValueError, NoStationaryModelError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _batched(sequences):
+    return [
+        (type(outcome), str(outcome)) if isinstance(outcome, Exception) else _json(outcome)
+        for outcome in decompose_batch(sequences, BATCH_CONFIG)
+    ]
+
+
+class TestDecomposeBatch:
+    def test_matches_decompose_on_each(self, three_sequences):
+        alone = _one_by_one(three_sequences)
+        assert [json.loads(text)["k1"]["kernel"]["type"] for text in alone] == ["EXP", "PWL", "SQR"]
+        assert _batched(three_sequences) == alone
+
+    def test_degenerate_estimate_fails_alone(self, three_sequences, monkeypatch):
+        # the second sequence's estimate is all zeros, which its singles refuse
+        kernel_estimate, second = search.kernel_estimate, three_sequences[1]
+
+        def zero_for_second(events, config):
+            train, scored, grid, estimate = kernel_estimate(events, config)
+            if events is second:
+                estimate = KernelEstimate(np.zeros_like(estimate.values), estimate.delta, estimate.tau_max)
+            return train, scored, grid, estimate
+
+        monkeypatch.setattr(search, "kernel_estimate", zero_for_second)
+        alone = _one_by_one(three_sequences)
+        assert alone[1] == (ValueError, "degenerate estimate: all samples are zero")
+        assert _batched(three_sequences) == alone
+
+    def test_fit_error_fails_alone(self, three_sequences, monkeypatch):
+        # every SQR start of the second sequence's singles is NaN
+        candidate, second = fit._candidate, three_sequences[1]
+        estimates = []
+
+        def nan_sqr_starts(estimate, family, op=None, base=None):
+            parts = candidate(estimate, family, op, base)
+            if any(estimate is e for e in estimates) and family == "SQR" and op is None:
+                return ([(math.nan, 1.0)],) + parts[1:]
+            return parts
+
+        kernel_estimate = search.kernel_estimate
+
+        def remember_second(events, config):
+            stage = kernel_estimate(events, config)
+            if events is second:
+                estimates.append(stage[3])
+            return stage
+
+        monkeypatch.setattr(fit, "_candidate", nan_sqr_starts)
+        monkeypatch.setattr(search, "kernel_estimate", remember_second)
+        alone = _one_by_one(three_sequences)
+        assert alone[1] == (fit.FitError, "no finite residue for SQR")
+        assert _batched(three_sequences) == alone
+
+    def test_no_stationary_model_fails_alone(self, three_sequences, monkeypatch):
+        # no level is usable, and the GD fit fails on the second sequence only
+        objective, second = search._gd_objective, three_sequences[1]
+
+        def nan_for_second(params, events):
+            return (math.nan, np.full(3, math.nan)) if events is second else objective(params, events)
+
+        monkeypatch.setattr(search, "select_level", lambda k1, k2, eta: None)
+        monkeypatch.setattr(search, "_gd_objective", nan_for_second)
+        alone = _one_by_one(three_sequences)
+        assert alone[1] == (NoStationaryModelError, "no stationary model found")
+        assert _batched(three_sequences) == alone
+
+    def test_empty_batch(self):
+        assert decompose_batch([], BATCH_CONFIG) == []
