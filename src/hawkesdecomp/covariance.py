@@ -104,13 +104,21 @@ def horizon_from_histogram(events: EventSequence, percentile: float = 0.95) -> f
 
     Builds a 100-bin histogram of successive inter-event intervals and
     returns the upper edge of the first bin whose cumulative mass strictly
-    exceeds ``percentile``.
+    exceeds ``percentile``.  Intervals too close together for 100 bins
+    (all equal, and so large that numpy's unit-wide range around them rounds
+    away) raise ``ValueError``: such a sequence needs ``tau_max``.
     """
     if not (0.0 < percentile < 1.0):
         raise ValueError("percentile must lie strictly between 0 and 1")
     if len(events) < 2:
         raise ValueError("need at least two events")
-    hist, edges = np.histogram(np.diff(events.timestamps), bins=100)
+    intervals = np.diff(events.timestamps)
+    try:
+        hist, edges = np.histogram(intervals, bins=100)
+    except ValueError:  # numpy cannot split the intervals' range into 100 bins
+        low, high = intervals.min(), intervals.max()
+        raise ValueError(f"the inter-event intervals ({low:g} to {high:g}) are all equal, or nearly: too close"
+                         " together for 100 histogram bins; set tau_max (--tau-max)") from None
     cum = np.cumsum(hist) / hist.sum()
     idx = int(np.argmax(cum > percentile))
     return float(edges[idx + 1])

@@ -24,41 +24,45 @@ the addend family, or K1's family times the factor family.
 
 The fits of one level (the four singles, or K1's eight expansions) are one
 search, and one search spans the sequences of a batch: ``fit_batch`` takes
-the level's fits of several estimates of one lag count, and ``_level``
-joins their starts, ordered by kind, so the runs of one kind from every
-estimate are adjacent.  Its objective maps an (M, N) matrix of raw
-parameter vectors, each padded with zeros to the level's largest dimension
-N, and the start each row belongs to, to M residues.  It builds no kernel
-object.  Each call clips every row to its own fit's bound vector, computes
-the model curves of each kind's rows with one ``curves`` call, on each
-row's own lags and frozen curve, and passes all the curves to one
-``residue_of``, with each row's own estimate.  A row with a NaN scores
-``inf``.  Every row is scored on its own, so a fit ends where it ends in a
-search of its own, whatever else the search holds.  ``evaluate`` is built
-on the same curves and every grid lag is positive, so a fit reaches the
-same floats, and the same kernel, as one that evaluates a kernel per step.
-One rule keeps the rows equal to one-at-a-time curves: numpy squares
-``x ** 2.0`` for a scalar exponent, which can differ in the last bit from
-``pow``, so ``Pwl.curve`` squares the rows whose exponent is exactly 2 (the
-PWL null start of an additive expansion puts ``p = 2`` on a simplex
-vertex).  Only the best vector of a fit is decoded into a kernel.
+the level's fits of estimates of one lag count, and ``_level`` joins their
+starts, ordered by kind, so the runs of one kind from every estimate are
+adjacent.  A search states which rows it scores: ``bind(runs)`` takes the
+start of each row and gathers, once, each row's bound vector, estimate,
+lags and frozen curve, and returns ``score(params)``, which maps an (M, N)
+matrix of raw parameter vectors, each padded with zeros to the level's
+largest dimension N, to M residues.  ``score`` builds no kernel object.
+It clips every row to its bounds, computes the model curves of each
+kind's rows with one ``curves`` call, and passes all the curves to one
+``residue_of``, looked up in this module on each call.  A row with a NaN
+scores ``inf``.  Every row is scored on its own, so a fit ends where it
+ends in a search of its own, whatever else the search holds.  ``evaluate``
+is built on the same curves and every grid lag is positive, so a fit
+reaches the same floats, and the same kernel, as one that evaluates a
+kernel per step; its best value is its residue.  One rule keeps the rows
+equal to one-at-a-time curves: numpy squares ``x ** 2.0`` for a scalar
+exponent, which can differ in the last bit from ``pow``, so ``Pwl.curve``
+squares the rows whose exponent is exactly 2 (the PWL null start of an
+additive expansion puts ``p = 2`` on a simplex vertex).  Only the best
+vector of a fit is decoded into a kernel.
 
 ``_nelder_mead`` runs all the starts of a level in lock-step: it holds a
-(K, N+1, N) simplex array and makes one batched objective call per phase of
-a step (reflect; then expand or contract, scored for every live run so that
-the rows' layout changes only when a run ends; shrink only for the runs that
-need it).  It is scipy's non-adaptive Nelder-Mead
-step for step, with its initial simplex, convergence test, vertex sort,
-``nit`` and ``success``, so each run ends at the same ``x`` and ``fun`` as
-``scipy.optimize.minimize`` from that start; the tests hold it to that.  A
-run of dimension n < N keeps its padded coordinates at exactly 0, since
-every step maps 0 to 0; its vertices past n score ``inf``, are never
-evaluated, and enter neither its centroid, nor its worst vertex, nor its
-convergence tests.  Its vertices are sorted with the other runs of the same
-n, over the n + 1 real ones: numpy's argsort is unstable, and the order it
-gives tied values (the plateaus of the SQR fits) depends on the row length,
-so one sort over padded rows would leave scipy's path.  A converged run
-leaves the batch at once, so the batch shrinks as the runs finish.
+(K, N+1, N) simplex array and makes one batched ``score`` call per phase of
+a step (reflect; then expand or contract, scored for every live run; shrink
+only for the runs that need it).  It binds the initial simplex, the live
+runs each time a run ends, and each shrink's runs, so the reflections and
+trial points of every step between two run ends share one binding.  It is
+scipy's non-adaptive Nelder-Mead step for step, with its initial simplex,
+convergence test, vertex sort, ``nit`` and ``success``, so each run ends at
+the same ``x`` and ``fun`` as ``scipy.optimize.minimize`` from that start;
+the tests hold it to that.  A run of dimension n < N keeps its padded
+coordinates at exactly 0, since every step maps 0 to 0; its vertices past
+n score ``inf``, are never evaluated, and enter neither its centroid, nor
+its worst vertex, nor its convergence tests.  Its vertices are sorted with
+the other runs of the same n, over the n + 1 real ones: numpy's argsort is
+unstable, and the order it gives tied values (the plateaus of the SQR fits)
+depends on the row length, so one sort over padded rows would leave scipy's
+path.  A converged run leaves the batch at once, so the batch shrinks as
+the runs finish.
 
 Each Nelder-Mead run that stops without converging (``maxiter``) is logged
 at DEBUG on the ``hawkesdecomp.fit`` logger.
@@ -92,8 +96,6 @@ __all__ = [
     "FitResult",
     "FitError",
     "fit_batch",
-    "fit_singles",
-    "fit_expansions",
     "fit_single",
     "fit_expansion",
     "residue_of",
@@ -288,7 +290,7 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
 
 
 class _Rows(NamedTuple):
-    """One estimate per objective row, as ``residue_of`` reads it."""
+    """One estimate per scored row, as ``residue_of`` reads it."""
 
     values: np.ndarray  # (M, lags + 1)
     delta: np.ndarray  # (M,)
@@ -297,18 +299,18 @@ class _Rows(NamedTuple):
 def _level(fits):
     """The fits ``fits``, ``(estimate, _candidate tuple)`` pairs from one or
     more estimates of one lag count, as one search: ``(starts, spans,
-    objective)``.
+    bind)``.
 
     The runs are ordered by fit kind, so that the runs of one kind are
     adjacent whatever estimate they fit.  ``starts`` holds every run's
     start, and fit ``f`` owns the runs ``spans[f]``, a slice.
-    ``objective(params, runs)`` maps an (M, N) matrix of vectors,
-    zero-padded to the longest start, and the ascending run of each row to
-    M residues, a row with a NaN scoring ``inf``: one ``curves`` call per
-    kind and one ``residue_of`` call.  Each row is scored on its own, so
-    its residue does not depend on the other rows.  The rows' bounds, lags,
-    estimates and frozen curves are gathered once per ``runs`` array, which
-    a search passes unchanged until a run ends, save for its shrinks.
+    ``bind(runs)`` takes the ascending run of each row that a search will
+    score, gathers those rows' bounds, estimates, lags and frozen curves,
+    and returns ``score(params)``.  That maps an (M, N) matrix of vectors,
+    zero-padded to the longest start, to M residues, a row with a NaN
+    scoring ``inf``: one ``curves`` call per kind and one ``residue_of``
+    call.  Each row is scored on its own, so its residue does not depend on
+    the other rows.
     """
     by_kind = {}
     for f, (_, candidate) in enumerate(fits):
@@ -325,55 +327,38 @@ def _level(fits):
     edges.append(len(starts))
     fit_of_run = np.array(fit_of_run)
     # one row per fit: its estimate's samples, step and lags, and its frozen curve
-    estimates = [estimate for estimate, _ in fits]
-    values = np.array([estimate.values for estimate in estimates])
-    delta = np.array([estimate.delta for estimate in estimates])
-    times = np.array([estimate.times[1:] for estimate in estimates])
+    values = np.array([estimate.values for estimate, _ in fits])
+    delta = np.array([estimate.delta for estimate, _ in fits])
+    times = np.array([estimate.times[1:] for estimate, _ in fits])
     frozen = np.array([np.zeros(times.shape[1]) if candidate[5] is None else candidate[5] for _, candidate in fits])
-    owners = [id(estimate) for estimate in estimates]
-    first_fit = np.array([owners.index(owner) for owner in owners])  # the first fit of the same estimate
     # each run's bounds; a padded coordinate is clipped to 0, which it is
     lo, hi = np.zeros((2, len(starts), max(map(len, starts))))
     for (_, (low, high), *_), span in zip((candidate for _, candidate in fits), spans):
         lo[span, : low.size], hi[span, : high.size] = low, high
 
-    def layout(runs):
-        """The bounds of the rows ``runs``, their estimates, and per kind
-        ``(first row, end row, dimension, curves, lags, frozen curves)``.
-        The rows of one fit share its lags and frozen curve, and the rows of
-        one estimate share it, as in a search of their own; rows of several
-        get one row of each."""
+    def bind(runs):
         cut, at = runs.searchsorted(edges), fit_of_run[runs]
-        segments = []
-        for (n, curves, add), first, end in zip(kinds, cut, cut[1:]):
-            if first < end:
-                pick = at[first] if at[first] == at[end - 1] else at[first:end]
-                segments.append((first, end, n, curves, times[pick], frozen[pick] if add else None))
-        owner = first_fit[at]
-        rows = estimates[at[0]] if (owner == owner[0]).all() else _Rows(values[at], delta[at])
-        return lo[runs], hi[runs], rows, segments
+        # per kind: (first row, end row, dimension, curves, lags, frozen curves)
+        segments = [
+            (first, end, n, curves, times[at[first:end]], frozen[at[first:end]] if add else None)
+            for (n, curves, add), first, end in zip(kinds, cut, cut[1:])
+            if first < end
+        ]
+        low, high, rows = lo[runs], hi[runs], _Rows(values[at], delta[at])
 
-    # (runs array, layout) of the last two arrays, the latest first: a shrink
-    # passes a new array between two steps that pass the live runs' array
-    recent = [(None, None), (None, None)]
+        def score(params):
+            x = np.minimum(np.maximum(params, low), high)
+            phi = np.concatenate([curves(x[a:b, :n], t, k1) for a, b, n, curves, t, k1 in segments])
+            residues = residue_of(rows, phi)
+            residues[np.isnan(x).any(axis=1)] = math.inf
+            return residues
 
-    def objective(params, runs):
-        if recent[0][0] is not runs:
-            if recent[1][0] is runs:
-                recent.reverse()
-            else:
-                recent[:] = (runs, layout(runs)), recent[0]
-        low, high, rows, segments = recent[0][1]
-        x = np.minimum(np.maximum(params, low), high)
-        phi = [curves(x[a:b, :n], t, k1) for a, b, n, curves, t, k1 in segments]
-        residues = residue_of(rows, phi[0] if len(phi) == 1 else np.concatenate(phi))
-        residues[np.isnan(x).any(axis=1)] = math.inf
-        return residues
+        return score
 
-    return starts, spans, objective
+    return starts, spans, bind
 
 
-def _nelder_mead(objective, starts):
+def _nelder_mead(bind, starts):
     """Nelder-Mead from every start at once; returns ``(x, fun, nit,
     success)``, one entry per start, each ``x`` as long as its start.
 
@@ -382,11 +367,12 @@ def _nelder_mead(objective, starts):
     so it ends where ``scipy.optimize.minimize`` from that start ends.
     Starts may differ in length; each is padded with zeros to the longest,
     N.  All live runs are at the same iteration, and each phase of a step is
-    one call ``objective(params, runs)``: ``params`` holds one padded (M, N)
-    row per vertex or trial point, and ``runs`` the index of its start,
-    ascending.  The reflection and the trial point are scored for every live
-    run, with one ``runs`` array that is replaced only when a run ends; a
-    shrink, for the runs that need it.
+    one call ``score(params)``, ``params`` holding one padded (M, N) row per
+    vertex or trial point.  ``bind(runs)`` gives the ``score`` of the rows
+    whose starts are ``runs``, ascending.  The search binds the initial
+    simplex, the live runs each time a run ends, and the runs of each
+    shrink: the reflection and the trial point are scored for every live
+    run, so their binding serves every step until a run ends.
     """
     maxiter, xatol, fatol = _NM_OPTIONS["maxiter"], _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
     dims = np.array([len(start) for start in starts])
@@ -402,18 +388,18 @@ def _nelder_mead(objective, starts):
     sim[:, diag + 1, diag] = np.where(diag < dims[:, None], step, 0.0)
     real = np.arange(n + 1) <= dims[:, None]
     fsim = np.full((k, n + 1), math.inf)
-    fsim[real] = objective(sim[real], np.nonzero(real)[0])
+    fsim[real] = bind(np.nonzero(real)[0])(sim[real])
     slots = np.tile(np.arange(n + 1), (k, 1))
 
-    def layout(dims):
-        """What a step reads of the live runs' dimensions, rebuilt only
-        when a run ends: row indices, the runs of each distinct dimension,
-        a mask of the vertices 1..n that are real (the same mask picks out
-        vertices 0..n-1 before the worst), and the dimensions as a float
-        column."""
+    def layout(live, dims):
+        """What a step reads of the live runs ``live`` and their dimensions,
+        rebuilt only when a run ends: their ``score``, row indices, the runs
+        of each distinct dimension, a mask of the vertices 1..n that are
+        real (the same mask picks out vertices 0..n-1 before the worst), and
+        the dimensions as a float column."""
         groups = [(d, np.flatnonzero(dims == d)) for d in np.unique(dims)]
         real = np.arange(1, n + 1) <= dims[:, None]
-        return np.arange(dims.size), groups, real, dims[:, None].astype(float)
+        return bind(live), np.arange(dims.size), groups, real, dims[:, None].astype(float)
 
     def ordered(sim, fsim):
         """The vertices of each run sorted by value, as scipy sorts them: the
@@ -424,12 +410,12 @@ def _nelder_mead(objective, starts):
             order[g, : d + 1] = fsim[g, : d + 1].argsort()
         return sim[rows[:, None], order], fsim[rows[:, None], order]
 
-    rows, groups, others, scale = layout(dims)
+    live = np.arange(k)
+    score, rows, groups, others, scale = layout(live, dims)
     for _ in range(2):  # as scipy does: argsort is unstable, so ties may move
         sim, fsim = ordered(sim, fsim)
 
     x, fun, nit = np.empty((k, n)), np.empty(k), np.empty(k, dtype=int)
-    live = np.arange(k)
     iterations = 1
     while True:
         # scipy's stopping rule; it tests the values only where the vertices have met
@@ -448,7 +434,7 @@ def _nelder_mead(objective, starts):
                 if not live.size:
                     success = nit < maxiter
                     return [x[i, :d] for i, d in enumerate(map(len, starts))], fun, nit, success
-                rows, groups, others, scale = layout(dims)
+                score, rows, groups, others, scale = layout(live, dims)
 
         below = np.where(others[:, :, None], sim[:, :-1], 0.0)
         xbar = np.add.reduce(below, 1) / scale
@@ -456,7 +442,7 @@ def _nelder_mead(objective, starts):
         # scipy writes each point as c * xbar - d * worst; with its coefficients
         # these are the same floats (1 * w is w, and x - (-y) is x + y)
         xr = 2 * xbar - worst
-        fxr = objective(xr, live)
+        fxr = score(xr)
         expand = fxr < fsim[:, 0]
         contract = ~(expand | (fxr < fsecond))
         trying = expand | contract
@@ -468,8 +454,8 @@ def _nelder_mead(objective, starts):
             a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
             b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
             trial = a[:, None] * xbar - b[:, None] * worst
-            # every live run's, so the objective sees the same runs as in the reflection
-            ftrial = objective(trial, live)
+            # every live run's, so it is scored with the reflection's binding
+            ftrial = score(trial)
             take = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < fworst))
             use = take & trying
             shrink = contract & ~take
@@ -480,7 +466,7 @@ def _nelder_mead(objective, starts):
                 best = sim[s, :1]
                 sim[s, 1:] = best + 0.5 * (sim[s, 1:] - best)
                 shrunk = fsim[s, 1:]
-                shrunk[others[s]] = objective(sim[s, 1:][others[s]], np.repeat(live[s], dims[s]))
+                shrunk[others[s]] = bind(np.repeat(live[s], dims[s]))(sim[s, 1:][others[s]])
                 fsim[s, 1:] = shrunk
         iterations += 1
         sim, fsim = ordered(sim, fsim)
@@ -490,13 +476,13 @@ def _fit_level(labelled) -> list:
     """Optimize the ``(estimate, label, _candidate tuple)`` triples
     ``labelled``, whose estimates share one lag count, in one search and
     decode each fit's best vector: the first run with the lowest finite
-    value.  Gives a ``FitResult`` per fit, or a ``FitError`` for a fit whose
-    starts all score ``inf``.  A label names its fit in the log and in the
-    error."""
-    starts, spans, objective = _level([(estimate, candidate) for estimate, _, candidate in labelled])
-    x, fun, nit, success = _nelder_mead(objective, starts)
+    value, which is the fit's residue.  Gives a ``FitResult`` per fit, or a
+    ``FitError`` for a fit whose starts all score ``inf``.  A label names
+    its fit in the log and in the error."""
+    starts, spans, bind = _level([(estimate, candidate) for estimate, _, candidate in labelled])
+    x, fun, nit, success = _nelder_mead(bind, starts)
     fits = []
-    for (estimate, label, candidate), span in zip(labelled, spans):
+    for (_, label, candidate), span in zip(labelled, spans):
         for i in np.flatnonzero(~success[span]).tolist():
             _log.debug("%s: Nelder-Mead start %d did not converge after %d iterations", label, i, int(nit[span][i]))
         best = span.start + int(np.argmin(fun[span]))
@@ -504,7 +490,7 @@ def _fit_level(labelled) -> list:
             fits.append(FitError(f"no finite residue for {label}"))
             continue
         kernel = candidate[3](x[best])
-        fits.append(FitResult(kernel=kernel, residue=residue_of(estimate, kernel), verdict=stationarity_norm(kernel)))
+        fits.append(FitResult(kernel=kernel, residue=float(fun[best]), verdict=stationarity_norm(kernel)))
     return fits
 
 
@@ -525,16 +511,19 @@ def _labelled(estimate: KernelEstimate, fixed: FitResult | None, specs):
 
 
 def fit_batch(requests) -> list:
-    """The fits that ``requests`` ask for, from one or more estimates, in
-    one search per lag count: one for estimates made under one
-    ``DecompositionConfig``.
+    """The fits that ``requests`` ask for, from estimates of one lag count,
+    in one search.
 
-    ``(estimate, None, families)`` asks for ``fit_singles(estimate,
-    families)`` and ``(estimate, fixed, pairs)`` for
-    ``fit_expansions(estimate, fixed, pairs)``.  The answer to each request
-    is that function's list of ``FitResult``, or the ``ValueError`` it
-    raises: a ``FitError`` for the first of its fits without a finite
-    residue.  Each fit ends where it ends in a search of its own.
+    ``(estimate, None, families)`` asks for the best single kernel of each
+    family in ``families``, as ``fit_single`` fits it, and ``(estimate,
+    fixed, pairs)`` for the expansion of ``fixed`` by each ``(op, family)``
+    in ``pairs``, as ``fit_expansion`` fits it.  The answer to each request
+    is its list of ``FitResult``, or the ``ValueError`` that its fits raise:
+    a ``FitError`` for the first of them without a finite residue.  Each fit
+    ends where it ends in a search of its own.  A residue sums over its
+    row's lags, so the estimates that reach the search must share their lag
+    count, as the estimates of one ``DecompositionConfig`` do (its
+    ``resolution``); else ``fit_batch`` raises ``ValueError``.
     """
     jobs = []
     for request in requests:
@@ -542,38 +531,38 @@ def fit_batch(requests) -> list:
             jobs.append(_labelled(*request))
         except ValueError as exc:
             jobs.append(exc)
-    by_lags = {}
-    for job in jobs:
-        for fit in job if isinstance(job, list) else []:
-            by_lags.setdefault(len(fit[0].values), []).append(fit)
-    # one search per lag count, since a residue sums over its row's lags
-    results = {id(fit): result for group in by_lags.values() for fit, result in zip(group, _fit_level(group))}
+    fits = [fit for job in jobs if isinstance(job, list) for fit in job]
+    lag_counts = {len(estimate.values) for estimate, _, _ in fits}
+    if len(lag_counts) > 1:
+        raise ValueError(f"the estimates of one fit_batch must share their lag count, got {sorted(lag_counts)}")
+    results = iter(_fit_level(fits) if fits else [])
     answers = []
     for job in jobs:
         if isinstance(job, list):
-            fits = [results[id(fit)] for fit in job]
-            job = next((fit for fit in fits if isinstance(fit, FitError)), fits)
+            job = [next(results) for _ in job]
+            job = next((fit for fit in job if isinstance(fit, FitError)), job)
         answers.append(job)
     return answers
 
 
-def _answer(answers):
-    """The one answer of a one-request ``fit_batch``, raised if an error."""
-    (answer,) = answers
+def _fit_one(request) -> FitResult:
+    """The one fit that the one ``fit_batch`` request ``request`` asks for,
+    raised if an error."""
+    (answer,) = fit_batch([request])
     if isinstance(answer, ValueError):
         raise answer
-    return answer
+    return answer[0]
 
 
-def fit_singles(estimate: KernelEstimate, families) -> list[FitResult]:
-    """Best-fitting single kernel of each family in ``families`` (tags in
-    EXP/PWL/SQR/SNS) under the grid L1 residue, in one search."""
-    return _answer(fit_batch([(estimate, None, families)]))
+def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
+    """Best-fitting single kernel of the family ``family`` (a tag in
+    EXP/PWL/SQR/SNS) under the grid L1 residue."""
+    return _fit_one((estimate, None, [family]))
 
 
-def fit_expansions(estimate: KernelEstimate, fixed: FitResult, pairs) -> list[FitResult]:
-    """Expand a fitted single kernel by one addend or factor for each
-    ``(op, family)`` in ``pairs``, in one search.
+def fit_expansion(estimate: KernelEstimate, fixed: FitResult, op: str, family: str) -> FitResult:
+    """Expand a fitted single kernel by one addend (``op`` "add") or factor
+    (``op`` "multiply") of the family ``family``.
 
     Additive: the fitted kernel's parameters stay frozen and only the new
     addend is optimized (a near-zero-amplitude start guarantees the result
@@ -583,14 +572,4 @@ def fit_expansions(estimate: KernelEstimate, fixed: FitResult, pairs) -> list[Fi
     amplitude 1.  In SQRxSNS, SNSxSQR and SNSxSNS one ``omega`` sets both
     supports.
     """
-    return _answer(fit_batch([(estimate, fixed, pairs)]))
-
-
-def fit_single(estimate: KernelEstimate, family: str) -> FitResult:
-    """``fit_singles`` for the one family ``family``."""
-    return fit_singles(estimate, [family])[0]
-
-
-def fit_expansion(estimate: KernelEstimate, fixed: FitResult, op: str, family: str) -> FitResult:
-    """``fit_expansions`` for the one pair ``(op, family)``."""
-    return fit_expansions(estimate, fixed, [(op, family)])[0]
+    return _fit_one((estimate, fixed, [(op, family)]))

@@ -23,6 +23,7 @@ __all__ = [
     "read_events",
     "write_events",
     "write_csv",
+    "write_result",
     "read_ticks",
     "extract_events_by_threshold",
     "result_to_dict",
@@ -63,13 +64,14 @@ class ReportBundle:
     qq_observed: np.ndarray
 
 
-def _read_csv(path, header: str) -> np.ndarray:
+def _read_csv(path, header: str, finite: bool = False) -> np.ndarray:
     """The columns of a CSV file whose first row is ``header``, as the rows
     of one array; blank and whitespace-only lines are skipped.
 
     Raises ``ValueError`` naming the file when the header differs, when no
-    data row follows it, or when a row is not ``header``'s width of numbers;
-    a row of another width is named by its line in the file.
+    data row follows it, or when a row is not ``header``'s width of numbers,
+    or, with ``finite``, when a value of the first column is not finite.
+    Such a row is named by its line in the file.
     """
     lines = Path(path).read_text().splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != header.split(","):
@@ -82,13 +84,21 @@ def _read_csv(path, header: str) -> np.ndarray:
         table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         table = exc
+    data_lines = ((lineno, line) for lineno, line in enumerate(lines[1:], 2) if line.strip())
     if isinstance(table, ValueError) or table.shape[1] != width:
-        # the widths are read only once the table is refused
-        for lineno, line in enumerate(lines[1:], 2):
+        # the refused row is looked for only once the table is refused
+        for lineno, line in data_lines:
             found = line.count(",") + 1
-            if line.strip() and found != width:
+            if found != width:
                 raise ValueError(f"{path}: line {lineno}: column count {found}, expected {width} (header {header!r})")
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: could not convert {line.strip()!r} to numbers") from None
         raise ValueError(f"{path}: {table}")
+    if finite and not np.isfinite(table[:, 0]).all():
+        row = int(np.argmin(np.isfinite(table[:, 0])))
+        raise ValueError(f"{path}: line {[n for n, _ in data_lines][row]}: timestamp {table[row, 0]} is not finite")
     return table.T
 
 
@@ -97,11 +107,11 @@ def read_events(path, unit: float = 1.0, horizon: float | None = None) -> EventS
 
     ``unit``, finite and positive, rescales timestamps at ingestion
     (timestamps are divided by it); the horizon defaults to the last event
-    time.
+    time.  A timestamp that is not finite is named by its line.
     """
     if not (math.isfinite(unit) and unit > 0):
         raise ValueError(f"unit must be finite and positive, got {unit!r}")
-    raw = _read_csv(path, "t")[0]
+    raw = _read_csv(path, "t", finite=True)[0]
     with np.errstate(over="ignore"):
         ts = raw / unit  # exact when unit is 1
     if np.any(np.isinf(ts) & np.isfinite(raw)):

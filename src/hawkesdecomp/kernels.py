@@ -67,6 +67,7 @@ __all__ = [
     "stationarity_norm",
     "kernel_to_dict",
     "kernel_from_dict",
+    "number_entry",
 ]
 
 
@@ -207,7 +208,7 @@ BaseKernel = Union[Exp, Pwl, Sqr, Sns]
 FAMILIES = {"EXP": Exp, "PWL": Pwl, "SQR": Sqr, "SNS": Sns}
 
 
-def in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKernel]:
+def _in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKernel]:
     """The two factors of a product in ``FAMILIES`` order, and two of one
     family in the order of their parameters, so that the pair table lists
     each unordered pair of families once and gives both operand orders the
@@ -257,7 +258,7 @@ class Product:
         """``s -> int_0^s`` of the product for lags ``s`` in ``[0, horizon]``,
         one row per unordered pair of families; a term set is built here,
         once, for lags up to ``horizon``."""
-        a, b = in_family_order(self.left, self.right)
+        a, b = _in_family_order(self.left, self.right)
         terms = _terms(self, horizon)
         if terms is not None:  # EXPxEXP, EXPxPWL, PWLxPWL
             return partial(_term_sum, _exp_integral, *terms)
@@ -398,7 +399,7 @@ def _terms(kernel: Kernel, horizon: float):
     if isinstance(kernel, Pwl):
         return _pwl_terms(kernel, horizon)
     if isinstance(kernel, Product):
-        a, b = in_family_order(kernel.left, kernel.right)
+        a, b = _in_family_order(kernel.left, kernel.right)
         if isinstance(a, Pwl) and isinstance(b, Pwl):
             return _pwl_pwl_terms(a, b, horizon)
         if isinstance(a, Exp) and isinstance(b, (Exp, Pwl)):
@@ -491,7 +492,7 @@ def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
     """
     end = kernel.support_end()
     if isinstance(kernel, Product):
-        a, b = in_family_order(kernel.left, kernel.right)
+        a, b = _in_family_order(kernel.left, kernel.right)
         if isinstance(a, (Sqr, Sns)) and isinstance(b, Sns):
             _check_shared_support(a.support_end(), b.support_end())
         if isinstance(a, Exp):

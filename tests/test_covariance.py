@@ -194,6 +194,14 @@ class TestHorizonHeuristic:
         h = horizon_from_histogram(seq, 0.9)
         assert horizon_from_histogram(scaled, 0.9) == pytest.approx(60.0 * h)
 
+    def test_equal_huge_intervals_rejected(self):
+        # numpy cannot split the unit-wide range around 1e17 into 100 bins
+        seq = EventSequence(np.array([0.0, 1e17, 2e17, 3e17]), 3e17)
+        with pytest.raises(ValueError, match=r"intervals \(1e\+17 to 1e\+17\) are all equal.*tau_max \(--tau-max\)"):
+            horizon_from_histogram(seq, 0.95)
+        # equal intervals whose unit-wide range splits into 100 bins keep their horizon
+        assert horizon_from_histogram(EventSequence(np.arange(4.0), 3.0), 0.95) == pytest.approx(1.01)
+
     def test_percentile_validation(self):
         seq = EventSequence(np.array([0.1, 0.2, 1.1]), 3.0)
         with pytest.raises(ValueError):

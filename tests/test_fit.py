@@ -99,11 +99,10 @@ class TestFitSingle:
         events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 200.0, seed=1)
         est = invert_to_kernel(covariance_grid(events, 0.6, 1.0))
         assert len(est.values) == 1
-        with pytest.raises(ValueError, match="two samples"):
-            fit.fit_singles(est, list(FAMILIES))
         k1 = FitResult(kernel=Exp(0.5, 1.0), residue=0.1, verdict=stationarity_norm(Exp(0.5, 1.0)))
-        with pytest.raises(ValueError, match="two samples"):
-            fit.fit_expansions(est, k1, [("add", "EXP"), ("multiply", "SQR")])
+        answers = fit.fit_batch([(est, None, list(FAMILIES)), (est, k1, [("add", "EXP"), ("multiply", "SQR")])])
+        assert [type(a) for a in answers] == [ValueError, ValueError]
+        assert all("two samples" in str(a) for a in answers)
 
     def test_noise_robust(self):
         est = estimate_from(Exp(0.5, 1.0), noise=0.01, seed=3)
@@ -205,19 +204,19 @@ def _vectors(n):
 
 
 def _alone(estimate, tag, op=None, base=None):
-    """One fit as a level of its own: ``(starts, objective, decode)``."""
+    """One fit as a level of its own: ``(starts, bind, decode)``."""
     candidate = fit._candidate(estimate, tag, op, base)
-    starts, _, objective = fit._level([(estimate, candidate)])
-    return starts, objective, candidate[3]
+    starts, _, bind = fit._level([(estimate, candidate)])
+    return starts, bind, candidate[3]
 
 
 class TestObjective:
     @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
     def test_matches_residue_of_decoded_kernel(self, spectral_estimate, tag1, op, tag):
         est = spectral_estimate
-        starts, objective, decode = _alone(est, tag, op, BASES.get(tag1))
+        starts, bind, decode = _alone(est, tag, op, BASES.get(tag1))
         vectors = _vectors(len(starts[0]))
-        values = objective(np.array(list(vectors.values())), np.zeros(len(vectors), dtype=int))
+        values = bind(np.zeros(len(vectors), dtype=int))(np.array(list(vectors.values())))
         assert values.shape == (len(vectors),)
         for (name, x), value in zip(vectors.items(), values):
             if name == "nan":
@@ -272,30 +271,33 @@ class TestObjective:
             fit._candidate(spectral_estimate, "GAUSS")
 
 
-def _scipy_runs(objective, starts):
-    """The reference: scipy's Nelder-Mead from each start, one objective
-    row at a time, padded with zeros to the longest start."""
+def _scipy_runs(bind, starts):
+    """The reference: scipy's Nelder-Mead from each start, bound once per
+    run and scored one row at a time, padded with zeros to the longest
+    start."""
     width = max(map(len, starts))
 
     def run(i, x0):
+        score = bind(np.array([i]))
+
         def row(x):
-            return objective(np.concatenate([x, np.zeros(width - x.size)])[None, :], np.array([i]))[0]
+            return score(np.concatenate([x, np.zeros(width - x.size)])[None, :])[0]
 
         return minimize(row, np.asarray(x0, dtype=float), method="Nelder-Mead", options=fit._NM_OPTIONS)
 
     return [run(i, x0) for i, x0 in enumerate(starts)]
 
 
-def _scipy_nelder_mead(objective, starts):
+def _scipy_nelder_mead(bind, starts):
     """``fit._nelder_mead`` made of the reference runs."""
-    runs = _scipy_runs(objective, starts)
+    runs = _scipy_runs(bind, starts)
     return ([res.x for res in runs], np.array([res.fun for res in runs]), np.array([res.nit for res in runs]),
             np.array([res.success for res in runs]))
 
 
-def _assert_matches_scipy(objective, starts):
-    x, fun, nit, success = fit._nelder_mead(objective, starts)
-    reference = _scipy_runs(objective, starts)
+def _assert_matches_scipy(bind, starts):
+    x, fun, nit, success = fit._nelder_mead(bind, starts)
+    reference = _scipy_runs(bind, starts)
     assert len(x) == len(reference)
     for i, res in enumerate(reference):
         assert np.array_equal(x[i], res.x, equal_nan=True), i
@@ -328,27 +330,27 @@ class TestNelderMead:
 
     @pytest.mark.parametrize("tag1,op,tag", OBJECTIVES, ids=lambda v: v or "-")
     def test_matches_scipy(self, spectral_estimate, k1_fits, tag1, op, tag):
-        starts, objective, _ = _alone(spectral_estimate, tag, op, k1_fits.get(tag1))
-        _assert_matches_scipy(objective, starts)
+        starts, bind, _ = _alone(spectral_estimate, tag, op, k1_fits.get(tag1))
+        _assert_matches_scipy(bind, starts)
 
     def test_singles_level_matches_scipy(self, spectral_estimate):
         # the 2-field EXP, SQR and SNS runs beside the 3-field PWL runs
-        starts, _, objective = _singles_level(spectral_estimate)
+        starts, _, bind = _singles_level(spectral_estimate)
         assert sorted(set(map(len, starts))) == [2, 3]
-        _assert_matches_scipy(objective, starts)
+        _assert_matches_scipy(bind, starts)
 
     @pytest.mark.parametrize("tag1", FAMILIES)
     def test_expansions_level_matches_scipy(self, spectral_estimate, k1_fits, tag1):
         candidates = [fit._candidate(spectral_estimate, tag, op, k1_fits[tag1]) for op, tag in EXPANSIONS]
-        starts, _, objective = fit._level([(spectral_estimate, candidate) for candidate in candidates])
+        starts, _, bind = fit._level([(spectral_estimate, candidate) for candidate in candidates])
         assert len(set(map(len, starts))) > 1
-        _assert_matches_scipy(objective, starts)
+        _assert_matches_scipy(bind, starts)
 
     def test_two_estimate_singles_level_matches_scipy(self, spectral_estimate, other_estimates):
         # the runs of one kind come from two estimates with different steps
         fits = [(est, fit._candidate(est, tag)) for est in (spectral_estimate, other_estimates[0]) for tag in FAMILIES]
-        starts, _, objective = fit._level(fits)
-        _assert_matches_scipy(objective, starts)
+        starts, _, bind = fit._level(fits)
+        _assert_matches_scipy(bind, starts)
 
     def test_two_estimate_expansions_level_matches_scipy(self, spectral_estimate, other_estimates, k1_fits):
         # K1 is EXP on one estimate and SQR on the other, so the additive
@@ -356,8 +358,27 @@ class TestNelderMead:
         other = other_estimates[0]
         bases = [(spectral_estimate, k1_fits["EXP"]), (other, fit_single(other, "SQR").kernel)]
         fits = [(est, fit._candidate(est, tag, op, base)) for est, base in bases for op, tag in EXPANSIONS]
-        starts, _, objective = fit._level(fits)
-        _assert_matches_scipy(objective, starts)
+        starts, _, bind = fit._level(fits)
+        _assert_matches_scipy(bind, starts)
+
+    def test_binds_once_per_set_of_rows(self, spectral_estimate):
+        # one binding for the initial simplex, one per set of live runs and
+        # one per shrink, however many steps score the live runs
+        starts, _, bind = _singles_level(spectral_estimate)
+        calls = {"bind": 0, "score": 0}
+
+        def counted_bind(runs):
+            calls["bind"] += 1
+            score = bind(runs)
+
+            def counted_score(params):
+                calls["score"] += 1
+                return score(params)
+
+            return counted_score
+
+        fit._nelder_mead(counted_bind, starts)
+        assert calls == {"bind": 142, "score": 1302}
 
     def test_exponent_exactly_two(self, spectral_estimate):
         # p is exactly 2 on most vertices of the first simplexes, where
@@ -368,18 +389,18 @@ class TestNelderMead:
     def test_nan_start(self, spectral_estimate):
         starts = fit._starts("EXP", spectral_estimate)
         starts[3] = (math.nan, 1.0)
-        objective = _alone(spectral_estimate, "EXP")[1]
-        _assert_matches_scipy(objective, starts)
-        _, fun, _, success = fit._nelder_mead(objective, starts)
+        bind = _alone(spectral_estimate, "EXP")[1]
+        _assert_matches_scipy(bind, starts)
+        _, fun, _, success = fit._nelder_mead(bind, starts)
         assert fun[3] == math.inf and not success[3]
 
     def test_mixed_dimensions_nan_start(self, spectral_estimate):
         # a NaN in a 3-field PWL start among 2-field starts
-        starts, _, objective = _singles_level(spectral_estimate)
+        starts, _, bind = _singles_level(spectral_estimate)
         i = next(i for i, start in enumerate(starts) if len(start) == 3)
         starts[i] = (starts[i][0], math.nan, starts[i][2])
-        _assert_matches_scipy(objective, starts)
-        _, fun, _, success = fit._nelder_mead(objective, starts)
+        _assert_matches_scipy(bind, starts)
+        _, fun, _, success = fit._nelder_mead(bind, starts)
         assert fun[i] == math.inf and not success[i]
 
     def test_fit_without_finite_residue_gives_fit_error(self, spectral_estimate):
@@ -393,16 +414,16 @@ class TestNelderMead:
 
     def test_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
-        starts, objective, _ = _alone(spectral_estimate, "PWL", "multiply", k1_fits["EXP"])
-        _assert_matches_scipy(objective, starts)
-        assert not fit._nelder_mead(objective, starts)[3].any()
+        starts, bind, _ = _alone(spectral_estimate, "PWL", "multiply", k1_fits["EXP"])
+        _assert_matches_scipy(bind, starts)
+        assert not fit._nelder_mead(bind, starts)[3].any()
 
     def test_mixed_dimensions_maxiter_cap(self, spectral_estimate, k1_fits, monkeypatch):
         monkeypatch.setitem(fit._NM_OPTIONS, "maxiter", 7)
         candidates = [fit._candidate(spectral_estimate, tag, op, k1_fits["PWL"]) for op, tag in EXPANSIONS]
-        starts, _, objective = fit._level([(spectral_estimate, candidate) for candidate in candidates])
-        _assert_matches_scipy(objective, starts)
-        assert not fit._nelder_mead(objective, starts)[3].any()
+        starts, _, bind = fit._level([(spectral_estimate, candidate) for candidate in candidates])
+        _assert_matches_scipy(bind, starts)
+        assert not fit._nelder_mead(bind, starts)[3].any()
 
     def test_decompose_matches_scipy_reference(self, monkeypatch):
         events = simulate(HawkesModel(mu=0.5, kernel=Pwl(0.2, 0.5, 2.0)), 1500.0, seed=4)
@@ -416,15 +437,22 @@ class TestFitBatch:
     """``fit_batch`` answers each request as a search of its own would."""
 
     def test_singles_and_expansions_match_separate_fits(self, spectral_estimate, other_estimates):
-        # two estimates of one lag count and a third of another
-        estimates = [spectral_estimate, *other_estimates]
-        assert len({len(est.values) for est in estimates}) == 2
+        # two estimates of one lag count and two steps
+        estimates = [spectral_estimate, other_estimates[0]]
+        assert {len(est.values) for est in estimates} == {100}
+        assert len({est.delta for est in estimates}) == 2
         singles = fit.fit_batch([(est, None, FAMILIES) for est in estimates])
-        assert singles == [fit.fit_singles(est, FAMILIES) for est in estimates]
+        assert singles == [fit.fit_batch([(est, None, FAMILIES)])[0] for est in estimates]
         k1s = [min(fits, key=lambda f: f.residue) for fits in singles]
         assert len({type(k1.kernel) for k1 in k1s}) > 1
         expansions = fit.fit_batch([(est, k1, EXPANSIONS) for est, k1 in zip(estimates, k1s)])
-        assert expansions == [fit.fit_expansions(est, k1, EXPANSIONS) for est, k1 in zip(estimates, k1s)]
+        assert expansions == [fit.fit_batch([(est, k1, EXPANSIONS)])[0] for est, k1 in zip(estimates, k1s)]
+
+    def test_mixed_lag_counts_rejected(self, spectral_estimate, other_estimates):
+        # a residue sums over its row's lags, so one search needs one lag count
+        assert len(other_estimates[1].values) != len(spectral_estimate.values)
+        with pytest.raises(ValueError, match="lag count"):
+            fit.fit_batch([(spectral_estimate, None, FAMILIES), (other_estimates[1], None, ["EXP"])])
 
     def test_errors_stay_with_their_request(self, spectral_estimate):
         degenerate = KernelEstimate(values=np.zeros(50), delta=0.1, tau_max=5.0)

@@ -1,5 +1,7 @@
 """Every import in a ``hawkesdecomp`` module is used there, or marked ``# noqa``,
-and every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package, and a
+module's ``__all__`` names exactly what exists there and every public
+function or class that it defines.
 
 The package re-exports names from ``__init__.py``, which the import check
 leaves out.  No lint tool is a dependency, so the checks parse the source
@@ -86,3 +88,43 @@ def test_check_flags_unused_private_name():
         "b.py": "from .a import _SCALE\nclass _Unused:\n    pass\ny = _SCALE\n",
     }
     assert unused_private_names(sources) == ["a.py:_helper", "b.py:_Unused"]
+
+
+def all_mismatches(source: str) -> list[str]:
+    """For a module that declares ``__all__``: each name in it that the
+    module does not bind, as ``missing:name``, and each public function or
+    class it defines that ``__all__`` leaves out, as ``unlisted:name``."""
+    tree = ast.parse(source)
+    bound, public, exported = set(), [], None
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                public.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+            bound |= names
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    if exported is None:
+        return []
+    return [f"missing:{name}" for name in exported if name not in bound] + [
+        f"unlisted:{name}" for name in public if name not in exported
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_all_matches_public_definitions(path):
+    assert all_mismatches(path.read_text()) == []
+
+
+def test_check_flags_all_mismatches():
+    source = (
+        "from .fit import fit_batch\n__all__ = ['fit_batch', 'fit_singles', 'LIMIT', 'run']\nLIMIT = 3\n"
+        "def run():\n    pass\ndef helper():\n    pass\nclass Table:\n    pass\ndef _private():\n    pass\n"
+    )
+    assert all_mismatches(source) == ["missing:fit_singles", "unlisted:helper", "unlisted:Table"]
+    assert all_mismatches("def helper():\n    pass\n") == []

@@ -103,10 +103,14 @@ class TestEventIo:
             ("t\n1.0\n2.0,3.0\n4.0\n", "line 3: column count 2, expected 1 "),
             ("t\n\n1.0\n  \n2.0,3\n", "line 5: column count 2, expected 1 "),
             ("t\n1.0,2.0\n3.0,4.0\n", "line 2: column count 2, expected 1 "),
-            ("t\n1.0\nabc\n", "could not convert"),
+            ("t\n1.0\nabc\n", "line 3: could not convert 'abc' to numbers"),
+            ("t\n1_0\n", "line 2: could not convert '1_0' to numbers"),
+            ("t\n1.0\n2.0\nnan\n", "line 4: timestamp nan is not finite"),
+            ("t\n1.0\n\ninf\n5.0\n", "line 4: timestamp inf is not finite"),
         ],
         ids=["empty", "tick header", "header only", "blank rows only", "two-value row",
-             "two-value row after blank lines", "two columns", "not a number"],
+             "two-value row after blank lines", "two columns", "not a number", "digit separator",
+             "nan timestamp", "inf timestamp after a blank line"],
     )
     def test_malformed_csv_names_file(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
@@ -144,8 +148,11 @@ class TestTicks:
         "text,message",
         [("t,value\n", "no data rows"), ("t,value\n0,100\n1\n2,101\n", "line 3: column count 1, expected 2 "),
          ("t,value\n\n0,100\n\n1,2,3\n", "line 5: column count 3, expected 2 "),
-         ("t\n0\n", "expected CSV header 't,value'")],
-        ids=["header only", "one-value row", "three-value row after blank lines", "event header"],
+         ("t\n0\n", "expected CSV header 't,value'"),
+         ("t,value\n1.0,2\n2.0,x\n", "line 3: could not convert '2.0,x' to numbers"),
+         ("t,value\n1.0,2\n\n2.0, \n", "line 4: could not convert '2.0,' to numbers")],
+        ids=["header only", "one-value row", "three-value row after blank lines", "event header",
+             "not a number", "blank value"],
     )
     def test_malformed_csv_names_file(self, tmp_path, text, message):
         path = tmp_path / "ticks.csv"
@@ -616,6 +623,17 @@ class TestCli:
         out = tmp_path / "out.json"
         assert cli.main(["decompose", "--in", str(events_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {events_path}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "estimate"])
+    def test_equal_huge_intervals_exit_code(self, tmp_path, capsys, command):
+        # numpy cannot split the unit-wide range around 1e17 into 100 bins
+        events_path = tmp_path / "events.csv"
+        events_path.write_text("t\n0\n1e17\n2e17\n3e17\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--in", str(events_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the inter-event intervals (1e+17 to 1e+17) are all equal") and "--tau-max" in err
         assert not out.exists()
 
     def test_simulate_event_cap_exit_code(self, tmp_path, capsys):
