@@ -77,7 +77,6 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401 -- the benchmark tracer patches this name
 
 from .kernels import (
     FAMILIES,
@@ -573,3 +572,13 @@ def fit_expansion(estimate: KernelEstimate, fixed: FitResult, op: str, family: s
     supports.
     """
     return _fit_one((estimate, fixed, [(op, family)]))
+
+
+def __getattr__(name):
+    """``minimize``, which only the benchmark tracer reads, is imported on
+    first access, so that importing this module loads no ``scipy.optimize``."""
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

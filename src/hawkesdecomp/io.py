@@ -38,7 +38,8 @@ class InvalidSequenceError(ValueError):
 
 @dataclass(frozen=True)
 class TickSeries:
-    """Timestamped price or magnitude readings, timestamps nondecreasing."""
+    """Timestamped price or magnitude readings, timestamps finite and
+    nondecreasing."""
 
     times: np.ndarray
     values: np.ndarray
@@ -50,6 +51,8 @@ class TickSeries:
         object.__setattr__(self, "values", v)
         if t.shape != v.shape or t.ndim != 1:
             raise ValueError("times and values must be equal-length 1-D arrays")
+        if not np.isfinite(t).all():
+            raise ValueError("timestamps must be finite")
         if t.size and np.any(np.diff(t) < 0):
             raise ValueError("timestamps must be nondecreasing")
 
@@ -125,8 +128,9 @@ def write_events(events: EventSequence, path) -> None:
 
 
 def read_ticks(path) -> TickSeries:
-    """Read a two-column CSV with header ``t,value``."""
-    return TickSeries(*_read_csv(path, "t,value"))
+    """Read a two-column CSV with header ``t,value``.  A timestamp that is
+    not finite is named by its line."""
+    return TickSeries(*_read_csv(path, "t,value", finite=True))
 
 
 def extract_events_by_threshold(

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad  # noqa: F401 -- the benchmark tracer patches this name
 from scipy.linalg import blas
 
 from .kernels import _BLOCK, Kernel, Sum, _terms
@@ -221,33 +220,50 @@ def compensator_increments(model: HawkesModel, events: EventSequence) -> np.ndar
     return inc
 
 
-def exp_log_likelihood(mu: float, alpha: float, beta: float, events: EventSequence):
-    """Log-likelihood of the model ``mu + alpha exp(-beta t)`` and its
-    gradient in ``(mu, alpha, beta)``, from the same recursion.
+def _exp_sums(beta: float, events: EventSequence):
+    """One pass of the rate-``beta`` recursion: ``R_i``, ``S_i``, the
+    compensator of a unit amplitude,
+    ``M = sum_i (1 - exp(-beta (T - t_i))) / beta``, and ``dM/dbeta``.
 
-    With ``R_i = sum_{k<i} exp(-beta (t_i - t_k))`` and
-    ``S_i = sum_{k<i} (t_i - t_k) exp(-beta (t_i - t_k)) = -dR_i/dbeta``,
+    ``R_i = sum_{k<i} exp(-beta (t_i - t_k))`` and
+    ``S_i = sum_{k<i} (t_i - t_k) exp(-beta (t_i - t_k)) = -dR_i/dbeta``
+    follow ``R_i = exp(-beta d_i) (R_{i-1} + 1)`` and
     ``S_i = exp(-beta d_i) (S_{i-1} + d_i (R_{i-1} + 1))``.
     """
     ts, T = events.timestamps, events.horizon_T
     gaps = np.diff(ts, prepend=-np.inf)
     decay = np.exp(-beta * gaps)[None, :]
-    r = _recursion(decay, decay.copy(), np.zeros((gaps.size, 2)))[0]
+    band = np.zeros((gaps.size, 2))
+    r = _recursion(decay, decay.copy(), band)[0]
     drive = np.zeros_like(r)
     drive[1:] = decay[0, 1:] * gaps[1:] * (r[:-1] + 1.0)
-    s = _recursion(decay, drive[None, :], np.zeros((gaps.size, 2)))[0]
-    lam = mu + alpha * r
+    s = _recursion(decay, drive[None, :], band)[0]
     left = T - ts
-    mass = -np.expm1(-beta * left)  # 1 - exp(-beta (T - t_i))
-    total_mass = float(np.sum(mass))
-    value = float(np.sum(np.log(lam))) - mu * T - alpha / beta * total_mass
+    mass = float(np.sum(-np.expm1(-beta * left))) / beta
+    return r, s, mass, (float(np.sum(left * np.exp(-beta * left))) - mass) / beta
+
+
+def exp_log_likelihood(mu: float, alpha: float, beta: float, events: EventSequence):
+    """Log-likelihood of the model ``mu + alpha exp(-beta t)`` and its
+    gradient in ``(mu, alpha, beta)``, from one pass of ``_exp_sums``."""
+    r, s, mass, dmass = _exp_sums(beta, events)
+    lam = mu + alpha * r
+    value = float(np.sum(np.log(lam))) - mu * events.horizon_T - alpha * mass
     grad = np.array(
         [
-            float(np.sum(1.0 / lam)) - T,
-            float(np.sum(r / lam)) - total_mass / beta,
-            -alpha * float(np.sum(s / lam))
-            + alpha / beta**2 * total_mass
-            - alpha / beta * float(np.sum(left * np.exp(-beta * left))),
+            float(np.sum(1.0 / lam)) - events.horizon_T,
+            float(np.sum(r / lam)) - mass,
+            -alpha * (float(np.sum(s / lam)) + dmass),
         ]
     )
     return value, grad
+
+
+def __getattr__(name):
+    """``quad``, which only the benchmark tracer reads, is imported on first
+    access, so that importing this module loads no ``scipy.integrate``."""
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,10 +5,14 @@ function or class that it defines.
 
 The package re-exports names from ``__init__.py``, which the import check
 leaves out.  No lint tool is a dependency, so the checks parse the source
-with ``ast``.
+with ``ast``.  Last, importing the CLI loads neither ``scipy.optimize`` nor
+``scipy.integrate``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -128,3 +132,29 @@ def test_check_flags_all_mismatches():
     )
     assert all_mismatches(source) == ["missing:fit_singles", "unlisted:helper", "unlisted:Table"]
     assert all_mismatches("def helper():\n    pass\n") == []
+
+
+def test_cli_import_loads_no_optimizer_or_quadrature():
+    # the CLI runs no scipy optimizer or quadrature, so importing it must not
+    # pay for loading them
+    code = (
+        "import sys, hawkesdecomp.cli\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_traced_names_resolve_on_access():
+    # the benchmark tracer wraps these names, which load their scipy module
+    # only when read
+    from scipy.integrate import quad
+    from scipy.optimize import minimize
+
+    from hawkesdecomp import fit, likelihood, search
+
+    assert fit.minimize is minimize and search.minimize is minimize and likelihood.quad is quad
+    with pytest.raises(AttributeError, match="has no attribute 'integrate'"):
+        search.integrate

@@ -169,6 +169,21 @@ class TestTicks:
         with pytest.raises(ValueError):
             TickSeries(np.array([1.0, 0.5]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("absolute,threshold", [(True, 95.0), (False, 0.05)], ids=["absolute", "relative"])
+    def test_nan_timestamp_named_by_line(self, tmp_path, absolute, threshold):
+        # absolute extraction would drop the NaN row unseen, and relative
+        # extraction would fail naming no line
+        path = tmp_path / "ticks.csv"
+        path.write_text("t,value\n0,100\nnan,50\n1,102\n2,200\n3,90\n")
+        with pytest.raises(ValueError, match="line 3: timestamp nan is not finite") as info:
+            extract_events_by_threshold(read_ticks(path), threshold, absolute=absolute, min_events=1)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            TickSeries(np.array([0.0, bad, 1.0]), np.array([100.0, 50.0, 102.0]))
+
     def test_relative_extraction_resets_reference(self):
         # 100 -> 102 (+2%, fires), then the reference resets to 102 so
         # 103 (+0.98%) does not fire but 105 (+2.9%) does

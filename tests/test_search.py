@@ -1,13 +1,16 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from hawkesdecomp import fit, search
 from hawkesdecomp.fit import FitResult
 from hawkesdecomp.io import result_to_dict
 from hawkesdecomp.kernels import Exp, Pwl, StationarityVerdict, Sqr, Sum
+from hawkesdecomp.likelihood import exp_log_likelihood
 from hawkesdecomp.search import (
     DecompositionConfig,
     NoStationaryModelError,
@@ -87,7 +90,65 @@ class TestTrainTestSplit:
             train_test_split(EventSequence(np.array([1.0]), 2.0), 0.5)
 
 
+def _lbfgsb_llh(events, restarts):
+    """The reference: the best log-likelihood that scipy's L-BFGS-B reaches
+    on the exponential model from the first ``restarts`` starts of the GD
+    ladder, each with the ``(mu, alpha)`` it was given when GD ran L-BFGS-B."""
+    lam = len(events) / events.horizon_T
+    starts = [
+        (lam, 1.0, 1.0),
+        (0.5 * lam, 0.5 * lam, lam),
+        (0.8 * lam, 0.2 * lam, 0.5 * lam),
+        (0.2 * lam, lam, 1.6 * lam),
+        (0.9 * lam, 2.0 * lam, 4.0 * lam),
+    ][:restarts]
+    assert [x0[2] for x0 in starts] == search._gd_starts(events, restarts)
+
+    def objective(params):
+        value, grad = exp_log_likelihood(*params, events)
+        return (-value, -grad) if math.isfinite(value) else (1e30, np.zeros(3))
+
+    runs = [minimize(objective, np.array(x0), jac=True, method="L-BFGS-B", bounds=[(1e-10, None)] * 3) for x0 in starts]
+    return max(-float(run.fun) for run in runs)
+
+
 class TestGdBaseline:
+    @pytest.mark.parametrize("restarts", [1, 5])
+    @pytest.mark.parametrize("kernel", [Exp(0.5, 1.0), Pwl(0.15, 0.3, 2.0)], ids=["EXP", "PWL"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reaches_lbfgsb_optimum(self, seed, kernel, restarts):
+        # both truths have norm 0.5, so about 2000 events each
+        events = simulate(HawkesModel(mu=0.5, kernel=kernel), 2000.0, seed=seed)
+        gd = fit_gd_exponential(events, restarts)
+        assert gd.llh >= _lbfgsb_llh(events, restarts) - 1e-6
+
+    @pytest.mark.parametrize(
+        "events,cap,reason",
+        [
+            # evenly spaced events: no rate excites, so alpha sits at its floor
+            (EventSequence(np.arange(1.0, 201.0), 201.0), None, "at the alpha floor"),
+            # a rate that grows with time is fit best by alpha > beta
+            (EventSequence(np.sqrt(np.arange(1.0, 2001.0)), 45.0), None, "non-stationary"),
+            (simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3), 2, "at its cap"),
+        ],
+        ids=["floor", "non-stationary", "cap"],
+    )
+    def test_search_ends_logged_at_debug(self, caplog, monkeypatch, events, cap, reason):
+        if cap is not None:
+            monkeypatch.setattr(search, "_GD_CAP", cap)
+        with caplog.at_level(logging.DEBUG, logger="hawkesdecomp.search"):
+            fit_gd_exponential(events)
+        records = [r for r in caplog.records if r.name == "hawkesdecomp.search"]
+        assert records and all(r.levelno == logging.DEBUG for r in records)
+        assert reason in [r.args[1] for r in records]
+        assert logging.getLogger("hawkesdecomp.search").handlers == []
+
+    def test_converged_search_not_logged(self, caplog):
+        events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
+        with caplog.at_level(logging.DEBUG, logger="hawkesdecomp.search"):
+            fit_gd_exponential(events)
+        assert [r for r in caplog.records if r.name == "hawkesdecomp.search"] == []
+
     def test_recovers_exponential_parameters(self):
         model = HawkesModel(mu=1.0, kernel=Exp(0.5, 1.0))
         events = simulate(model, 2000.0, seed=1)
@@ -115,14 +176,14 @@ class TestGdBaseline:
 
     def test_nan_objective_gives_unusable_fit(self, monkeypatch):
         # no restart ends at a finite point: a valid model with -inf, no crash
-        monkeypatch.setattr(search, "_gd_objective", lambda params, events: (math.nan, np.full(3, math.nan)))
+        monkeypatch.setattr(search, "_gd_profile", lambda beta, events, s: (math.nan,) * 4)
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
         gd = fit_gd_exponential(events)
         assert gd.llh == -math.inf
         assert isinstance(gd.model, HawkesModel) and isinstance(gd.model.kernel, Exp)
 
     def test_nan_objective_and_no_level_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "_gd_objective", lambda params, events: (math.nan, np.full(3, math.nan)))
+        monkeypatch.setattr(search, "_gd_profile", lambda beta, events, s: (math.nan,) * 4)
         monkeypatch.setattr(search, "select_level", lambda k1, k2, eta: None)
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
         with pytest.raises(NoStationaryModelError):
@@ -275,13 +336,13 @@ class TestDecomposeBatch:
 
     def test_no_stationary_model_fails_alone(self, three_sequences, monkeypatch):
         # no level is usable, and the GD fit fails on the second sequence only
-        objective, second = search._gd_objective, three_sequences[1]
+        profile, second = search._gd_profile, three_sequences[1]
 
-        def nan_for_second(params, events):
-            return (math.nan, np.full(3, math.nan)) if events is second else objective(params, events)
+        def nan_for_second(beta, events, s):
+            return (math.nan,) * 4 if events is second else profile(beta, events, s)
 
         monkeypatch.setattr(search, "select_level", lambda k1, k2, eta: None)
-        monkeypatch.setattr(search, "_gd_objective", nan_for_second)
+        monkeypatch.setattr(search, "_gd_profile", nan_for_second)
         alone = _one_by_one(three_sequences)
         assert alone[1] == (NoStationaryModelError, "no stationary model found")
         assert _batched(three_sequences) == alone
