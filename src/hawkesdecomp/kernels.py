@@ -43,7 +43,7 @@ tied encoding of ``fit._candidate``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Union
 
@@ -101,7 +101,9 @@ class _Family:
         # the curve is 0 past the support end, so lags clamp to twice that
         # end, which keeps sin off infinite lags
         end = 2.0 * self.support_end()
-        return np.where(t >= 0, self.curve(np.minimum(np.maximum(t, 0.0), end), *astuple(self)), 0.0)
+        # the instance dict holds the fields in order; dataclasses.astuple
+        # would deep-copy them, in every Newton step and pair chunk
+        return np.where(t >= 0, self.curve(np.minimum(np.maximum(t, 0.0), end), *vars(self).values()), 0.0)
 
     def compensator_within(self, horizon: float):
         """``compensator`` for lags up to ``horizon``; a base family's needs
@@ -213,9 +215,7 @@ def _in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKern
     family in the order of their parameters, so that the pair table lists
     each unordered pair of families once and gives both operand orders the
     same bits."""
-    order = list(FAMILIES.values())
-    key_a, key_b = (order.index(type(a)), astuple(a)), (order.index(type(b)), astuple(b))
-    return (b, a) if key_a > key_b else (a, b)
+    return tuple(sorted((a, b), key=lambda k: (list(FAMILIES).index(k.family), *vars(k).values())))
 
 
 @dataclass(frozen=True)
@@ -269,9 +269,7 @@ class Product:
         if isinstance(a, Sns):  # SNSxSNS
             return partial(_sine_sine_integral, a, b, self.support_end())
         # EXPxSNS, PWLxSNS
-        end = b.support_end()
-        sine_sum = partial(_term_sum, partial(_sine_integral, b), *_terms(a, min(horizon, end)))
-        return lambda s: sine_sum(np.minimum(s, end))
+        return partial(_term_sum, partial(_sine_integral, b), *_terms(a, min(horizon, b.support_end())))
 
     def support_end(self) -> float:
         return min(self.left.support_end(), self.right.support_end())
@@ -321,9 +319,6 @@ def support_end(kernel: Kernel) -> float:
 # trapezoid error and cut-off tail mass of a term set, relative to the kernel
 _TERM_TOL = 1e-13
 _TAIL_TOL = 1e-14
-# terms per block of a weighted sum, here and in each likelihood recursion
-# call; the likelihood's (_BLOCK, n) arrays bound its working set
-_BLOCK = 4
 # the elements of one chunk of ``_term_sum``'s integrals, at most
 _CHUNK = 2**16
 
@@ -409,19 +404,19 @@ def _terms(kernel: Kernel, horizon: float):
 
 
 def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``sum_j w_j integral(z_j, s)`` at each ``s``.
+    """``sum_j w_j integral(z_j, s)`` at each lag of the 1-D ``s``.
 
-    The integrals are evaluated a chunk of terms at a time, the largest
-    multiple of ``_BLOCK`` terms whose values fit in ``_CHUNK`` elements
-    (at least ``_BLOCK``).  The sum adds ``_BLOCK`` terms at a time, in
-    term order, so its bits do not depend on the chunk.
+    The integrals are evaluated a chunk of lags at a time, as many as fit
+    their (lags, terms) values in ``_CHUNK`` elements (at least one).  Each
+    lag's weighted terms add in one pairwise sum along that contiguous
+    axis, so its bits do not depend on the other lags of the call, and the
+    rounding grows as ``log J``.
     """
-    out = np.zeros(s.shape)
-    chunk = max(_CHUNK // max(s.size, 1) // _BLOCK, 1) * _BLOCK
-    for c in range(0, z.size, chunk):
-        values = integral(z[c : c + chunk, None], s)
-        for j in range(0, len(values), _BLOCK):
-            out += w[c + j : c + j + _BLOCK] @ values[j : j + _BLOCK]
+    out, step = np.empty(s.shape), max(_CHUNK // z.size, 1)
+    for c in range(0, s.size, step):
+        values = integral(z, s[c : c + step, None])
+        values *= w
+        values.sum(axis=1, out=out[c : c + step])
     return out
 
 
@@ -453,11 +448,25 @@ def _one_minus_sinc(x):
     return np.where(small, series, 1.0 - np.sin(x) / np.where(small, 1.0, x))
 
 
+# 1/k! for k = 19 down to 1: the small-lag series of ``_sine_integral``
+_SINE_SERIES = [1.0 / math.factorial(k) for k in range(19, 0, -1)]
+
+
 def _sine_integral(sns: Sns, z, m):
-    """``int_0^m exp(-z u) a sin(omega u) du`` for ``m`` within the half-wave."""
-    w = sns.omega
+    """``int_0^m exp(-z u) a sin(omega u) du`` for the (J,) rates ``z`` and
+    the (L, 1) lags ``m``, clamped to the half-wave.
+
+    That is ``a m Im(sum_k v^k / (k+1)!)`` for ``v = (i omega - z) m``.
+    Where ``|v| < 1`` it is 19 terms of that series, which are exact to
+    rounding there, since the closed form cancels."""
+    w, m = sns.omega, np.minimum(m, math.pi / sns.omega)
     num = w - np.exp(-z * m) * (z * np.sin(w * m) + w * np.cos(w * m))
-    return sns.a * num / (z * z + w * w)
+    out = sns.a * num / (z * z + w * w)
+    small = (z * z + w * w) * (m * m) < 1.0
+    if small.any():
+        zs, ms = (np.broadcast_to(x, small.shape)[small] for x in (z, m))
+        out[small] = sns.a * ms * np.polyval(_SINE_SERIES, (1j * w - zs) * ms).imag
+    return out
 
 
 # ---------------------------------------------------------------------------

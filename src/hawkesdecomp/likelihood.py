@@ -17,8 +17,10 @@ addend of a kernel takes one of two routes, by its support:
   term, ``R_i = sum_{k<i} exp(-z (t_i - t_k))`` follows Ozaki's (1979)
   recursion ``R_i = exp(-z d_i) (R_{i-1} + 1)`` on the event-time
   differences ``d_i``.  That recursion is a unit lower-bidiagonal solve,
-  which BLAS ``dtbsv`` runs in compiled code, a few terms per call, so the
-  cost is O(n J) and no (J, n) array is built.
+  which BLAS ``dtbsv`` runs in compiled code on a slab of terms per call,
+  as many as fit in ``_SLAB`` elements and at least 4; each slab adds into
+  the intensities or increments with one product, so the cost is O(n J)
+  and no (J, n) array is built.
 * Finite support: any kernel with a SQR or SNS factor is summed exactly
   over the event pairs that lie within its support end, in O(n w), where
   w is the mean number of events in one support window.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .kernels import _BLOCK, Kernel, Sum, _terms
+from .kernels import Kernel, Sum, _terms
 from .simulate import EventSequence, HawkesModel
 
 __all__ = [
@@ -89,21 +91,28 @@ def _recursion(decay: np.ndarray, rhs: np.ndarray, band: np.ndarray) -> np.ndarr
     return blas.dtbsv(1, band.T, rhs.ravel(), lower=1, diag=1, overwrite_x=1).reshape(decay.shape)
 
 
-def _decay_sums(z: np.ndarray, gaps: np.ndarray):
-    """Blocks ``(j, R)`` of ``R[j', i] = sum_{k<i} exp(-z_j' (t_i - t_k))``
-    for the ``_BLOCK`` rates from ``z[j]`` on; ``gaps`` is
-    ``diff(ts, prepend=-inf)``.
+# the elements of one slab of ``_decay_sums``, at most; a slab has at least
+# 4 terms, so long sequences still take few calls per term set
+_SLAB = 2**14
 
-    Every block is solved in the same (B, n) and (B n, 2) buffers, kept for
-    the whole pass, so each block's ``R`` overwrites the one before; fresh
-    arrays per block would be mapped and faulted in again every time.
+
+def _decay_sums(z: np.ndarray, ts: np.ndarray):
+    """Slabs ``(terms, R)`` of ``R[j, i] = sum_{k<i} exp(-z_j (t_i - t_k))``
+    for the rates ``z[terms]``, as many as fit in ``_SLAB`` elements (at
+    least 4).
+
+    Every slab is solved in the same (B, n) and (B n, 2) buffers, kept for
+    the whole pass, so each slab's ``R`` overwrites the one before; fresh
+    arrays per slab would be mapped and faulted in again every time.
     """
-    rows = min(_BLOCK, z.size)
-    decay, band = np.empty((rows, gaps.size)), np.zeros((rows * gaps.size, 2))
-    for j in range(0, z.size, _BLOCK):
-        block = decay[: min(_BLOCK, z.size - j)]
-        np.exp(np.multiply.outer(-z[j : j + _BLOCK], gaps, out=block), out=block)
-        yield j, _recursion(block, block, band[: block.size])
+    gaps = np.diff(ts, prepend=-np.inf)
+    step = max(_SLAB // ts.size, 4)
+    decay = np.empty((min(step, z.size), ts.size))
+    band = np.zeros((decay.size, 2))
+    for j in range(0, z.size, step):
+        slab = decay[: z[j : j + step].size]
+        np.exp(np.multiply.outer(-z[j : j + step], gaps, out=slab), out=slab)
+        yield slice(j, j + step), _recursion(slab, slab, band[: slab.size])
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +172,8 @@ def _event_intensities(model: HawkesModel, events: EventSequence) -> np.ndarray:
     ts = events.timestamps
     lam = np.full(ts.size, model.mu, dtype=float)
     w, z, finite = _split(model.kernel, float(ts[-1] - ts[0]))
-    gaps = np.diff(ts, prepend=-np.inf)
-    for j, sums in _decay_sums(z, gaps):
-        lam += w[j : j + _BLOCK] @ sums
+    for terms, sums in _decay_sums(z, ts):
+        lam += w[terms] @ sums
     for part in finite:
         for rows, i, k in _window_pairs(ts, part.support_end(), 0):
             values = part.evaluate(ts[i] - ts[k])
@@ -198,20 +206,17 @@ def compensator_increments(model: HawkesModel, events: EventSequence) -> np.ndar
     the running totals.
     """
     ts = events.timestamps
-    n = ts.size
-    if n == 0:
+    if ts.size == 0:
         return np.empty(0)
     inc = model.mu * np.diff(ts, prepend=0.0)
     w, z, finite = _split(model.kernel, float(ts[-1] - ts[0]))
-    gaps = np.diff(ts, prepend=-np.inf)
-    weights, steps, falls = w / z, gaps[1:], np.empty((min(_BLOCK, z.size), n - 1))
-    for j, sums in _decay_sums(z, gaps):
+    weights, steps = w / z, np.diff(ts)
+    for terms, sums in _decay_sums(z, ts):
         # the events k < i add w/z (R_{i-1} + 1) (1 - exp(-z (t_i - t_{i-1}))),
         # summed here as the negated exp(-z (t_i - t_{i-1})) - 1
-        fall = falls[: sums.shape[0]]
-        np.expm1(np.multiply.outer(-z[j : j + _BLOCK], steps, out=fall), out=fall)
+        fall = np.expm1(np.multiply.outer(-z[terms], steps))
         fall *= np.add(sums[:, :-1], 1.0, out=sums[:, :-1])
-        inc[1:] -= weights[j : j + _BLOCK] @ fall
+        inc[1:] -= weights[terms] @ fall
     for part in finite:
         integral = part.compensator_within(part.support_end())
         for rows, i, k in _window_pairs(ts, part.support_end(), 1):

@@ -313,8 +313,10 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     wins.  Each search that ends at its cap, at the ``alpha`` floor, at no
     finite point or at a non-stationary root is logged at DEBUG.
 
-    A non-stationary optimum (alpha >= beta) is reported with an ``-inf``
-    likelihood, and so is a fit where no rate gives a finite point.
+    The best finite point with ``alpha < beta`` wins.  Only when there is
+    none is the fit reported with an ``-inf`` likelihood: the best finite
+    point, non-stationary, or the generic start when no rate gives a finite
+    point.
     """
     if len(events) < 2:
         raise ValueError("need at least two events")
@@ -348,7 +350,8 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     if not finite:
         # no rate gave a finite point: report the generic start, unusable
         return GdFit(model=HawkesModel(mu=len(events) / events.horizon_T, kernel=Exp(1.0, 1.0)), llh=-math.inf)
-    x, (value, _, s, alpha) = max(finite, key=lambda item: item[1][0])
+    # a stationary point (alpha < beta) first, then the higher likelihood
+    x, (value, _, s, alpha) = max(finite, key=lambda item: (item[1][3] < math.exp(item[0]), item[1][0]))
     beta = math.exp(x)
     model = HawkesModel(mu=len(events) * s / events.horizon_T, kernel=Exp(alpha, beta))
     return GdFit(model=model, llh=value if alpha < beta else -math.inf)

@@ -58,14 +58,11 @@ def bisect_compensator(kernel, horizon: float, targets: np.ndarray) -> np.ndarra
     return hi
 
 
-def term_sum_blocks(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The former ``kernels._term_sum``, kept as an oracle: each block of
-    four terms evaluates its own integrals, and the blocks add in term
-    order."""
-    out = np.zeros(s.shape)
-    for j in range(0, z.size, 4):
-        out += w[j : j + 4] @ integral(z[j : j + 4, None], s)
-    return out
+def term_sum_by_lag(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``kernels._term_sum`` one lag at a time, kept as an oracle: each lag
+    evaluates its own integrals, and its weighted terms add in one pairwise
+    sum."""
+    return np.array([np.add.reduce(w * integral(z, np.array([[lag]]))[0]) for lag in s])
 
 
 def dense_covariance(events, delta: float, n_lags: int):

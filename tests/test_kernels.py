@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_norm, term_sum_blocks
+from conftest import quad_norm, term_sum_by_lag
 from hawkesdecomp import kernels
 from hawkesdecomp.kernels import (
     FAMILIES,
@@ -189,6 +189,12 @@ def mp_relative_error(value, exact) -> float:
     return float(abs((mpmath.mpf(value) - exact) / exact))
 
 
+def mp_sine_term(w, z, s):
+    """``w int_0^s exp(-z u) sin(u) du`` in mpmath's precision."""
+    w, z, m = mpmath.mpf(w), mpmath.mpf(z), mpmath.mpf(s)
+    return w * (1 - mpmath.exp(-z * m) * (z * mpmath.sin(m) + mpmath.cos(m))) / (z * z + 1)
+
+
 class TestNormsAtFitBounds:
     """Product norms against 40-digit closed forms or quadrature, with unit
     amplitudes."""
@@ -337,12 +343,13 @@ class TestTermSumChunks:
 
     @pytest.mark.parametrize("size", [1, 7, 4097, 2**16 + 3])
     @pytest.mark.parametrize("kernel", PRODUCTS, ids=str)
-    def test_same_bits_as_four_term_blocks(self, kernel, size, monkeypatch):
-        # at 4097 lags a chunk is 12 terms of the 67-91, so chunk edges fall
-        # mid-set; past 2^16 lags a chunk is one block
+    def test_same_bits_as_one_lag_at_a_time(self, kernel, size, monkeypatch):
+        # a chunk holds 720-978 lags of the 67-91-term sets, so at 4097 lags
+        # the last chunk is partial; past 2^16 lags even the one-term set
+        # takes two chunks
         s = np.random.default_rng(size).uniform(0.0, self.HORIZON, size)
         chunked = kernel.compensator_within(self.HORIZON)(s)
-        monkeypatch.setattr(kernels, "_term_sum", term_sum_blocks)
+        monkeypatch.setattr(kernels, "_term_sum", term_sum_by_lag)
         assert np.array_equal(chunked, kernel.compensator_within(self.HORIZON)(s))
 
 
@@ -365,6 +372,19 @@ class TestCompensatorAtSmallLags:
         with mpmath.workdps(40):
             for s in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, k.support_end()):
                 exact = mpmath.quad(lambda u: mpmath.sin(w1 * u) * mpmath.sin(w2 * u), [0, s])
+                value = k.compensator(np.array([s]))[0]
+                assert mp_relative_error(value, exact) <= 1e-14, s
+
+    @pytest.mark.parametrize("decay", [Exp(1.0, 1.0), Pwl(1.0, 1.0, 2.0)], ids=str)
+    def test_decaying_sine(self, decay):
+        # each term's closed form cancels for |z - i omega| s << 1: at s = 1e-6
+        # it lost 9e-5.  The exact value is that of the product's own term
+        # set, the EXP itself or the PWL's to the term-set tolerance (3e-14 at
+        # lag 0 here), so the cancellation is measured apart from that
+        k = Product(decay, Sns(1.0, 1.0))
+        with mpmath.workdps(50):
+            for s in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, k.support_end()):
+                exact = sum(mp_sine_term(w, z, s) for w, z in zip(*kernels._terms(decay, s)))
                 value = k.compensator(np.array([s]))[0]
                 assert mp_relative_error(value, exact) <= 1e-14, s
 

@@ -330,6 +330,15 @@ class TestEngineAgainstBruteForce:
         np.testing.assert_array_equal(likelihood._event_intensities(model, events), whole[0])
         np.testing.assert_array_equal(compensator_increments(model, events), whole[1])
 
+    @pytest.mark.parametrize("shape", [("PWL",), ("+", "EXP", "PWL"), ("x", "PWL", "PWL")], ids="".join)
+    def test_term_slabs_do_not_change_the_sums(self, shape, monkeypatch):
+        # 20-300 events take slabs of 54 or more terms, against 4 at the floor
+        model, events = shape_model(shape, seed=7)
+        whole = likelihood._event_intensities(model, events), compensator_increments(model, events)
+        monkeypatch.setattr(likelihood, "_SLAB", 0)
+        np.testing.assert_allclose(likelihood._event_intensities(model, events), whole[0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(compensator_increments(model, events), whole[1], rtol=1e-14, atol=0)
+
     def test_no_mpmath(self):
         for module in (likelihood, kernels):
             assert "mpmath" not in vars(module), module.__name__

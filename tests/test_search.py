@@ -143,6 +143,14 @@ class TestGdBaseline:
         assert reason in [r.args[1] for r in records]
         assert logging.getLogger("hawkesdecomp.search").handlers == []
 
+    def test_non_stationary_root_loses_to_a_stationary_point(self):
+        # a rate that grows with time: the best root has alpha >= beta, yet
+        # at beta = 44 the profile is finite with alpha at its floor
+        events = EventSequence(np.sqrt(np.arange(1.0, 2001.0)), 45.0)
+        gd = fit_gd_exponential(events)
+        assert gd.model.kernel.alpha < gd.model.kernel.beta
+        assert math.isfinite(gd.llh) and gd.llh >= search._gd_profile(44.0, events, 0.5)[0]
+
     def test_converged_search_not_logged(self, caplog):
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
         with caplog.at_level(logging.DEBUG, logger="hawkesdecomp.search"):
