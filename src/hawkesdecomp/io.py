@@ -67,13 +67,13 @@ class ReportBundle:
     qq_observed: np.ndarray
 
 
-def _read_csv(path, header: str, finite: bool = False) -> np.ndarray:
+def _read_csv(path, header: str) -> np.ndarray:
     """The columns of a CSV file whose first row is ``header``, as the rows
     of one array; blank and whitespace-only lines are skipped.
 
     Raises ``ValueError`` naming the file when the header differs, when no
-    data row follows it, or when a row is not ``header``'s width of numbers,
-    or, with ``finite``, when a value of the first column is not finite.
+    data row follows it, when a row is not ``header``'s width of numbers,
+    or when a value of the first column, the timestamp, is not finite.
     Such a row is named by its line in the file.
     """
     lines = Path(path).read_text().splitlines()
@@ -99,7 +99,7 @@ def _read_csv(path, header: str, finite: bool = False) -> np.ndarray:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: could not convert {line.strip()!r} to numbers") from None
         raise ValueError(f"{path}: {table}")
-    if finite and not np.isfinite(table[:, 0]).all():
+    if not np.isfinite(table[:, 0]).all():
         row = int(np.argmin(np.isfinite(table[:, 0])))
         raise ValueError(f"{path}: line {[n for n, _ in data_lines][row]}: timestamp {table[row, 0]} is not finite")
     return table.T
@@ -114,7 +114,7 @@ def read_events(path, unit: float = 1.0, horizon: float | None = None) -> EventS
     """
     if not (math.isfinite(unit) and unit > 0):
         raise ValueError(f"unit must be finite and positive, got {unit!r}")
-    raw = _read_csv(path, "t", finite=True)[0]
+    raw = _read_csv(path, "t")[0]
     with np.errstate(over="ignore"):
         ts = raw / unit  # exact when unit is 1
     if np.any(np.isinf(ts) & np.isfinite(raw)):
@@ -130,7 +130,7 @@ def write_events(events: EventSequence, path) -> None:
 def read_ticks(path) -> TickSeries:
     """Read a two-column CSV with header ``t,value``.  A timestamp that is
     not finite is named by its line."""
-    return TickSeries(*_read_csv(path, "t,value", finite=True))
+    return TickSeries(*_read_csv(path, "t,value"))
 
 
 def extract_events_by_threshold(

@@ -15,26 +15,28 @@ immutable values; every function in this module is pure.
 
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
 holds all of the family's one-kernel math: the static ``curve``, the
-family's formula on raw parameters, and the methods ``compensator`` and
-``support_end``; the one ``_Family.evaluate`` wraps ``curve``.  Its
-dataclass fields, in order, are its parameters and its JSON keys.  The
-integral of a product of two families is in one pair table,
-``Product.compensator_within``, whose rows for the completely monotone pairs
-(EXPxEXP, EXPxPWL, PWLxPWL) and the decaying sines (EXPxSNS, PWLxSNS) run
-on the exponential-sum term sets of ``_terms``.  The stationarity norm of
-every kernel is its compensator at the support end, so each norm is exact
-to the term sets' tolerance.  ``compensator_within(horizon)`` gives
-the same integral as a function of the lag, with a product's term set
-built once for lags up to ``horizon``; the simulator draws its lags by
-inverting it, so every kernel it accepts is sampled through that one
-method.  The fits live in ``fit``: each of the twelve is one
+family's formula on raw parameters, and the methods ``compensator``,
+``terms`` and ``support_end``; the one ``_Family.evaluate`` wraps ``curve``.
+Its dataclass fields, in order, are its parameters and its JSON keys.
+``terms(horizon)`` is a kernel's exponential-sum term set on
+``[0, horizon]``: one term for EXP, the Laplace set for PWL, the pair rows
+of ``Product.terms`` for EXPxEXP, EXPxPWL and PWLxPWL, and None for every
+kernel with a finite support.  Every kernel integrates through one
+method, ``compensator_within(horizon)``, which gives ``s -> int_0^s`` for
+lags up to ``horizon``; a product's is one pair table, whose rows for the
+completely monotone pairs and the decaying sines (EXPxSNS, PWLxSNS) run on
+those term sets, built once per call.  The stationarity norm of every
+kernel is that integral at the support end, so each norm is exact to the
+term sets' tolerance.  The simulator draws its lags by inverting the same
+integral, so every kernel it accepts is sampled through that one method.
+The fits live in ``fit``: each of the twelve is one
 ``fit._candidate``, whose starts come from the family's rule in
 ``fit._starts``.  A fitted product is ``Product(K1, factor)``, and the
 factor's amplitude (its first field) is 1, since the two amplitudes only
 enter as their product; in SQRxSNS, SNSxSQR and SNSxSNS one ``omega`` also
 sets both supports, a pulse's as ``l = pi/omega``.  A new family is a class
 here with its amplitude as its first field, its
-``Product.compensator_within`` rows (and its term set, when it is completely
+``Product.compensator_within`` rows (and its ``terms``, when it is completely
 monotone), a start rule in ``fit._starts``, and, only if its products with
 another family must share a support end as SQR and SNS do, a place in the
 tied encoding of ``fit._candidate``.
@@ -110,6 +112,11 @@ class _Family:
         nothing built first."""
         return self.compensator
 
+    def terms(self, horizon: float):
+        """Weights and rates ``(w, z)`` with ``kernel(t) = sum_j w_j exp(-z_j t)``
+        on ``[0, horizon]``, or None for a kernel with a finite support."""
+        return None
+
     @property
     def family(self) -> str:
         """The tag this kernel's class is listed under in ``FAMILIES``."""
@@ -129,6 +136,9 @@ class Exp(_Family):
 
     def compensator(self, s):
         return (self.alpha / self.beta) * -np.expm1(-self.beta * s)
+
+    def terms(self, horizon: float):
+        return np.array([self.alpha]), np.array([self.beta])
 
     def support_end(self) -> float:
         return math.inf
@@ -159,6 +169,12 @@ class Pwl(_Family):
         # k (c^-q - (c+s)^-q) / q without cancellation at small q or s
         q = self.p - 1.0
         return self.k * self.c**-q * -np.expm1(-q * np.log1p(s / self.c)) / q
+
+    def terms(self, horizon: float):
+        # the trapezoid rule on the Laplace form of (c + t)^-p
+        h, x = _laplace_nodes(self.p, self.c, self.c, horizon)
+        s = np.exp(x)
+        return self.k * np.exp(math.log(h) + self.p * x - self.c * s - special.gammaln(self.p)), s
 
     def support_end(self) -> float:
         return math.inf
@@ -228,9 +244,6 @@ class Sum:
     def evaluate(self, t):
         return self.left.evaluate(t) + self.right.evaluate(t)
 
-    def compensator(self, s):
-        return self.left.compensator(s) + self.right.compensator(s)
-
     def compensator_within(self, horizon: float):
         left, right = self.left.compensator_within(horizon), self.right.compensator_within(horizon)
         return lambda s: left(s) + right(s)
@@ -250,16 +263,12 @@ class Product:
     def evaluate(self, t):
         return self.left.evaluate(t) * self.right.evaluate(t)
 
-    def compensator(self, s):
-        """``int_0^s`` of the product for an array ``s >= 0``."""
-        return self.compensator_within(float(s.max()))(s)
-
     def compensator_within(self, horizon: float):
         """``s -> int_0^s`` of the product for lags ``s`` in ``[0, horizon]``,
         one row per unordered pair of families; a term set is built here,
         once, for lags up to ``horizon``."""
         a, b = _in_family_order(self.left, self.right)
-        terms = _terms(self, horizon)
+        terms = self.terms(horizon)
         if terms is not None:  # EXPxEXP, EXPxPWL, PWLxPWL
             return partial(_term_sum, _exp_integral, *terms)
         if isinstance(b, Sqr):  # the pulse is a constant on [0, l]
@@ -269,7 +278,18 @@ class Product:
         if isinstance(a, Sns):  # SNSxSNS
             return partial(_sine_sine_integral, a, b, self.support_end())
         # EXPxSNS, PWLxSNS
-        return partial(_term_sum, partial(_sine_integral, b), *_terms(a, min(horizon, b.support_end())))
+        return partial(_term_sum, partial(_sine_integral, b), *a.terms(min(horizon, b.support_end())))
+
+    def terms(self, horizon: float):
+        """The term set ``(w, z)`` of a completely monotone product (EXPxEXP,
+        EXPxPWL, PWLxPWL) on ``[0, horizon]``, or None for any other pair."""
+        a, b = _in_family_order(self.left, self.right)
+        if isinstance(a, Pwl) and isinstance(b, Pwl):
+            return _pwl_pwl_terms(a, b, horizon)
+        if isinstance(a, Exp) and isinstance(b, (Exp, Pwl)):
+            w, z = b.terms(horizon)
+            return a.alpha * w, z + a.beta
+        return None
 
     def support_end(self) -> float:
         return min(self.left.support_end(), self.right.support_end())
@@ -347,13 +367,6 @@ def _laplace_nodes(shape: float, c_lo: float, c_hi: float, horizon: float):
     return h, np.arange(math.log(s_lo), math.log(s_hi) + h, h)
 
 
-def _pwl_terms(kernel: Pwl, horizon: float):
-    k, c, p = kernel.k, kernel.c, kernel.p
-    h, x = _laplace_nodes(p, c, c, horizon)
-    s = np.exp(x)
-    return k * np.exp(math.log(h) + p * x - c * s - special.gammaln(p)), s
-
-
 def _kummer_decay(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """``1F1(a; b; -x)`` for ``x >= 0`` and ``0 < a < b``.
 
@@ -384,23 +397,6 @@ def _pwl_pwl_terms(a: Pwl, b: Pwl, horizon: float):
     s = np.exp(x)
     density = np.exp(math.log(h) + shape * x - b.c * s - special.gammaln(shape))
     return a.k * b.k * density * _kummer_decay(a.p, shape, (a.c - b.c) * s), s
-
-
-def _terms(kernel: Kernel, horizon: float):
-    """Weights and rates ``(w, z)`` with ``kernel(t) = sum_j w_j exp(-z_j t)``
-    on ``[0, horizon]``, or None for a kernel with a finite support."""
-    if isinstance(kernel, Exp):
-        return np.array([kernel.alpha]), np.array([kernel.beta])
-    if isinstance(kernel, Pwl):
-        return _pwl_terms(kernel, horizon)
-    if isinstance(kernel, Product):
-        a, b = _in_family_order(kernel.left, kernel.right)
-        if isinstance(a, Pwl) and isinstance(b, Pwl):
-            return _pwl_pwl_terms(a, b, horizon)
-        if isinstance(a, Exp) and isinstance(b, (Exp, Pwl)):
-            w, z = _terms(b, horizon)
-            return a.alpha * w, z + a.beta
-    return None
 
 
 def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -506,7 +502,7 @@ def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
             _check_shared_support(a.support_end(), b.support_end())
         if isinstance(a, Exp):
             end = min(end, 40.0 / a.beta)
-    norm = float(kernel.compensator(np.array([end]))[0])
+    norm = float(kernel.compensator_within(end)(np.array([end]))[0])
     return StationarityVerdict(norm_value=norm, stationary=0.0 <= norm < 1.0)
 
 

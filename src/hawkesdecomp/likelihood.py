@@ -5,9 +5,10 @@ computes the event intensities and the time-rescaling increments.  Each
 addend of a kernel takes one of two routes, by its support:
 
 * Infinite support: EXP, PWL, EXPxEXP, EXPxPWL and PWLxPWL are completely
-  monotone, so each is written as J real terms ``sum_j w_j exp(-z_j t)``
-  (``kernels._terms``).  EXP is one exact term.  PWL is the trapezoid rule in ``x = log s`` on its
-  Laplace form ``(c+t)^-p = int s^(p-1) e^(-c s) e^(-t s) ds / Gamma(p)``
+  monotone, so each is written as J real terms ``sum_j w_j exp(-z_j t)``,
+  its ``terms(horizon)``.  EXP is one exact term.  PWL is the trapezoid
+  rule in ``x = log s`` on its Laplace form
+  ``(c+t)^-p = int s^(p-1) e^(-c s) e^(-t s) ds / Gamma(p)``
   (Beylkin & Monzon 2005, 2010).  EXPxPWL shifts every rate by beta.
   PWLxPWL uses one term set from the product's Laplace density, the
   convolution of the two gamma densities,
@@ -25,9 +26,9 @@ addend of a kernel takes one of two routes, by its support:
   over the event pairs that lie within its support end, in O(n w), where
   w is the mean number of events in one support window.
 
-Every compensator is the kernel's own closed form, ``compensator`` on its
-class; a product's comes from the one pair table, ``Product.compensator``,
-which for EXPxPWL, PWLxPWL and PWLxSNS runs on the same term sets.
+Every compensator is the kernel's own ``compensator_within``: a base
+family's closed form, or a product's one pair table, which for EXPxPWL,
+PWLxPWL and PWLxSNS runs on the same term sets.
 Nothing is truncated or integrated numerically.
 """
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .kernels import Kernel, Sum, _terms
+from .kernels import Kernel, Sum
 from .simulate import EventSequence, HawkesModel
 
 __all__ = [
@@ -47,7 +48,6 @@ __all__ = [
     "compensator",
     "log_likelihood",
     "compensator_increments",
-    "exp_log_likelihood",
 ]
 
 
@@ -70,7 +70,7 @@ def _split(kernel: Kernel, horizon: float):
     on ``[0, horizon]``, and the list of its finite-support addends."""
     ws, zs, finite = [np.empty(0)], [np.empty(0)], []
     for part in (kernel.left, kernel.right) if isinstance(kernel, Sum) else (kernel,):
-        terms = _terms(part, horizon)
+        terms = part.terms(horizon)
         if terms is None:
             finite.append(part)
         else:
@@ -126,7 +126,7 @@ def compensator(kernel: Kernel, s) -> np.ndarray:
     arr = np.maximum(np.atleast_1d(arr), 0.0)
     if arr.size == 0:
         return arr
-    out = np.broadcast_to(kernel.compensator(arr), arr.shape).astype(float)
+    out = np.broadcast_to(kernel.compensator_within(float(arr.max()))(arr), arr.shape).astype(float)
     if scalar:
         return float(out[0])
     return out
@@ -246,22 +246,6 @@ def _exp_sums(beta: float, events: EventSequence):
     left = T - ts
     mass = float(np.sum(-np.expm1(-beta * left))) / beta
     return r, s, mass, (float(np.sum(left * np.exp(-beta * left))) - mass) / beta
-
-
-def exp_log_likelihood(mu: float, alpha: float, beta: float, events: EventSequence):
-    """Log-likelihood of the model ``mu + alpha exp(-beta t)`` and its
-    gradient in ``(mu, alpha, beta)``, from one pass of ``_exp_sums``."""
-    r, s, mass, dmass = _exp_sums(beta, events)
-    lam = mu + alpha * r
-    value = float(np.sum(np.log(lam))) - mu * events.horizon_T - alpha * mass
-    grad = np.array(
-        [
-            float(np.sum(1.0 / lam)) - events.horizon_T,
-            float(np.sum(r / lam)) - mass,
-            -alpha * (float(np.sum(s / lam)) + dmass),
-        ]
-    )
-    return value, grad
 
 
 def __getattr__(name):

@@ -27,9 +27,7 @@ K1's eight expansions, then each sequence's likelihoods, GD fit and level
 choice.  ``decompose`` is the batch of one.  Each step is a few dozen small
 numpy calls on about 100 lags for all of a level's live starts at once, so
 a step's cost hardly grows with the starts it carries, and a batch of four
-sequences costs far less than four fits.  Those calls hold the interpreter
-lock for most of their time, so thread pools gave no overlap: with them
-``decompose`` measured slower than serial.
+sequences costs far less than four fits.
 """
 
 from __future__ import annotations
@@ -87,6 +85,10 @@ class DecompositionConfig:
             raise ValueError(f"horizon_percentile must lie in (0, 1), got {self.horizon_percentile!r}")
         if not self.resolution >= 2:
             raise ValueError(f"resolution must be at least 2, got {self.resolution!r}")
+        if self.tau_max is not None and not (math.isfinite(self.tau_max) and self.tau_max > 0):
+            raise ValueError(f"tau_max must be finite and positive, got {self.tau_max!r}")
+        if self.holdout is not None and not 0 < self.holdout < 1:
+            raise ValueError(f"holdout must lie in (0, 1), got {self.holdout!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if not 1 <= self.gd_restarts <= 5:  # the length of the GD restart ladder
@@ -131,9 +133,6 @@ class DecompositionResult:
     @property
     def chosen_model(self) -> HawkesModel:
         return HawkesModel(self.mu_hat, self.chosen_kernel)
-
-    def mu_hat_for(self, level: str) -> float:
-        return _level_mu(self.k1 if level == "K1" else self.k2, self.grid.lambda_hat)
 
 
 def _level_mu(fit: FitResult, lambda_hat: float) -> float:
@@ -254,7 +253,7 @@ def _gd_starts(events: EventSequence, n_starts: int) -> list[float]:
     """Deterministic ladder of decay rates: a generic unit rate first, then
     data-scaled ones."""
     lam = len(events) / events.horizon_T
-    return [1.0, lam, 0.5 * lam, 1.6 * lam, 4.0 * lam][: max(1, min(n_starts, 5))]
+    return [1.0, lam, 0.5 * lam, 1.6 * lam, 4.0 * lam][:n_starts]
 
 
 def _gd_search(profile, x: float, searched: list) -> tuple[float, int, str | None]:
@@ -313,13 +312,19 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     wins.  Each search that ends at its cap, at the ``alpha`` floor, at no
     finite point or at a non-stationary root is logged at DEBUG.
 
+    When the best finite point has ``alpha >= beta`` and another has
+    ``alpha < beta``, ``log beta`` is bisected between it and the nearest
+    such point, on the sign of ``alpha - beta``, to ``_GD_XTOL``, so the
+    stationary side comes as close to the better likelihood as it can.
     The best finite point with ``alpha < beta`` wins.  Only when there is
     none is the fit reported with an ``-inf`` likelihood: the best finite
     point, non-stationary, or the generic start when no rate gives a finite
-    point.
+    point.  ``restarts``, the number of ladder rates, is 1 to 5.
     """
     if len(events) < 2:
         raise ValueError("need at least two events")
+    if not 1 <= restarts <= 5:
+        raise ValueError(f"restarts must be between 1 and 5, got {restarts!r}")
     seen = {}  # log beta -> _gd_profile there
 
     def profile(x: float):
@@ -346,12 +351,25 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
                 beta, why, math.exp(x), alpha, evals,
             )
 
+    def stationary(x: float) -> bool:
+        return seen[x][3] < math.exp(x)
+
+    finite = [x for x in seen if math.isfinite(seen[x][0])]
+    below = [x for x in finite if stationary(x)]
+    best = max(finite, key=lambda x: seen[x][0], default=None)
+    if below and not stationary(best):
+        lo, hi = min(below, key=lambda x: abs(x - best)), best
+        while abs(hi - lo) > _GD_XTOL:
+            mid = 0.5 * (lo + hi)
+            profile(mid)
+            lo, hi = (mid, hi) if stationary(mid) else (lo, mid)
+
     finite = [item for item in seen.items() if math.isfinite(item[1][0])]
     if not finite:
         # no rate gave a finite point: report the generic start, unusable
         return GdFit(model=HawkesModel(mu=len(events) / events.horizon_T, kernel=Exp(1.0, 1.0)), llh=-math.inf)
     # a stationary point (alpha < beta) first, then the higher likelihood
-    x, (value, _, s, alpha) = max(finite, key=lambda item: (item[1][3] < math.exp(item[0]), item[1][0]))
+    x, (value, _, s, alpha) = max(finite, key=lambda item: (stationary(item[0]), item[1][0]))
     beta = math.exp(x)
     model = HawkesModel(mu=len(events) * s / events.horizon_T, kernel=Exp(alpha, beta))
     return GdFit(model=model, llh=value if alpha < beta else -math.inf)

@@ -5,6 +5,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from hawkesdecomp.kernels import Product, Sum, evaluate, support_end
+from hawkesdecomp.likelihood import _exp_sums
 
 
 def quad_norm(kernel, upper=None) -> float:
@@ -63,6 +64,23 @@ def term_sum_by_lag(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np
     evaluates its own integrals, and its weighted terms add in one pairwise
     sum."""
     return np.array([np.add.reduce(w * integral(z, np.array([[lag]]))[0]) for lag in s])
+
+
+def exp_log_likelihood(mu: float, alpha: float, beta: float, events):
+    """Log-likelihood of the model ``mu + alpha exp(-beta t)`` and its
+    gradient in ``(mu, alpha, beta)``, from one pass of ``_exp_sums``; the
+    objective of the L-BFGS-B reference that the GD fit is checked against."""
+    r, s, mass, dmass = _exp_sums(beta, events)
+    lam = mu + alpha * r
+    value = float(np.sum(np.log(lam))) - mu * events.horizon_T - alpha * mass
+    grad = np.array(
+        [
+            float(np.sum(1.0 / lam)) - events.horizon_T,
+            float(np.sum(r / lam)) - mass,
+            -alpha * (float(np.sum(s / lam)) + dmass),
+        ]
+    )
+    return value, grad
 
 
 def dense_covariance(events, delta: float, n_lags: int):

@@ -377,13 +377,15 @@ class TestCli:
         assert code == 0
         assert (out_dir / "s1.json").exists() and (out_dir / "s2.json").exists()
 
-    @pytest.mark.parametrize("case", ["invalid option", "no csv"])
+    @pytest.mark.parametrize("case", ["invalid option", "no csv", "invalid holdout", "invalid tau_max"])
     def test_decompose_batch_invalid_input_leaves_no_out_dir(self, tmp_path, exp_events, case):
         in_dir, out_dir = tmp_path / "in", tmp_path / "out" / "results"
         in_dir.mkdir()
-        if case == "invalid option":
+        options = {"invalid option": ["--eta", "0"], "invalid holdout": ["--holdout", "1.5"],
+                   "invalid tau_max": ["--tau-max", "-2"]}
+        if case in options:
             write_events(exp_events, in_dir / "a.csv")
-            extra = ["--eta", "0"]
+            extra = options[case]
         else:
             (in_dir / "a.txt").write_text("t\n1.0\n")
             extra = []
@@ -606,14 +608,15 @@ class TestCli:
         "flag,value",
         [("--resolution", "0"), ("--resolution", "1"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "inf"),
          ("--gd-restarts", "0"), ("--gd-restarts", "-3"), ("--gd-restarts", "9"),
-         ("--horizon-percentile", "7"), ("--horizon-percentile", "0")],
+         ("--horizon-percentile", "7"), ("--horizon-percentile", "0"),
+         ("--holdout", "1.5"), ("--holdout", "0"), ("--tau-max", "-2"), ("--tau-max", "inf")],
     )
     def test_invalid_config_value_exit_code(self, tmp_path, capsys, flag, value):
         events_path = tmp_path / "events.csv"
         events_path.write_text("t\n0.5\n1.0\n2.0\n3.5\n")
         out = tmp_path / "out.json"
         assert cli.main(["decompose", "--in", str(events_path), flag, value, "--out", str(out)]) == 2
-        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} ")
         assert not out.exists()
 
     def test_unit_zero_exit_code(self, tmp_path, exp_events, capsys):

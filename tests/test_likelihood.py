@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import intensity_at, quad_norm
+from conftest import exp_log_likelihood, intensity_at, quad_norm
 from hawkesdecomp import kernels, likelihood
 from hawkesdecomp.kernels import (
     Exp,
@@ -21,7 +21,6 @@ from hawkesdecomp.kernels import (
 from hawkesdecomp.likelihood import (
     compensator,
     compensator_increments,
-    exp_log_likelihood,
     log_likelihood,
 )
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
@@ -359,20 +358,20 @@ class TestTermSets:
     @pytest.mark.parametrize("c, p", itertools.product(C_CORNERS + (0.3,), P_CORNERS + (2.0,)))
     def test_pwl(self, c, p):
         kernel = Pwl(1.0, c, p)
-        approx = term_sum(likelihood._terms(kernel, 1e6), LAGS)
+        approx = term_sum(kernel.terms(1e6), LAGS)
         assert np.max(np.abs(approx / evaluate(kernel, LAGS) - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize(
         "c1, c2, p1, p2", itertools.product(C_CORNERS, C_CORNERS, P_CORNERS, P_CORNERS))
     def test_pwl_pwl(self, c1, c2, p1, p2):
         kernel = Product(Pwl(1.0, c1, p1), Pwl(1.0, c2, p2))
-        approx = term_sum(likelihood._terms(kernel, 1e6), LAGS)
+        approx = term_sum(kernel.terms(1e6), LAGS)
         exact = (c1 + LAGS) ** -p1 * (c2 + LAGS) ** -p2
         assert np.max(np.abs(approx / exact - 1.0)) <= 1e-12
 
     def test_exp_pwl_shifts_rates(self):
-        w, z = likelihood._terms(Pwl(0.3, 0.5, 2.0), 100.0)
-        w2, z2 = likelihood._terms(Product(Pwl(0.3, 0.5, 2.0), Exp(2.0, 0.7)), 100.0)
+        w, z = Pwl(0.3, 0.5, 2.0).terms(100.0)
+        w2, z2 = Product(Pwl(0.3, 0.5, 2.0), Exp(2.0, 0.7)).terms(100.0)
         np.testing.assert_array_equal(w2, 2.0 * w)
         np.testing.assert_array_equal(z2, z + 0.7)
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conftest import exp_log_likelihood
 from hawkesdecomp import fit, search
 from hawkesdecomp.fit import FitResult
 from hawkesdecomp.io import result_to_dict
 from hawkesdecomp.kernels import Exp, Pwl, StationarityVerdict, Sqr, Sum
-from hawkesdecomp.likelihood import exp_log_likelihood
 from hawkesdecomp.search import (
     DecompositionConfig,
     NoStationaryModelError,
@@ -150,6 +150,9 @@ class TestGdBaseline:
         gd = fit_gd_exponential(events)
         assert gd.model.kernel.alpha < gd.model.kernel.beta
         assert math.isfinite(gd.llh) and gd.llh >= search._gd_profile(44.0, events, 0.5)[0]
+        # the profile is stationary at beta = 0.7 (alpha = 0.695), above the
+        # first ladder rate's stationary point
+        assert gd.llh >= search._gd_profile(0.7, events, 0.5)[0]
 
     def test_converged_search_not_logged(self, caplog):
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
@@ -175,6 +178,12 @@ class TestGdBaseline:
     def test_needs_two_events(self):
         with pytest.raises(ValueError):
             fit_gd_exponential(EventSequence(np.array([1.0]), 2.0))
+
+    @pytest.mark.parametrize("restarts", [0, -3, 6, 9])
+    def test_restarts_outside_the_ladder_raise(self, restarts):
+        events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
+        with pytest.raises(ValueError, match="restarts"):
+            fit_gd_exponential(events, restarts)
 
     def test_restart_count_changes_search_breadth(self):
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
@@ -243,7 +252,7 @@ class TestDecompose:
         level = result.chosen if result.chosen != "GD" else "K1"
         fit = result.k1 if level == "K1" else result.k2
         expected = max(result.grid.lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
-        assert result.mu_hat_for(level) == pytest.approx(expected)
+        assert search._level_mu(fit, result.grid.lambda_hat) == pytest.approx(expected)
 
     def test_mu_hat_is_the_chosen_models_when_gd_is_chosen(self, exp_events, monkeypatch):
         # with neither level usable, the GD model is chosen

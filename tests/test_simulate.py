@@ -228,7 +228,7 @@ class TestLagInversion:
         nodes = kernels._laplace_nodes
         monkeypatch.setattr(kernels, "_laplace_nodes", lambda *a: built.append(a) or nodes(*a))
         kernel = Product(Exp(1.0, 0.5), Pwl(0.3, 0.5, 2.0))
-        _compensator_inverse(kernel, 500.0)[1](self.U[:50] * kernel.compensator(np.array([500.0]))[0])
+        _compensator_inverse(kernel, 500.0)[1](self.U[:50] * kernel.compensator_within(500.0)(np.array([500.0]))[0])
         assert [a[-1] for a in built] == [500.0, 500.0]  # the inversion, then the targets' mass
 
 
@@ -248,7 +248,7 @@ class TestNewtonInversion:
 
     def test_matches_bisection(self, label, horizon):
         kernel = INVERSION_SHAPES[label]
-        targets = self.U * kernel.compensator(np.array([horizon]))[0]
+        targets = self.U * kernel.compensator_within(horizon)(np.array([horizon]))[0]
         lags = _compensator_inverse(kernel, horizon)[1](targets)
         oracle = bisect_compensator(kernel, horizon, targets)
         rounding = 2.0 * EPS * targets.max() / kernel.evaluate(oracle)
@@ -335,7 +335,7 @@ def test_inversion_across_fit_bounds(kernel, horizon, fractions):
     mass, invert = _compensator_inverse(kernel, horizon)
     end = kernel.support_end()
     reach = horizon if math.isinf(end) else max(horizon, end)
-    scale = kernel.compensator(np.array([reach]))[0]
+    scale = kernel.compensator_within(reach)(np.array([reach]))[0]
     targets = np.array(fractions) * mass
     lags = invert(targets)
     assert np.all((lags > 0.0) & (lags <= horizon))
