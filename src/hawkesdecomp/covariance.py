@@ -67,6 +67,9 @@ def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> Cova
     T = events.horizon_T
     if not (0 < delta < tau_max <= T):
         raise ValueError("require 0 < delta < tau_max <= horizon_T")
+    if not T / delta < 2.0**53:  # float bin indices are exact integers below 2^53
+        raise ValueError(f"grid step {delta:g} (tau_max / resolution) splits horizon_T {T:g} into 2^53 bins"
+                         " or more; raise tau_max or lower resolution")
     if len(events) < 2:
         raise ValueError("need at least two events to estimate covariance")
 

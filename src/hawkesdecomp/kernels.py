@@ -39,7 +39,9 @@ here with its amplitude as its first field, its
 ``Product.compensator_within`` rows (and its ``terms``, when it is completely
 monotone), a start rule in ``fit._starts``, and, only if its products with
 another family must share a support end as SQR and SNS do, a place in the
-tied encoding of ``fit._candidate``.
+rule of ``Product.__post_init__`` and in the tied encoding of
+``fit._candidate``.  Every stationarity verdict, GD's included, reads the
+one rule ``is_stationary``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ __all__ = [
     "FAMILIES",
     "StationarityVerdict",
     "SupportMismatchError",
+    "STATIONARITY_MARGIN",
+    "is_stationary",
     "evaluate",
     "support_end",
     "stationarity_norm",
@@ -75,8 +79,9 @@ __all__ = [
 
 class SupportMismatchError(ValueError):
     """Raised when a product of two discontinuous kernels (SQRxSNS, SNSxSNS)
-    does not share its support endpoint.  Its norm is exact either way; the
-    check restricts the model to products whose factors end together."""
+    is built whose support endpoints differ by more than ``_SUPPORT_TOL``
+    relative.  Its norm would be exact either way; the rule restricts the
+    model to products whose factors end together."""
 
 
 class _Family:
@@ -100,12 +105,9 @@ class _Family:
                 raise ValueError(f"{name} must be finite and > {floor:g}, got {value!r}")
 
     def evaluate(self, t):
-        # the curve is 0 past the support end, so lags clamp to twice that
-        # end, which keeps sin off infinite lags
-        end = 2.0 * self.support_end()
         # the instance dict holds the fields in order; dataclasses.astuple
         # would deep-copy them, in every Newton step and pair chunk
-        return np.where(t >= 0, self.curve(np.minimum(np.maximum(t, 0.0), end), *vars(self).values()), 0.0)
+        return np.where(t >= 0, self.curve(np.maximum(t, 0.0), *vars(self).values()), 0.0)
 
     def compensator_within(self, horizon: float):
         """``compensator`` for lags up to ``horizon``; a base family's needs
@@ -207,7 +209,9 @@ class Sns(_Family):
 
     @staticmethod
     def curve(t, a, omega):
-        return np.where(t <= math.pi / omega, a * np.sin(omega * t), 0.0)
+        # sin runs only on the half-wave, so it never sees a lag past it, inf included
+        x = omega * t
+        return a * np.sin(x, out=np.zeros_like(x), where=t <= math.pi / omega)
 
     def compensator(self, s):
         # (a/omega)(1 - cos(omega m)) without cancellation at small lags
@@ -252,13 +256,27 @@ class Sum:
         return max(self.left.support_end(), self.right.support_end())
 
 
+# the relative gap allowed between the support ends of a SQRxSNS or SNSxSNS
+# product; the fits tie them exactly
+_SUPPORT_TOL = 0.05
+
+
 @dataclass(frozen=True)
 class Product:
     """Pointwise product of two base kernels; support is the intersection of
-    the factor supports."""
+    the factor supports.  A product of two discontinuous kernels (SQRxSNS,
+    SNSxSNS) whose support ends differ by more than ``_SUPPORT_TOL``
+    relative raises :class:`SupportMismatchError`."""
 
     left: BaseKernel
     right: BaseKernel
+
+    def __post_init__(self):
+        if {type(self.left), type(self.right)} in ({Sqr, Sns}, {Sns}):
+            end1, end2 = self.left.support_end(), self.right.support_end()
+            if abs(end1 - end2) > _SUPPORT_TOL * max(end1, end2):
+                raise SupportMismatchError(f"discontinuous-kernel product requires matching support endpoints "
+                                           f"(got {end1:g} and {end2:g}, tolerance {_SUPPORT_TOL:.0%})")
 
     def evaluate(self, t):
         return self.left.evaluate(t) * self.right.evaluate(t)
@@ -298,13 +316,24 @@ class Product:
 Kernel = Union[BaseKernel, Sum, Product]
 
 
+# the stationary verdict's margin below 1: the steady arrival rate
+# ``mu / (1 - norm)`` diverges as the norm nears 1, so a norm above
+# ``1 - STATIONARITY_MARGIN`` is refused; the margin lies far above the
+# norms' error of about 1e-13
+STATIONARITY_MARGIN = 1e-9
+
+
+def is_stationary(norm: float) -> bool:
+    """The one stationarity rule: ``0 <= norm <= 1 - STATIONARITY_MARGIN``."""
+    return 0.0 <= norm <= 1.0 - STATIONARITY_MARGIN
+
+
 @dataclass(frozen=True)
 class StationarityVerdict:
     """Value of the kernel norm ``int_0^inf phi``.
 
-    ``stationary`` is true exactly when ``norm_value`` lies in ``[0, 1)``;
-    the boundary value 1 is rejected because the steady arrival rate
-    ``mu / (1 - norm)`` diverges there.
+    ``stationary`` is ``is_stationary(norm_value)``: the norm lies in
+    ``[0, 1 - STATIONARITY_MARGIN]``.
     """
 
     norm_value: float
@@ -469,20 +498,6 @@ def _sine_integral(sns: Sns, z, m):
 # stationarity norms
 
 
-# the relative gap allowed between the support ends of a SQRxSNS or SNSxSNS
-# product; the fits tie them exactly
-_SUPPORT_TOL = 0.05
-
-
-def _check_shared_support(end1: float, end2: float) -> None:
-    ref = max(abs(end1), abs(end2))
-    if abs(end1 - end2) > _SUPPORT_TOL * ref:
-        raise SupportMismatchError(
-            f"discontinuous-kernel product requires matching support endpoints "
-            f"(got {end1:g} and {end2:g}, tolerance {_SUPPORT_TOL:.0%})"
-        )
-
-
 def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
     """Stationarity norm ``int_0^inf phi``, the kernel's compensator at its
     support end.
@@ -491,19 +506,14 @@ def stationarity_norm(kernel: Kernel) -> StationarityVerdict:
     decays at least as fast as ``exp(-beta t)``, and ``exp(-40) < 5e-18``
     leaves the rest at rounding level.  Every other kernel is integrated
     to its support end, ``inf`` for PWL and PWLxPWL, so no norm is a bound.
-    A product of two discontinuous kernels (SQRxSNS, SNSxSNS) raises
-    :class:`SupportMismatchError` when its support endpoints differ by more
-    than ``_SUPPORT_TOL`` relative.
     """
     end = kernel.support_end()
     if isinstance(kernel, Product):
-        a, b = _in_family_order(kernel.left, kernel.right)
-        if isinstance(a, (Sqr, Sns)) and isinstance(b, Sns):
-            _check_shared_support(a.support_end(), b.support_end())
+        a, _ = _in_family_order(kernel.left, kernel.right)
         if isinstance(a, Exp):
             end = min(end, 40.0 / a.beta)
     norm = float(kernel.compensator_within(end)(np.array([end]))[0])
-    return StationarityVerdict(norm_value=norm, stationary=0.0 <= norm < 1.0)
+    return StationarityVerdict(norm_value=norm, stationary=is_stationary(norm))
 
 
 # ---------------------------------------------------------------------------

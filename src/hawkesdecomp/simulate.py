@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import Kernel, stationarity_norm
+from .kernels import STATIONARITY_MARGIN, Kernel, stationarity_norm
 
 
 class NonStationaryError(ValueError):
@@ -155,7 +155,8 @@ def simulate(
     verdict = stationarity_norm(model.kernel)
     if not verdict.stationary:
         raise NonStationaryError(
-            f"kernel norm {verdict.norm_value:.6g} >= 1; steady-state simulation refused"
+            f"kernel norm {verdict.norm_value:.6g} is not in [0, 1 - {STATIONARITY_MARGIN:g}];"
+            " steady-state simulation refused"
         )
     expected = model.mu * horizon_T / (1.0 - verdict.norm_value)
     if expected > max_events:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from hawkesdecomp.kernels import Product, Sum, evaluate, support_end
+from hawkesdecomp.kernels import Product, Sns, Sqr, Sum, evaluate, support_end
 from hawkesdecomp.likelihood import _exp_sums
 
 
@@ -25,6 +25,17 @@ def quad_norm(kernel, upper=None) -> float:
     else:
         val, _ = quad(lambda t: evaluate(kernel, t), 0.0, np.inf, limit=200, epsabs=1e-12, epsrel=1e-12)
     return val
+
+
+def tied_product(left, right) -> Product:
+    """``Product(left, right)``.  SQRxSNS and SNSxSNS factors must share a
+    support end, so for those pairs ``right``'s end is first moved to
+    ``left``'s, as the fits tie them.  Nothing is drawn, so a random stream
+    gives the same factors as before."""
+    if {type(left), type(right)} in ({Sqr, Sns}, {Sns}):
+        end = left.support_end()
+        right = Sqr(right.b, end) if isinstance(right, Sqr) else Sns(right.a, math.pi / end)
+    return Product(left, right)
 
 
 def _parts(kernel):

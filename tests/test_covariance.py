@@ -218,9 +218,13 @@ _ONE_EVENT = EventSequence(np.array([0.5]), 3.0)
     [
         (lambda: CovarianceGrid(np.ones(4), 0.1, 0.4, -1.0), "lambda_hat must be nonnegative"),
         (lambda: covariance_grid(_ONE_EVENT, 0.5, 1.0), "need at least two events to estimate covariance"),
+        # T / delta = 3e302 bins overflowed the int64 bin index; 2^53 is the first refused
+        (lambda: covariance_grid(_ONE_EVENT, 1e-302, 1e-300), "2\\^53 bins.*tau_max or lower resolution"),
+        (lambda: covariance_grid(_ONE_EVENT, 3.0 / 2.0**53, 1e-3), "tau_max / resolution"),
         (lambda: horizon_from_histogram(_ONE_EVENT, 0.9), "need at least two events"),
     ],
-    ids=["negative lambda_hat", "grid of one event", "histogram of one event"],
+    ids=["negative lambda_hat", "grid of one event", "grid of 3e302 bins", "grid of 2^53 bins",
+         "histogram of one event"],
 )
 def test_rejects_invalid_arguments(build, message):
     with pytest.raises(ValueError, match=message):

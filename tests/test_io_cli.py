@@ -23,7 +23,7 @@ from hawkesdecomp.io import (
     write_events,
 )
 from hawkesdecomp.fit import FitError
-from hawkesdecomp.kernels import Exp, Pwl, evaluate, kernel_to_dict
+from hawkesdecomp.kernels import Exp, Pwl, Sns, evaluate, kernel_to_dict
 from hawkesdecomp.likelihood import compensator_increments
 from hawkesdecomp.search import DecompositionConfig, NoStationaryModelError, decompose
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
@@ -377,12 +377,14 @@ class TestCli:
         assert code == 0
         assert (out_dir / "s1.json").exists() and (out_dir / "s2.json").exists()
 
-    @pytest.mark.parametrize("case", ["invalid option", "no csv", "invalid holdout", "invalid tau_max"])
+    @pytest.mark.parametrize(
+        "case", ["invalid option", "no csv", "invalid holdout", "invalid tau_max", "resolution above the cap"]
+    )
     def test_decompose_batch_invalid_input_leaves_no_out_dir(self, tmp_path, exp_events, case):
         in_dir, out_dir = tmp_path / "in", tmp_path / "out" / "results"
         in_dir.mkdir()
         options = {"invalid option": ["--eta", "0"], "invalid holdout": ["--holdout", "1.5"],
-                   "invalid tau_max": ["--tau-max", "-2"]}
+                   "invalid tau_max": ["--tau-max", "-2"], "resolution above the cap": ["--resolution", "3000000"]}
         if case in options:
             write_events(exp_events, in_dir / "a.csv")
             extra = options[case]
@@ -609,7 +611,8 @@ class TestCli:
         [("--resolution", "0"), ("--resolution", "1"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "inf"),
          ("--gd-restarts", "0"), ("--gd-restarts", "-3"), ("--gd-restarts", "9"),
          ("--horizon-percentile", "7"), ("--horizon-percentile", "0"),
-         ("--holdout", "1.5"), ("--holdout", "0"), ("--tau-max", "-2"), ("--tau-max", "inf")],
+         ("--holdout", "1.5"), ("--holdout", "0"), ("--tau-max", "-2"), ("--tau-max", "inf"),
+         ("--resolution", "1025"), ("--resolution", "3000000")],
     )
     def test_invalid_config_value_exit_code(self, tmp_path, capsys, flag, value):
         events_path = tmp_path / "events.csv"
@@ -618,6 +621,28 @@ class TestCli:
         assert cli.main(["decompose", "--in", str(events_path), flag, value, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("tau_max", ["1e-300", "1e-12"])
+    def test_grid_of_2_53_bins_exit_code(self, tmp_path, exp_events, capsys, tau_max):
+        # 1e-300 overflowed the int64 bin index, with a traceback; 1e-12 gave
+        # bins quantized by the timestamps' rounding
+        events_path, out = tmp_path / "events.csv", tmp_path / "out.json"
+        write_events(exp_events, events_path)
+        assert cli.main(["decompose", "--in", str(events_path), "--tau-max", tau_max, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step ") and "raise tau_max or lower resolution" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_score_support_mismatch_exit_code(self, tmp_path, exp_events, capsys):
+        # the product is refused where it is built, as simulate refused it
+        events_path, model_path = tmp_path / "events.csv", tmp_path / "model.json"
+        write_events(exp_events, events_path)
+        kernel = {"op": "product", "left": kernel_to_dict(Sns(1, 1.0)), "right": kernel_to_dict(Sns(1, 1.2))}
+        model_path.write_text(json.dumps({"mu": 0.5, "kernel": kernel}))
+        assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: discontinuous-kernel product requires matching support endpoints")
 
     def test_unit_zero_exit_code(self, tmp_path, exp_events, capsys):
         # at 0 the division warned and the horizon read inf; no RuntimeWarning now

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quad_norm, term_sum_by_lag
+from conftest import quad_norm, term_sum_by_lag, tied_product
 from hawkesdecomp import kernels
 from hawkesdecomp.kernels import (
     FAMILIES,
     Exp,
+    STATIONARITY_MARGIN,
     Product,
     Pwl,
     Sns,
@@ -22,6 +23,7 @@ from hawkesdecomp.kernels import (
     Sum,
     SupportMismatchError,
     evaluate,
+    is_stationary,
     kernel_from_dict,
     kernel_to_dict,
     stationarity_norm,
@@ -77,11 +79,22 @@ class TestEvaluate:
         assert evaluate(Sum(k1, k2), t) == pytest.approx(evaluate(k1, t) + evaluate(k2, t))
         assert evaluate(Product(k1, k2), t) == pytest.approx(evaluate(k1, t) * evaluate(k2, t))
 
+    def test_signed_zero_and_far_lags(self):
+        # sin runs only on the half-wave, so no lag past it, inf included,
+        # reaches it (a RuntimeWarning is an error in this suite)
+        t = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, 1e12, np.inf])
+        for k in (Exp(1, 1), Pwl(1, 1, 2), Sqr(1, 1), Sns(1, 1), Product(Exp(1, 0.5), Sns(0.6, 1.5))):
+            values = evaluate(k, t)
+            assert np.array_equal(values[[0, 1, 6]], np.zeros(3)) and 0.0 <= values[5] < 1e-23
+            assert values[2] == values[3] == evaluate(k, 0.0)
+        on_and_past = evaluate(Sns(2.0, 1.0), np.array([1.0, math.pi, 3.2]))
+        assert on_and_past.tolist() == [2.0 * math.sin(1.0), 2.0 * math.sin(math.pi), 0.0]
+
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(7)
         ts = np.linspace(0, 20, 400)
         for _ in range(50):
-            k = Product(random_base(rng), random_base(rng))
+            k = tied_product(random_base(rng), random_base(rng))
             assert np.all(evaluate(k, ts) >= 0)
 
 
@@ -108,7 +121,7 @@ class TestInvariants:
     def test_supports(self):
         assert support_end(Sqr(1, 2.5)) == 2.5
         assert support_end(Sns(1, 2)) == pytest.approx(math.pi / 2)
-        assert support_end(Product(Sqr(1, 2.5), Sns(1, 2))) == pytest.approx(math.pi / 2)
+        assert support_end(Product(Sqr(1, math.pi / 2), Sns(1, 2))) == pytest.approx(math.pi / 2)
         assert support_end(Sum(Sqr(1, 2.5), Sns(1, 2))) == 2.5
         assert math.isinf(support_end(Exp(1, 1)))
 
@@ -118,6 +131,14 @@ class TestStationarityNorm:
         v = stationarity_norm(Exp(0.5, 1.0))
         assert v.norm_value == pytest.approx(0.5)
         assert v.stationary
+
+    def test_margin_boundary(self):
+        # the one rule: 0 <= norm <= 1 - STATIONARITY_MARGIN, exactly
+        edge = 1.0 - STATIONARITY_MARGIN
+        at, above = stationarity_norm(Exp(edge, 1.0)), stationarity_norm(Exp(np.nextafter(edge, 2.0), 1.0))
+        assert at.norm_value == edge and at.stationary
+        assert above.norm_value == np.nextafter(edge, 2.0) and not above.stationary
+        assert is_stationary(0.0) and not is_stationary(-1e-300) and not is_stationary(math.nan)
 
     def test_sqr_boundary_not_stationary(self):
         v = stationarity_norm(Sqr(1, 1))
@@ -140,10 +161,18 @@ class TestStationarityNorm:
         )
 
     def test_support_mismatch_rejected(self):
+        # the rule is the type's: no such product can be built, let alone
+        # scored or simulated
         with pytest.raises(SupportMismatchError):
-            stationarity_norm(Product(Sqr(1, 2.0), Sns(1, 1.0)))  # pi vs 2.0
+            Product(Sqr(1, 2.0), Sns(1, 1.0))  # pi vs 2.0
         with pytest.raises(SupportMismatchError):
-            stationarity_norm(Product(Sns(1, 1.0), Sns(1, 1.2)))
+            Product(Sns(1, 1.0), Sns(1, 1.2))
+        doc = {"op": "product", "left": kernel_to_dict(Sns(1, 1.0)), "right": kernel_to_dict(Sns(1, 1.2))}
+        with pytest.raises(ValueError, match="matching support endpoints"):
+            kernel_from_dict(doc)
+        # SQRxSQR and a pulse or a half-wave with a decay have no such rule
+        Product(Sqr(1, 1.0), Sqr(1, 5.0))
+        Product(Exp(1, 1.0), Sns(1, 0.1))
         # matching endpoints pass
         stationarity_norm(Product(Sqr(1, math.pi), Sns(1, 1.0)))
         # ends within the 5% tolerance pass (pi and pi / 1.04, 3.8% apart)
@@ -364,7 +393,7 @@ class TestCompensatorAtSmallLags:
                 value = k.compensator(np.array([s]))[0]
                 assert mp_relative_error(value, exact) <= 1e-14, s
 
-    @pytest.mark.parametrize("omegas", [(1.0, 1.0), (1.0, 1.0 + 1e-13), (1.5, 1.4), (1.0, 1.05)])
+    @pytest.mark.parametrize("omegas", [(1.0, 1.0), (1.0, 1.0 + 1e-13), (1.5, 1.45), (1.0, 1.05)])
     def test_sns_sns(self, omegas):
         # m/2 - sin(2 omega m)/(4 omega), and its unequal-frequency form,
         # cancel for omega m << 1: at m = 1e-8 the old forms gave 0

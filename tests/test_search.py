@@ -10,7 +10,7 @@ from conftest import exp_log_likelihood
 from hawkesdecomp import fit, search
 from hawkesdecomp.fit import FitResult
 from hawkesdecomp.io import result_to_dict
-from hawkesdecomp.kernels import Exp, Pwl, StationarityVerdict, Sqr, Sum
+from hawkesdecomp.kernels import STATIONARITY_MARGIN, Exp, Pwl, StationarityVerdict, Sqr, Sum
 from hawkesdecomp.search import (
     DecompositionConfig,
     NoStationaryModelError,
@@ -67,6 +67,20 @@ def test_config_rejects_horizon_percentile_outside_unit_interval(percentile):
     # checked where the option enters, even when tau_max leaves the histogram unused
     with pytest.raises(ValueError, match="horizon_percentile"):
         DecompositionConfig(horizon_percentile=percentile, tau_max=3.0)
+
+
+@pytest.mark.parametrize("field", ["resolution", "gd_restarts"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3", math.nan])
+def test_config_requires_integer_sizes(field, value):
+    # 2.5 restarts passed the range check, then failed in the GD ladder's slice
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DecompositionConfig(**{field: value})
+
+
+def test_config_caps_resolution():
+    assert DecompositionConfig(resolution=search.MAX_RESOLUTION, gd_restarts=np.int64(2)).resolution == 1024
+    with pytest.raises(ValueError, match="resolution must be between 2 and 1024, got 1025"):
+        DecompositionConfig(resolution=search.MAX_RESOLUTION + 1)
 
 
 class TestTrainTestSplit:
@@ -153,6 +167,14 @@ class TestGdBaseline:
         # the profile is stationary at beta = 0.7 (alpha = 0.695), above the
         # first ladder rate's stationary point
         assert gd.llh >= search._gd_profile(0.7, events, 0.5)[0]
+
+    def test_ends_on_the_stationary_side_of_the_margin(self):
+        # the bisection of the test above ended at alpha / beta = 1 - 2e-11,
+        # where the steady rate mu / (1 - alpha / beta) is about 1e11
+        events = EventSequence(np.sqrt(np.arange(1.0, 2001.0)), 45.0)
+        gd = fit_gd_exponential(events)
+        assert gd.model.kernel.alpha / gd.model.kernel.beta <= 1.0 - STATIONARITY_MARGIN
+        assert math.isfinite(gd.llh)
 
     def test_converged_search_not_logged(self, caplog):
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)

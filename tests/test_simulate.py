@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import bisect_compensator, intensity_at, quad_norm
+from conftest import bisect_compensator, intensity_at, quad_norm, tied_product
 from hawkesdecomp import kernels
 from hawkesdecomp.kernels import Exp, Product, Pwl, Sns, Sqr, Sum
 from hawkesdecomp.likelihood import compensator_increments
@@ -289,16 +289,6 @@ def test_simulate_builds_one_term_set_at_the_horizon(monkeypatch):
     assert [a[-1] for a in built] == [80.0, 500.0]
 
 
-def _shared_support(kernel):
-    """False for the products that ``simulate`` refuses, two discontinuous
-    factors whose supports end apart (``SupportMismatchError``)."""
-    try:
-        kernels.stationarity_norm(kernel)
-    except kernels.SupportMismatchError:
-        return False
-    return True
-
-
 # kernels across the fit bounds: every field in [1e-8, 1e8], p in (1, 10]
 _FIELD = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
 _BASE = st.one_of(
@@ -316,7 +306,7 @@ _TIED = st.one_of(
 _KERNEL = st.one_of(
     _BASE,
     st.builds(Sum, _BASE, _BASE),
-    st.builds(Product, _BASE, _BASE).filter(_shared_support),
+    st.builds(tied_product, _BASE, _BASE),
     _TIED,
 )
 
