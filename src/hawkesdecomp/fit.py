@@ -47,8 +47,11 @@ vector of a fit is decoded into a kernel.
 
 ``_nelder_mead`` runs all the starts of a level in lock-step: it holds a
 (K, N+1, N) simplex array and makes one batched ``score`` call per phase of
-a step (reflect; then expand or contract, scored for every live run; shrink
-only for the runs that need it).  It binds the initial simplex, the live
+a step.  A step has three phases: the reflection of every live run is
+scored; then its trial point, an expansion or an outside or inside
+contraction, is scored for every live run, and a run that tries neither
+keeps its reflection; then the runs whose contraction failed shrink, and
+only their new vertices are scored.  It binds the initial simplex, the live
 runs each time a run ends, and each shrink's runs, so the reflections and
 trial points of every step between two run ends share one binding.  It is
 scipy's non-adaptive Nelder-Mead step for step, with its initial simplex,
@@ -183,12 +186,11 @@ def _starts(tag: str, estimate: KernelEstimate):
             (m / 4.0, 0.25 / t_e),
         ]
     if tag == "PWL":
-        starts = []
-        for p in (1.5, 2.5):
-            for c in (t_e / 2.0, t_e):
-                for scale in (1.0, 0.5):
-                    starts.append((scale * m * c**p, c, p))
-        return starts
+        try:
+            return [(scale * m * c**p, c, p) for p in (1.5, 2.5) for c in (t_e / 2.0, t_e) for scale in (1.0, 0.5)]
+        except OverflowError:  # c**p past the largest float
+            raise ValueError(f"the estimate's time scale {t_e:g} is too large for the PWL starts; "
+                             f"rescale the timestamps (--unit)") from None
     if tag == "SQR":
         return [
             (m, t_e),
@@ -371,7 +373,9 @@ def _nelder_mead(bind, starts):
     whose starts are ``runs``, ascending.  The search binds the initial
     simplex, the live runs each time a run ends, and the runs of each
     shrink: the reflection and the trial point are scored for every live
-    run, so their binding serves every step until a run ends.
+    run, so their binding serves every step until a run ends.  A step opens
+    with one ``done`` mask, the runs that pass scipy's convergence test, or
+    every run at ``maxiter``; those leave the batch.
     """
     maxiter, xatol, fatol = _NM_OPTIONS["maxiter"], _NM_OPTIONS["xatol"], _NM_OPTIONS["fatol"]
     dims = np.array([len(start) for start in starts])
@@ -420,20 +424,18 @@ def _nelder_mead(bind, starts):
         # scipy's stopping rule; it tests the values only where the vertices have met
         spread = np.where(others[:, :, None], np.abs(sim[:, 1:] - sim[:, :1]), 0.0)
         done = spread.max(axis=(1, 2)) <= xatol
-        if iterations >= maxiter or done.any():
-            if iterations >= maxiter:
-                done[:] = True
-            else:
-                gaps = np.where(others[done], np.abs(fsim[done, :1] - fsim[done, 1:]), 0.0)
-                done[done] = gaps.max(axis=1) <= fatol
-            if done.any():
-                ended = live[done]
-                x[ended], fun[ended], nit[ended] = sim[done, 0], fsim[done].min(axis=1), iterations
-                live, sim, fsim, dims = live[~done], sim[~done], fsim[~done], dims[~done]
-                if not live.size:
-                    success = nit < maxiter
-                    return [x[i, :d] for i, d in enumerate(map(len, starts))], fun, nit, success
-                score, rows, groups, others, scale = layout(live, dims)
+        if done.any():
+            gaps = np.where(others[done], np.abs(fsim[done, :1] - fsim[done, 1:]), 0.0)
+            done[done] = gaps.max(axis=1) <= fatol
+        done |= iterations >= maxiter
+        if done.any():
+            ended = live[done]
+            x[ended], fun[ended], nit[ended] = sim[done, 0], fsim[done].min(axis=1), iterations
+            live, sim, fsim, dims = live[~done], sim[~done], fsim[~done], dims[~done]
+            if not live.size:
+                success = nit < maxiter
+                return [x[i, :d] for i, d in enumerate(map(len, starts))], fun, nit, success
+            score, rows, groups, others, scale = layout(live, dims)
 
         below = np.where(others[:, :, None], sim[:, :-1], 0.0)
         xbar = np.add.reduce(below, 1) / scale
@@ -444,29 +446,26 @@ def _nelder_mead(bind, starts):
         fxr = score(xr)
         expand = fxr < fsim[:, 0]
         contract = ~(expand | (fxr < fsecond))
-        trying = expand | contract
-        if not trying.any():
-            sim[rows, dims], fsim[rows, dims] = xr, fxr
-        else:
-            # the trial point: expand, or contract outside or inside
-            outside = fxr < fworst
-            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
-            b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
-            trial = a[:, None] * xbar - b[:, None] * worst
-            # every live run's, so it is scored with the reflection's binding
-            ftrial = score(trial)
-            take = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < fworst))
-            use = take & trying
-            shrink = contract & ~take
-            sim[rows, dims] = np.where(use[:, None], trial, np.where(contract[:, None], worst, xr))
-            fsim[rows, dims] = np.where(use, ftrial, np.where(contract, fworst, fxr))
-            if shrink.any():
-                s = np.flatnonzero(shrink)
-                best = sim[s, :1]
-                sim[s, 1:] = best + 0.5 * (sim[s, 1:] - best)
-                shrunk = fsim[s, 1:]
-                shrunk[others[s]] = bind(np.repeat(live[s], dims[s]))(sim[s, 1:][others[s]])
-                fsim[s, 1:] = shrunk
+        # the trial point: expand, or contract outside or inside; a run that
+        # tries neither keeps its reflection
+        outside = fxr < fworst
+        a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))
+        b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))
+        trial = a[:, None] * xbar - b[:, None] * worst
+        # every live run's, so it is scored with the reflection's binding
+        ftrial = score(trial)
+        take = np.where(expand, ftrial < fxr, np.where(outside, ftrial <= fxr, ftrial < fworst))
+        use = take & (expand | contract)
+        shrink = contract & ~take
+        sim[rows, dims] = np.where(use[:, None], trial, np.where(contract[:, None], worst, xr))
+        fsim[rows, dims] = np.where(use, ftrial, np.where(contract, fworst, fxr))
+        if shrink.any():
+            s = np.flatnonzero(shrink)
+            best = sim[s, :1]
+            sim[s, 1:] = best + 0.5 * (sim[s, 1:] - best)
+            shrunk = fsim[s, 1:]
+            shrunk[others[s]] = bind(np.repeat(live[s], dims[s]))(sim[s, 1:][others[s]])
+            fsim[s, 1:] = shrunk
         iterations += 1
         sim, fsim = ordered(sim, fsim)
 

@@ -59,9 +59,10 @@ class TickSeries:
 
 @dataclass(frozen=True)
 class ReportBundle:
+    """A report's data: the result, whose estimate gives the estimated
+    curve, the chosen kernel on the estimate's lags, and the Q-Q pairs."""
+
     result: DecompositionResult
-    curve_times: np.ndarray
-    curve_estimate: np.ndarray
     curve_fitted: np.ndarray
     qq_theoretical: np.ndarray
     qq_observed: np.ndarray
@@ -216,17 +217,13 @@ def write_result(result: DecompositionResult, path) -> None:
 
 def build_report(result: DecompositionResult, events: EventSequence) -> ReportBundle:
     """Assemble curves and Q-Q data for a decomposition result."""
-    times = result.estimate.times
-    fitted_kernel = result.chosen_kernel
-    fitted = evaluate(fitted_kernel, times)
+    fitted = evaluate(result.chosen_kernel, result.estimate.times)
     increments = compensator_increments(result.chosen_model, events)
     observed = np.sort(increments)
     n = observed.size
     theoretical = -np.log1p(-(np.arange(1, n + 1) - 0.5) / n)  # Exp(1) quantiles
     return ReportBundle(
         result=result,
-        curve_times=times,
-        curve_estimate=result.estimate.values,
         curve_fitted=np.asarray(fitted),
         qq_theoretical=theoretical,
         qq_observed=observed,
@@ -272,12 +269,12 @@ def _render_svg(bundle: ReportBundle) -> str:
 
     # panel 1: estimated vs fitted kernel
     box1 = (40.0, 30.0, 220.0, 200.0)
-    xs = bundle.curve_times
-    lo = float(min(bundle.curve_estimate.min(), bundle.curve_fitted.min(), 0.0))
-    hi = float(max(bundle.curve_estimate.max(), bundle.curve_fitted.max(), 1e-12))
+    xs, estimate = bundle.result.estimate.times, bundle.result.estimate.values
+    lo = float(min(estimate.min(), bundle.curve_fitted.min(), 0.0))
+    hi = float(max(estimate.max(), bundle.curve_fitted.max(), 1e-12))
     xlim = (float(xs[0]), float(xs[-1]) if xs.size > 1 else float(xs[0]) + 1.0)
     parts.append(f'<text x="40" y="20" font-size="12">kernel: estimated vs fitted</text>')
-    parts.append(_svg_polyline(xs, bundle.curve_estimate, box1, xlim, (lo, hi), "#888888"))
+    parts.append(_svg_polyline(xs, estimate, box1, xlim, (lo, hi), "#888888"))
     parts.append(_svg_polyline(xs, bundle.curve_fitted, box1, xlim, (lo, hi), "#cc3311"))
 
     # panel 2: residue bars for all audited candidates
@@ -334,7 +331,8 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
     files.append(path)
 
     path = out / "phi_curves.csv"
-    write_csv(path, "t,phi_hat,phi_fit", bundle.curve_times, bundle.curve_estimate, bundle.curve_fitted)
+    estimate = bundle.result.estimate
+    write_csv(path, "t,phi_hat,phi_fit", estimate.times, estimate.values, bundle.curve_fitted)
     files.append(path)
 
     path = out / "qq.csv"

@@ -10,8 +10,11 @@ The four base families are
   ``[0, pi/omega]``
 
 A composite kernel is either a single base kernel, the sum of two base
-kernels, or the product of two base kernels.  All kernel objects are
-immutable values; every function in this module is pure.
+kernels, or the product of two base kernels.  ``Sum`` and ``Product``
+hold that grammar: each raises ``ValueError`` when it is built with an
+operand that is not a base kernel, so no nested model can be built, read
+or scored.  All kernel objects are immutable values; every function in
+this module is pure.
 
 Each family is one class, listed in ``FAMILIES`` under its tag.  The class
 holds all of the family's one-kernel math: the static ``curve``, the
@@ -238,9 +241,21 @@ def _in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKern
     return tuple(sorted((a, b), key=lambda k: (list(FAMILIES).index(k.family), *vars(k).values())))
 
 
+class _Pair:
+    """Behaviour shared by ``Sum`` and ``Product``: the kernel grammar, which
+    raises ``ValueError`` unless both operands are base kernels."""
+
+    def __post_init__(self):
+        for side in ("left", "right"):
+            if not isinstance(getattr(self, side), _Family):
+                raise ValueError(f"the {side} operand of a {type(self).__name__.lower()} must be a base kernel "
+                                 f"({', '.join(FAMILIES)}), got {getattr(self, side)!r}")
+
+
 @dataclass(frozen=True)
-class Sum:
-    """Pointwise sum of two base kernels."""
+class Sum(_Pair):
+    """Pointwise sum of two base kernels; any other operand raises
+    ``ValueError``."""
 
     left: BaseKernel
     right: BaseKernel
@@ -262,16 +277,18 @@ _SUPPORT_TOL = 0.05
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Pair):
     """Pointwise product of two base kernels; support is the intersection of
-    the factor supports.  A product of two discontinuous kernels (SQRxSNS,
-    SNSxSNS) whose support ends differ by more than ``_SUPPORT_TOL``
-    relative raises :class:`SupportMismatchError`."""
+    the factor supports.  Any other operand raises ``ValueError``, and a
+    product of two discontinuous kernels (SQRxSNS, SNSxSNS) whose support
+    ends differ by more than ``_SUPPORT_TOL`` relative raises
+    :class:`SupportMismatchError`."""
 
     left: BaseKernel
     right: BaseKernel
 
     def __post_init__(self):
+        super().__post_init__()
         if {type(self.left), type(self.right)} in ({Sqr, Sns}, {Sns}):
             end1, end2 = self.left.support_end(), self.right.support_end()
             if abs(end1 - end2) > _SUPPORT_TOL * max(end1, end2):

@@ -86,6 +86,20 @@ def _integer(name: str, value) -> int:
     return operator.index(value)
 
 
+# the GD restart ladder of decay rates: a generic unit rate (None) first,
+# then multiples of the mean event rate
+_GD_LADDER = (None, 1.0, 0.5, 1.6, 4.0)
+
+
+def _gd_restarts(name: str, value) -> int:
+    """``value`` as a number of GD restarts: an integer from 1 to the length
+    of the ladder; else ``ValueError`` naming ``name``."""
+    count = _integer(name, value)
+    if not 1 <= count <= len(_GD_LADDER):
+        raise ValueError(f"{name} must be between 1 and {len(_GD_LADDER)}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class DecompositionConfig:
     resolution: int = 100
@@ -107,8 +121,7 @@ class DecompositionConfig:
             raise ValueError(f"holdout must lie in (0, 1), got {self.holdout!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
-        if not 1 <= _integer("gd_restarts", self.gd_restarts) <= 5:  # the length of the GD restart ladder
-            raise ValueError(f"gd_restarts must be between 1 and 5, got {self.gd_restarts!r}")
+        _gd_restarts("gd_restarts", self.gd_restarts)
 
 
 @dataclass(frozen=True)
@@ -267,10 +280,9 @@ def _gd_profile(beta: float, events: EventSequence, s: float):
 
 
 def _gd_starts(events: EventSequence, n_starts: int) -> list[float]:
-    """Deterministic ladder of decay rates: a generic unit rate first, then
-    data-scaled ones."""
+    """The first ``n_starts`` decay rates of the ladder ``_GD_LADDER``."""
     lam = len(events) / events.horizon_T
-    return [1.0, lam, 0.5 * lam, 1.6 * lam, 4.0 * lam][:n_starts]
+    return [1.0 if share is None else share * lam for share in _GD_LADDER[:n_starts]]
 
 
 def _gd_search(profile, x: float, searched: list) -> tuple[float, int, str | None]:
@@ -337,12 +349,12 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     The best stationary finite point wins.  Only when there is none is the
     fit reported with an ``-inf`` likelihood: the best finite point,
     non-stationary, or the generic start when no rate gives a finite point.
-    ``restarts``, the number of ladder rates, is 1 to 5.
+    ``restarts``, the number of ladder rates, must be an integer from 1 to
+    5, the ladder's length; anything else raises ``ValueError``.
     """
     if len(events) < 2:
         raise ValueError("need at least two events")
-    if not 1 <= restarts <= 5:
-        raise ValueError(f"restarts must be between 1 and 5, got {restarts!r}")
+    restarts = _gd_restarts("restarts", restarts)
     seen = {}  # log beta -> _gd_profile there
 
     def profile(x: float):

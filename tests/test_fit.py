@@ -378,7 +378,7 @@ class TestNelderMead:
             return counted_score
 
         fit._nelder_mead(counted_bind, starts)
-        assert calls == {"bind": 142, "score": 1302}
+        assert calls == {"bind": 142, "score": 1313}
 
     def test_exponent_exactly_two(self, spectral_estimate):
         # p is exactly 2 on most vertices of the first simplexes, where
@@ -464,6 +464,14 @@ class TestFitBatch:
         assert str(answers[0]) == "degenerate estimate: all samples are zero"
         assert answers[1] == [fit_single(spectral_estimate, "EXP")]
         assert str(answers[2]) == "expansion requires a single-kernel fit to extend"
+
+    def test_huge_time_scale_stays_with_its_request(self, spectral_estimate):
+        # the PWL starts' c**p raised OverflowError, which ended the whole batch
+        huge = KernelEstimate(values=spectral_estimate.values, delta=1e200, tau_max=1e202)
+        answers = fit.fit_batch([(huge, None, FAMILIES), (spectral_estimate, None, ["EXP"])])
+        assert [type(a) for a in answers] == [ValueError, list]
+        assert "time scale" in str(answers[0]) and "--unit" in str(answers[0])
+        assert answers[1] == [fit_single(spectral_estimate, "EXP")]
 
 
 class TestProductFits:

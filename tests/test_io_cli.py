@@ -644,6 +644,47 @@ class TestCli:
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("error: discontinuous-kernel product requires matching support endpoints")
 
+    @pytest.mark.parametrize("command", ["score", "simulate"])
+    def test_nested_model_exit_code(self, tmp_path, exp_events, capsys, command):
+        # score exited 1 with an AttributeError and simulate drew the three-term sum
+        events_path, model_path = tmp_path / "events.csv", tmp_path / "model.json"
+        write_events(exp_events, events_path)
+        inner = {"op": "sum", "left": kernel_to_dict(Exp(0.1, 1.0)), "right": kernel_to_dict(Exp(0.1, 2.0))}
+        kernel = {"op": "sum", "left": inner, "right": kernel_to_dict(Exp(0.1, 3.0))}
+        model_path.write_text(json.dumps({"mu": 0.5, "kernel": kernel}))
+        argv = {
+            "score": ["score", "--model", str(model_path), "--in", str(events_path)],
+            "simulate": ["simulate", "--model", str(model_path), "--horizon", "100", "--out", str(tmp_path / "sim.csv")],
+        }[command]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: the left operand of a sum must be a base kernel")
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_huge_time_scale_exit_code(self, tmp_path, exp_events, capsys):
+        # the PWL starts overflowed: exit 1 with an OverflowError traceback
+        events_path, out = tmp_path / "events.csv", tmp_path / "out.json"
+        write_events(exp_events, events_path)
+        assert cli.main(["decompose", "--in", str(events_path), "--unit", "1e-200", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the estimate's time scale ") and "(--unit)" in err
+        assert err.count("\n") == 1 and not out.exists()
+
+    def test_huge_time_scale_fails_alone_in_a_batch(self, tmp_path, exp_events, capsys):
+        # one such file ended the whole batch, with no result for any file
+        in_dir = tmp_path / "in"
+        in_dir.mkdir()
+        write_events(exp_events, in_dir / "a.csv")
+        write_events(EventSequence(exp_events.timestamps * 1e200, exp_events.horizon_T * 1e200), in_dir / "b.csv")
+        assert cli.main(["decompose", "--in", str(in_dir / "a.csv"), "--out", str(tmp_path / "a.json")]) == 0
+        capsys.readouterr()
+        assert cli.main(["decompose-batch", "--in-dir", str(in_dir), "--out-dir", str(tmp_path / "out")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("b.csv: invalid (the estimate's time scale ")
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["a.json"]
+        assert (tmp_path / "out" / "a.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
     def test_unit_zero_exit_code(self, tmp_path, exp_events, capsys):
         # at 0 the division warned and the horizon read inf; no RuntimeWarning now
         events_path = tmp_path / "events.csv"

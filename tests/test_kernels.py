@@ -126,6 +126,29 @@ class TestInvariants:
         assert math.isinf(support_end(Exp(1, 1)))
 
 
+class TestGrammar:
+    """A sum or product holds two base kernels."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Sum(Sum(Exp(1, 1), Exp(1, 2)), Exp(1, 3)),
+        lambda: Product(Sum(Exp(1, 1), Exp(1, 2)), Exp(1, 3)),
+        lambda: Sum(Product(Exp(1, 1), Exp(1, 2)), Exp(1, 3)),
+        lambda: Product(Exp(1, 3), Product(Exp(1, 1), Exp(1, 2))),
+        lambda: Sum(Exp(1, 1), 0.5),
+    ], ids=["sum-of-sum", "product-of-sum", "sum-of-product", "product-of-product", "number"])
+    def test_grammar_rejects_non_base_operands(self, build):
+        # the model is a base kernel, or a sum or product of two of them
+        with pytest.raises(ValueError, match="operand of a (sum|product) must be a base kernel"):
+            build()
+
+    def test_nested_model_file_rejected(self):
+        # score used to exit 1 on this model with an AttributeError
+        inner = {"op": "sum", "left": kernel_to_dict(Exp(1, 1)), "right": kernel_to_dict(Exp(1, 2))}
+        doc = {"op": "product", "left": inner, "right": kernel_to_dict(Exp(1, 3))}
+        with pytest.raises(ValueError, match="the left operand of a product must be a base kernel"):
+            kernel_from_dict(doc)
+
+
 class TestStationarityNorm:
     def test_exp(self):
         v = stationarity_norm(Exp(0.5, 1.0))

@@ -207,6 +207,17 @@ class TestGdBaseline:
         with pytest.raises(ValueError, match="restarts"):
             fit_gd_exponential(events, restarts)
 
+    @pytest.mark.parametrize("restarts", [2.5, True, "3"])
+    def test_restarts_must_be_an_integer(self, restarts):
+        # 2.5 passed the range check, then raised TypeError in the ladder's slice
+        events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            fit_gd_exponential(events, restarts)
+
+    def test_numpy_integer_restarts(self):
+        events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
+        assert fit_gd_exponential(events, np.int64(2)) == fit_gd_exponential(events, 2)
+
     def test_restart_count_changes_search_breadth(self):
         events = simulate(HawkesModel(mu=1.0, kernel=Exp(0.4, 1.0)), 300.0, seed=3)
         one = fit_gd_exponential(events, restarts=1)
