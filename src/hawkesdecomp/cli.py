@@ -2,9 +2,12 @@
 
 Commands: ``simulate``, ``estimate``, ``decompose``, ``decompose-batch``,
 ``score``, ``report``.  Exit code 0 on success, 2 on invalid input, 3 when
-no stationary model is found.  Every optional flag can also be supplied
-through a ``key = value`` config file (``--config``); explicit flags win,
-and a key that no command takes is invalid input.
+no stationary model is found.  Each command is one entry of ``_COMMANDS``:
+its handler, its help, the arguments it takes and the options it takes.
+Every option can also be supplied through a ``key = value`` config file
+(``--config``); explicit flags win, and a key that no command takes is
+invalid input.  An option's text, from its flag or its config line, is read
+with its type in one place, ``_parse``.
 """
 
 from __future__ import annotations
@@ -46,9 +49,29 @@ _OPTIONS = {"seed": (int, 0), "unit": (float, 1.0)} | {
 }
 _DECOMPOSE_OPTIONS = ("unit", *(f.name for f in fields(DecompositionConfig)))
 
+# the arguments besides the options, each declared once: its dest and its flag
+_ARGUMENTS = {"model": "--model", "horizon": "--horizon", "infile": "--in", "in_dir": "--in-dir",
+              "out": "--out", "out_dir": "--out-dir"}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse(name: str, cast, text: str, source: str):
+    """``text`` read as ``cast``; text it refuses raises ``ValueError`` naming
+    the option and ``source``, the flag or ``path:line`` the text came from.
+    (argparse hands ``--name=--`` over as ``[]``, which ``cast`` refuses too.)"""
+    try:
+        return cast(text)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{source}: {name} must be {kind}, got {text!r}") from None
+
 
 def _load_config(path) -> dict:
-    """Parse a flat ``key = value`` config file whose keys are in ``_OPTIONS``."""
+    """Parse a flat ``key = value`` config file whose keys are in ``_OPTIONS``:
+    each key's text and the ``path:line`` it is on."""
     config = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -60,33 +83,37 @@ def _load_config(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _OPTIONS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        config[key] = value.strip()
+        config[key] = (value.strip(), f"{path}:{lineno}")
     return config
 
 
 def _read_model(path) -> HawkesModel:
     """The model in a ``{"mu": ..., "kernel": {...}}`` file; a malformed one
-    raises ``ValueError`` naming the problem."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"model must be a JSON object, got {type(doc).__name__}: {doc!r}")
-    mu = number_entry(doc, "mu", "model")
-    if "kernel" not in doc:
-        raise ValueError("model is missing 'kernel'")
-    return HawkesModel(mu=mu, kernel=kernel_from_dict(doc["kernel"]))
+    raises ``ValueError`` naming the file and the problem."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"model must be a JSON object, got {type(doc).__name__}: {doc!r}")
+        mu = number_entry(doc, "mu", "model")
+        if "kernel" not in doc:
+            raise ValueError("model is missing 'kernel'")
+        return HawkesModel(mu=mu, kernel=kernel_from_dict(doc["kernel"]))
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to read
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _decomposition_config(args) -> DecompositionConfig:
     """The options the command takes; every other field keeps its default."""
-    names = [f.name for f in fields(DecompositionConfig) if hasattr(args, f.name)]
+    names = set(_COMMANDS[args.command][3]) & {f.name for f in fields(DecompositionConfig)}
     return DecompositionConfig(**{name: getattr(args, name) for name in names})
 
 
 def _cmd_simulate(args) -> int:
+    horizon = _parse("horizon", float, args.horizon, _ARGUMENTS["horizon"])
     model = _read_model(args.model)
-    events = simulate(model, args.horizon, args.seed)
+    events = simulate(model, horizon, args.seed)
     hio.write_events(events, args.out)
-    print(f"simulated {len(events)} events on [0, {args.horizon:g}] -> {args.out}")
+    print(f"simulated {len(events)} events on [0, {horizon:g}] -> {args.out}")
     return EXIT_OK
 
 
@@ -166,69 +193,47 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
-    """A ``--name-with-dashes`` flag for each option; left unset, it reads None."""
-    for name in names:
-        cast, default = _OPTIONS[name]
-        p.add_argument("--" + name.replace("_", "-"), type=cast, help=f"default {default}")
+# each command: its handler, help, arguments and options
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "simulate a Hawkes process", ("model", "horizon", "out"), ("seed",)),
+    "estimate": (_cmd_estimate, "the covariance grid and kernel estimate that decompose fits (+ phi_est.csv)",
+                 ("infile", "out"), ("unit", "resolution", "horizon_percentile", "tau_max", "holdout")),
+    "decompose": (_cmd_decompose, "automatic kernel decomposition", ("infile", "out"), _DECOMPOSE_OPTIONS),
+    "decompose-batch": (_cmd_decompose_batch, "decompose every CSV in a directory", ("in_dir", "out_dir"),
+                        _DECOMPOSE_OPTIONS),
+    "score": (_cmd_score, "log-likelihood of a model on a sequence", ("model", "infile"), ("unit",)),
+    "report": (_cmd_report, "decompose and emit the full report", ("infile", "out_dir"), _DECOMPOSE_OPTIONS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hawkesdecomp")
     parser.add_argument("--config", help="key = value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate a Hawkes process")
-    p.add_argument("--model", required=True, help="model JSON ({mu, kernel})")
-    p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, "seed")
-    p.set_defaults(func=_cmd_simulate)
-
-    about = "the covariance grid and kernel estimate that decompose fits, from the training part under --holdout"
-    p = sub.add_parser("estimate", help="covariance grid + nonparametric kernel estimate", description=about)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True, help="covariance CSV (phi_est.csv written alongside)")
-    _add_options(p, "unit", "resolution", "horizon_percentile", "tau_max", "holdout")
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("decompose", help="automatic kernel decomposition")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    _add_options(p, *_DECOMPOSE_OPTIONS)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("decompose-batch", help="decompose every CSV in a directory")
-    p.add_argument("--in-dir", dest="in_dir", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_options(p, *_DECOMPOSE_OPTIONS)
-    p.set_defaults(func=_cmd_decompose_batch)
-
-    p = sub.add_parser("score", help="log-likelihood of a model on a sequence")
-    p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    _add_options(p, "unit")
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("report", help="decompose and emit the full report")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    _add_options(p, *_DECOMPOSE_OPTIONS)
-    p.set_defaults(func=_cmd_report)
-
+    for command, (_, about, arguments, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about, description=about)
+        for dest in arguments:
+            p.add_argument(_ARGUMENTS[dest], dest=dest, required=True)
+        # a flag keeps its text, None when unset; main reads it
+        for name in options:
+            p.add_argument(_flag(name), help=f"default {_OPTIONS[name][1]}")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, _, options = _COMMANDS[args.command]
     try:
         config = _load_config(args.config) if args.config else {}
         # explicit flags win, then the config file, then the default; a config
         # value is parsed only by a command that takes its flag
-        for key, (cast, default) in _OPTIONS.items():
-            if hasattr(args, key) and getattr(args, key) is None:
-                setattr(args, key, cast(config[key]) if key in config else default)
-        return args.func(args)
+        for name in options:
+            cast, default = _OPTIONS[name]
+            text, source = getattr(args, name), _flag(name)
+            if text is None:
+                text, source = config.get(name, (None, None))
+            setattr(args, name, default if text is None else _parse(name, cast, text, source))
+        return run(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

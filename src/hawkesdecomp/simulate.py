@@ -147,11 +147,14 @@ def simulate(
     Each event gets Poisson(``m``) children, where ``m`` is the kernel mass
     on ``[0, horizon_T]``, at lags drawn from the normalized compensator;
     children at or past the horizon are dropped.  Deterministic given
-    ``seed``.  Rejects non-stationary models, and aborts when the expected
+    ``seed``, a non-negative integer.  Rejects a horizon that is not finite
+    and positive, and non-stationary models, and aborts when the expected
     (or realized) event count exceeds ``max_events``.
     """
-    if horizon_T <= 0:
-        raise ValueError("horizon_T must be positive")
+    if not (math.isfinite(horizon_T) and horizon_T > 0):
+        raise ValueError(f"horizon_T must be finite and positive, got {horizon_T!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     verdict = stationarity_norm(model.kernel)
     if not verdict.stationary:
         raise NonStationaryError(

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import inspect
 import json
@@ -7,6 +8,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hawkesdecomp
 from hawkesdecomp import cli
@@ -566,7 +569,9 @@ class TestCli:
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps({"mu": 0.5, "kernel": {"type": "EXP", "alpha": 0.5}}))
         assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
-        assert "'beta'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "'beta'" in err
+        assert err == f"error: {model_path}: EXP kernel is missing 'beta'\n"
 
     @pytest.mark.parametrize(
         "doc,message",
@@ -577,15 +582,21 @@ class TestCli:
             ({"mu": None, "kernel": {"type": "EXP", "alpha": 0.5, "beta": 1.0}}, "'mu' must be a number"),
             ({"mu": 0.5, "kernel": [1]}, "kernel must be a JSON object"),
             ({"mu": 0.5, "kernel": {"type": "EXP", "alpha": None, "beta": 1.0}}, "'alpha' must be a number"),
+            pytest.param('{"mu": 0.5, "kernel": ', "Expecting value: line 1 column 23 (char 22)", id="truncated"),
+            pytest.param({"mu": 0.0, "kernel": kernel_to_dict(Exp(0.5, 1.0))}, "mu must be strictly positive", id="mu 0"),
+            # exited 1 with a RecursionError traceback
+            pytest.param("[" * 100_000, "maximum recursion depth exceeded", id="deep"),
         ],
     )
     def test_score_malformed_model_exit_code(self, tmp_path, exp_events, capsys, doc, message):
         events_path = tmp_path / "events.csv"
         write_events(exp_events, events_path)
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(doc))
+        model_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
 
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "broken.cfg"
@@ -642,7 +653,7 @@ class TestCli:
         assert cli.main(["score", "--model", str(model_path), "--in", str(events_path)]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
-        assert out.err.startswith("error: discontinuous-kernel product requires matching support endpoints")
+        assert out.err.startswith(f"error: {model_path}: discontinuous-kernel product requires matching support endpoints")
 
     @pytest.mark.parametrize("command", ["score", "simulate"])
     def test_nested_model_exit_code(self, tmp_path, exp_events, capsys, command):
@@ -659,7 +670,7 @@ class TestCli:
         assert cli.main(argv) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err.count("\n") == 1
-        assert out.err.startswith("error: the left operand of a sum must be a base kernel")
+        assert out.err.startswith(f"error: {model_path}: the left operand of a sum must be a base kernel")
         assert not (tmp_path / "sim.csv").exists()
 
     def test_huge_time_scale_exit_code(self, tmp_path, exp_events, capsys):
@@ -727,6 +738,144 @@ class TestCli:
         assert cli.main(["simulate", "--model", str(model), "--horizon", "1e8", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: expected event count 2e+08 exceeds cap 1e+07\n"
         assert not out.exists()
+
+
+DECOMPOSE_FLAGS = ["--unit", "--resolution", "--horizon-percentile", "--tau-max", "--eta", "--holdout", "--gd-restarts"]
+# each command: its required arguments, then its options, in declaration order
+INTERFACE = {
+    "simulate": (["--model", "--horizon", "--out"], ["--seed"]),
+    "estimate": (["--in", "--out"], ["--unit", "--resolution", "--horizon-percentile", "--tau-max", "--holdout"]),
+    "decompose": (["--in", "--out"], DECOMPOSE_FLAGS),
+    "decompose-batch": (["--in-dir", "--out-dir"], DECOMPOSE_FLAGS),
+    "score": (["--model", "--in"], ["--unit"]),
+    "report": (["--in", "--out-dir"], DECOMPOSE_FLAGS),
+}
+INTEGER_OPTIONS = ("seed", "resolution", "gd_restarts")
+
+
+def option_name(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def run_cli(argv) -> int:
+    """``cli.main``'s exit code, also when argparse exits."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A directory holding a tiny model file and a 5-event CSV, and the
+    required arguments of each command on them."""
+    root = tmp_path_factory.mktemp("cli")
+    model, events = root / "model.json", root / "in" / "events.csv"
+    model.write_text(json.dumps({"mu": 0.5, "kernel": kernel_to_dict(Exp(0.5, 1.0))}))
+    events.parent.mkdir()
+    events.write_text("t\n0.5\n1.0\n2.0\n3.5\n4.0\n")
+    values = {"--model": str(model), "--horizon": "5", "--in": str(events), "--in-dir": str(events.parent),
+              "--out": str(root / "out" / "file"), "--out-dir": str(root / "out")}
+    arguments = {command: [x for flag in flags for x in (flag, values[flag])] for command, (flags, _) in INTERFACE.items()}
+    return root, arguments
+
+
+class TestOptionText:
+    """Each command's arguments and options, and the one path from an
+    option's text, given by flag or by config line, to its value."""
+
+    def test_interface(self):
+        # what every command takes; the same at the parent of the command table
+        parser = cli.build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert sub.dest == "command" and sub.required and list(sub.choices) == list(INTERFACE)
+        top = [(a.option_strings, a.dest, a.required, a.default) for a in parser._actions if a.dest != "help"]
+        assert top == [(["--config"], "config", False, None), ([], "command", True, None)]
+        for command, (arguments, options) in INTERFACE.items():
+            expected = [([flag], "infile" if flag == "--in" else option_name(flag), flag in arguments, None)
+                        for flag in arguments + options]
+            actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+            assert [(a.option_strings, a.dest, a.required, a.default) for a in actions] == expected
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", list(INTERFACE))
+    def test_bad_option_text_names_option_and_source(self, tmp_path, cli_inputs, capsys, command, how):
+        # by flag, argparse printed its usage; by config, the error named no key, file or line
+        _, arguments = cli_inputs
+        for flag in INTERFACE[command][1]:
+            name = option_name(flag)
+            if how == "flag":
+                argv, source = [command, *arguments[command], f"{flag}=abc"], flag
+            else:
+                config = tmp_path / "run.cfg"
+                config.write_text(f"# run\n\n{name} = abc\n")
+                argv, source = ["--config", str(config), command, *arguments[command]], f"{config}:3"
+            assert run_cli(argv) == 2
+            kind = "an integer" if name in INTEGER_OPTIONS else "a number"
+            assert capsys.readouterr() == ("", f"error: {source}: {name} must be {kind}, got 'abc'\n")
+
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--horizon=nan", "horizon_T must be finite and positive, got nan"),
+            ("--horizon=inf", "horizon_T must be finite and positive, got inf"),
+            ("--horizon=-inf", "horizon_T must be finite and positive, got -inf"),
+            ("--horizon=0", "horizon_T must be finite and positive, got 0.0"),
+            ("--horizon=abc", "--horizon: horizon must be a number, got 'abc'"),
+            ("--seed=-1", "seed must be a non-negative integer, got -1"),
+            ("--seed=1.5", "--seed: seed must be an integer, got '1.5'"),
+        ],
+    )
+    def test_simulate_bad_horizon_or_seed(self, tmp_path, cli_inputs, capsys, flag, message):
+        # nan and -1 reached numpy, and inf the event cap, each with numpy's text
+        root, _ = cli_inputs
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--model", str(root / "model.json"), "--horizon", "5", "--out", str(out), flag]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        option=st.sampled_from([(command, flag) for command, (_, options) in INTERFACE.items() for flag in options]),
+        text=st.one_of(
+            st.floats().map(repr),
+            st.sampled_from(["nan", "-nan", "inf", "+inf", "-inf", "1e308", "1e309", "-1e309", "5e-324", "1e-320",
+                             "0", "-0.0", "1e-300"]),
+            st.integers(-(10**30), 10**30).map(str),
+            st.integers(-30, 30).map(lambda i: f"{i}.0"),
+            st.sampled_from(["", " ", "abc", "1,5", "0x10", "1e", "--", "1_0", "nan(1)", "\u0661\u0662"]),
+            st.text(max_size=6),
+        ),
+        by_config=st.booleans(),
+    )
+    def test_option_text_gives_one_line(self, tmp_path, cli_inputs, monkeypatch, capsys, option, text, by_config):
+        # every run ends in an exit code and at most one error line; text that
+        # int() or float() refuses is named with its option and source
+        def captured(*args):
+            raise NoStationaryModelError("captured")
+
+        for stub in ("decompose", "decompose_batch", "kernel_estimate"):
+            monkeypatch.setattr(cli, stub, captured)
+        root, arguments = cli_inputs
+        command, flag = option
+        name = option_name(flag)
+        if by_config:
+            # a config value ends at '#' and at a line break, and is stripped
+            text = "".join(c for c in text if c != "#" and len(f"a{c}b".splitlines()) == 1).strip()
+            config = root / "run.cfg"
+            config.write_text(f"{name} = {text}\n")
+            argv, source = ["--config", str(config), command, *arguments[command]], f"{config}:1"
+        else:
+            argv, source = [command, *arguments[command], f"{flag}={text}"], flag
+        code = run_cli(argv)
+        out = capsys.readouterr()
+        assert code in (0, 2, 3)
+        assert out.err == "" or (out.err.startswith("error: ") and out.err.count("\n") == 1 and out.err[-1] == "\n")
+        try:
+            (int if name in INTEGER_OPTIONS else float)(text)
+        except ValueError:
+            assert code == 2 and out.err.startswith(f"error: {source}: {name} ")
 
 
 BATCH_FLAGS = ["--tau-max", "5", "--resolution", "20"]

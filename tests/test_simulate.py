@@ -60,15 +60,28 @@ _EXP = HawkesModel(mu=1.0, kernel=Exp(0.5, 1.0))
         (lambda: EventSequence(np.zeros((2, 2)), 1.0), "one-dimensional"),
         (lambda: EventSequence(np.array([]), 0.0), "horizon_T must be positive, got 0.0"),
         (lambda: EventSequence(np.array([0.5]), -1.0), "horizon_T must be positive, got -1.0"),
-        # the sequence built at the end says "..., got 0.0"; simulate refuses first
-        (lambda: simulate(_EXP, 0.0, seed=0), "^horizon_T must be positive$"),
-        (lambda: simulate(_EXP, -1.0, seed=0), "^horizon_T must be positive$"),
+        # the sequence built at the end says "must be positive, got 0.0"; simulate refuses first
+        (lambda: simulate(_EXP, 0.0, seed=0), r"^horizon_T must be finite and positive, got 0\.0$"),
+        (lambda: simulate(_EXP, -1.0, seed=0), r"^horizon_T must be finite and positive, got -1\.0$"),
+        # NaN passed the sign test and reached numpy's Poisson draw; inf reached the event cap
+        (lambda: simulate(_EXP, math.nan, seed=0), "^horizon_T must be finite and positive, got nan$"),
+        (lambda: simulate(_EXP, math.inf, seed=0), "^horizon_T must be finite and positive, got inf$"),
+        (lambda: simulate(_EXP, -math.inf, seed=0), "^horizon_T must be finite and positive, got -inf$"),
+        (lambda: simulate(_EXP, 10.0, seed=-1), "^seed must be a non-negative integer, got -1$"),
+        (lambda: simulate(_EXP, 10.0, seed=True), "^seed must be a non-negative integer, got True$"),
+        (lambda: simulate(_EXP, 10.0, seed=1.5), r"^seed must be a non-negative integer, got 1\.5$"),
+        (lambda: simulate(_EXP, 10.0, seed="3"), "^seed must be a non-negative integer, got '3'$"),
     ],
-    ids=["mu 0", "mu -1", "2-D timestamps", "horizon 0", "horizon -1", "simulate 0", "simulate -1"],
+    ids=["mu 0", "mu -1", "2-D timestamps", "horizon 0", "horizon -1", "simulate 0", "simulate -1",
+         "simulate nan", "simulate inf", "simulate -inf", "seed -1", "seed True", "seed 1.5", "seed str"],
 )
 def test_rejects_invalid_arguments(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_numpy_integer_seed():
+    assert np.array_equal(simulate(_EXP, 20.0, seed=np.int64(4)).timestamps, simulate(_EXP, 20.0, seed=4).timestamps)
 
 
 class TestIntensity:
