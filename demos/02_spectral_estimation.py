@@ -20,7 +20,7 @@ print(f"simulated {len(events)} events on [0, {events.horizon_T:g}]")
 
 # the histogram heuristic picks a scale-independent lag horizon; here we
 # widen it to cover the full decay of the kernel
-h95 = horizon_from_histogram(events, 0.95)
+h95 = horizon_from_histogram(events)
 print(f"histogram horizon (95th percentile of inter-event times): {h95:.3f}")
 
 tau_max = 10.0

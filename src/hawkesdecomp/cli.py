@@ -73,7 +73,7 @@ def _load_config(path) -> dict:
     """Parse a flat ``key = value`` config file whose keys are in ``_OPTIONS``:
     each key's text and the ``path:line`` it is on."""
     config = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(hio.read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -90,8 +90,9 @@ def _load_config(path) -> dict:
 def _read_model(path) -> HawkesModel:
     """The model in a ``{"mu": ..., "kernel": {...}}`` file; a malformed one
     raises ``ValueError`` naming the file and the problem."""
+    text = hio.read_text(path)  # names the file itself
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"model must be a JSON object, got {type(doc).__name__}: {doc!r}")
         mu = number_entry(doc, "mu", "model")
@@ -197,7 +198,7 @@ def _cmd_report(args) -> int:
 _COMMANDS = {
     "simulate": (_cmd_simulate, "simulate a Hawkes process", ("model", "horizon", "out"), ("seed",)),
     "estimate": (_cmd_estimate, "the covariance grid and kernel estimate that decompose fits (+ phi_est.csv)",
-                 ("infile", "out"), ("unit", "resolution", "horizon_percentile", "tau_max", "holdout")),
+                 ("infile", "out"), ("unit", "resolution", "tau_max", "holdout")),
     "decompose": (_cmd_decompose, "automatic kernel decomposition", ("infile", "out"), _DECOMPOSE_OPTIONS),
     "decompose-batch": (_cmd_decompose_batch, "decompose every CSV in a directory", ("in_dir", "out_dir"),
                         _DECOMPOSE_OPTIONS),
@@ -222,8 +223,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    run, _, _, options = _COMMANDS[args.command]
+    run, _, arguments, options = _COMMANDS[args.command]
     try:
+        # argparse 3.10/3.11 hands ``--in=--`` over as [], which no command can use
+        for dest, flag in [("config", "--config"), *((dest, _ARGUMENTS[dest]) for dest in arguments)]:
+            if not isinstance(getattr(args, dest), (str, type(None))):
+                raise ValueError(f"{flag}: expected text, got {getattr(args, dest)!r}")
         config = _load_config(args.config) if args.config else {}
         # explicit flags win, then the config file, then the default; a config
         # value is parsed only by a command that takes its flag

@@ -102,17 +102,19 @@ def covariance_grid(events: EventSequence, delta: float, tau_max: float) -> Cova
     return CovarianceGrid(values=values, delta=delta, tau_max=tau_max, lambda_hat=lam)
 
 
-def horizon_from_histogram(events: EventSequence, percentile: float = 0.95) -> float:
+# the share of the inter-event intervals that the lag horizon covers
+HORIZON_SHARE = 0.95
+
+
+def horizon_from_histogram(events: EventSequence) -> float:
     """Scale-independent lag horizon from the inter-event interval histogram.
 
     Builds a 100-bin histogram of successive inter-event intervals and
     returns the upper edge of the first bin whose cumulative mass strictly
-    exceeds ``percentile``.  Intervals too close together for 100 bins
+    exceeds ``HORIZON_SHARE``.  Intervals too close together for 100 bins
     (all equal, and so large that numpy's unit-wide range around them rounds
     away) raise ``ValueError``: such a sequence needs ``tau_max``.
     """
-    if not (0.0 < percentile < 1.0):
-        raise ValueError("percentile must lie strictly between 0 and 1")
     if len(events) < 2:
         raise ValueError("need at least two events")
     intervals = np.diff(events.timestamps)
@@ -123,5 +125,5 @@ def horizon_from_histogram(events: EventSequence, percentile: float = 0.95) -> f
         raise ValueError(f"the inter-event intervals ({low:g} to {high:g}) are all equal, or nearly: too close"
                          " together for 100 histogram bins; set tau_max (--tau-max)") from None
     cum = np.cumsum(hist) / hist.sum()
-    idx = int(np.argmax(cum > percentile))
+    idx = int(np.argmax(cum > HORIZON_SHARE))
     return float(edges[idx + 1])

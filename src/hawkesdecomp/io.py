@@ -20,6 +20,7 @@ __all__ = [
     "TickSeries",
     "ReportBundle",
     "InvalidSequenceError",
+    "read_text",
     "read_events",
     "write_events",
     "write_csv",
@@ -68,6 +69,19 @@ class ReportBundle:
     qq_observed: np.ndarray
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, its line breaks read as ``Path.read_text``
+    reads them.  A byte that is not UTF-8 raises ``ValueError`` naming the
+    file and the line of the first such byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode, and it is on their last line
+        line = len((data[: exc.start].decode() + ".").splitlines())
+        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
 def _read_csv(path, header: str) -> np.ndarray:
     """The columns of a CSV file whose first row is ``header``, as the rows
     of one array; blank and whitespace-only lines are skipped.
@@ -77,7 +91,7 @@ def _read_csv(path, header: str) -> np.ndarray:
     or when a value of the first column, the timestamp, is not finite.
     Such a row is named by its line in the file.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != header.split(","):
         raise ValueError(f"{path}: expected CSV header {header!r}")
     rows = [line for line in lines[1:] if line.strip()]

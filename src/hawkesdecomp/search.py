@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceGrid, covariance_grid, horizon_from_histogram
+from .covariance import CovarianceGrid, covariance_grid, estimate_lambda, horizon_from_histogram
 from .fit import FitResult, fit_batch
 from .fit import fit_expansion, fit_single  # noqa: F401 -- the benchmark tracer patches these names
 from .kernels import FAMILIES, Exp, Kernel, is_stationary
@@ -60,7 +60,6 @@ __all__ = [
     "select_level",
     "fit_gd_exponential",
     "kernel_estimate",
-    "lag_grid",
     "train_test_split",
 ]
 
@@ -103,7 +102,6 @@ def _gd_restarts(name: str, value) -> int:
 @dataclass(frozen=True)
 class DecompositionConfig:
     resolution: int = 100
-    horizon_percentile: float = 0.95
     tau_max: float | None = None  # explicit lag horizon; histogram heuristic when None
     eta: float = 1.2
     holdout: float | None = None
@@ -111,8 +109,6 @@ class DecompositionConfig:
 
     def __post_init__(self):
         # written so that NaN fails each test
-        if not 0 < self.horizon_percentile < 1:
-            raise ValueError(f"horizon_percentile must lie in (0, 1), got {self.horizon_percentile!r}")
         if not 2 <= _integer("resolution", self.resolution) <= MAX_RESOLUTION:
             raise ValueError(f"resolution must be between 2 and {MAX_RESOLUTION}, got {self.resolution!r}")
         if self.tau_max is not None and not (math.isfinite(self.tau_max) and self.tau_max > 0):
@@ -281,7 +277,7 @@ def _gd_profile(beta: float, events: EventSequence, s: float):
 
 def _gd_starts(events: EventSequence, n_starts: int) -> list[float]:
     """The first ``n_starts`` decay rates of the ladder ``_GD_LADDER``."""
-    lam = len(events) / events.horizon_T
+    lam = estimate_lambda(events)
     return [1.0 if share is None else share * lam for share in _GD_LADDER[:n_starts]]
 
 
@@ -396,28 +392,11 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     finite = [item for item in seen.items() if math.isfinite(item[1][0])]
     if not finite:
         # no rate gave a finite point: report the generic start, unusable
-        return GdFit(model=HawkesModel(mu=len(events) / events.horizon_T, kernel=Exp(1.0, 1.0)), llh=-math.inf)
+        return GdFit(model=HawkesModel(mu=estimate_lambda(events), kernel=Exp(1.0, 1.0)), llh=-math.inf)
     # a stationary point first, then the higher likelihood
     x, (value, _, s, alpha) = max(finite, key=lambda item: (stationary(item[0]), item[1][0]))
     model = HawkesModel(mu=len(events) * s / events.horizon_T, kernel=Exp(alpha, math.exp(x)))
     return GdFit(model=model, llh=value if stationary(x) else -math.inf)
-
-
-def lag_grid(
-    events: EventSequence, resolution: int, percentile: float, tau_max: float | None = None
-) -> tuple[float, float]:
-    """Lag horizon and grid step of the covariance grid.
-
-    The horizon is ``tau_max`` when given, else the histogram heuristic at
-    ``percentile``; either way at most half the observation window.  The
-    step splits it into ``resolution`` bins.
-    """
-    if tau_max is not None:
-        horizon = tau_max
-    else:
-        horizon = horizon_from_histogram(events, percentile)
-    horizon = min(horizon, events.horizon_T / 2.0)
-    return horizon, horizon / resolution
 
 
 def kernel_estimate(
@@ -428,11 +407,15 @@ def kernel_estimate(
     With ``config.holdout`` set, the first ``holdout`` share of the events
     trains and the rest is scored; without it the whole sequence does both.
     The covariance grid and its nonparametric kernel estimate come from the
-    training part only.
+    training part only.  The grid's lag horizon is ``config.tau_max``, else
+    the histogram heuristic ``horizon_from_histogram`` of the training part,
+    and never more than half the training window; its step splits the
+    horizon into ``config.resolution`` bins.
     """
     train, scored = (events, events) if config.holdout is None else train_test_split(events, config.holdout)
-    horizon, delta = lag_grid(train, config.resolution, config.horizon_percentile, config.tau_max)
-    grid = covariance_grid(train, delta, horizon)
+    horizon = horizon_from_histogram(train) if config.tau_max is None else config.tau_max
+    horizon = min(horizon, train.horizon_T / 2.0)
+    grid = covariance_grid(train, horizon / config.resolution, horizon)
     return train, scored, grid, invert_to_kernel(grid)
 
 

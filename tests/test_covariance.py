@@ -19,7 +19,7 @@ from hawkesdecomp.covariance import (
 )
 from hawkesdecomp.simulate import EventSequence, HawkesModel, simulate
 from hawkesdecomp.kernels import Exp
-from hawkesdecomp.search import DecompositionConfig, NoStationaryModelError, decompose, lag_grid
+from hawkesdecomp.search import DecompositionConfig, NoStationaryModelError, decompose, kernel_estimate, train_test_split
 
 
 class TestLambdaHat:
@@ -47,11 +47,30 @@ class TestCovarianceGrid:
     def test_resolution_steps_give_resolution_lags(self, seed):
         # on these sequences horizon / (horizon / 100) is a few ulps below 100
         events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 2000.0, seed=seed)
-        horizon, delta = lag_grid(events, 100, 0.95)
-        assert horizon / delta < 100
-        grid = covariance_grid(events, delta, horizon)
+        _, _, grid, _ = kernel_estimate(events, DecompositionConfig(resolution=100))
+        assert grid.tau_max / grid.delta < 100
         assert len(grid.values) == 100
-        assert grid.lags[-1] < horizon
+        assert grid.lags[-1] < grid.tau_max
+
+    @pytest.mark.parametrize(
+        "events",
+        # the heuristic's 4.09 binds; half the training window [0, 3] binds, below the heuristic's 2.8
+        [simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 2000.0, seed=6),
+         EventSequence(np.array([0.0, 0.1, 0.2, 3.0, 3.5, 4.0]), 4.0)],
+        ids=["heuristic", "half window"],
+    )
+    def test_heuristic_horizon_of_training_part(self, events):
+        train, _ = train_test_split(events, 0.6)
+        _, _, grid, _ = kernel_estimate(events, DecompositionConfig(resolution=50, holdout=0.6))
+        assert grid.tau_max == min(horizon_from_histogram(train), train.horizon_T / 2)
+        assert grid.delta == grid.tau_max / 50
+
+    def test_tau_max_capped_at_half_the_training_window(self):
+        events = simulate(HawkesModel(mu=0.5, kernel=Exp(0.5, 1.0)), 200.0, seed=6)
+        train, _ = train_test_split(events, 0.6)
+        _, _, grid, _ = kernel_estimate(events, DecompositionConfig(tau_max=1e6, holdout=0.6))
+        assert grid.tau_max == train.horizon_T / 2
+        assert grid.delta == grid.tau_max / 100
 
     def test_lag_count_is_floor_of_ratio(self):
         seq = EventSequence(np.linspace(0.05, 9.95, 100), 10.0)
@@ -184,30 +203,23 @@ class TestHorizonHeuristic:
         # holds 99% of the mass, so the horizon is its upper edge 1.01
         ts = np.concatenate([np.arange(100.0), [101.0]])
         seq = EventSequence(ts, 101.0)
-        assert horizon_from_histogram(seq, 0.95) == pytest.approx(1.01)
+        assert horizon_from_histogram(seq) == pytest.approx(1.01)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(2)
         ts = np.sort(rng.uniform(0, 100, size=500))
         seq = EventSequence(ts, 100.0)
         scaled = EventSequence(ts * 60.0, 6000.0)
-        h = horizon_from_histogram(seq, 0.9)
-        assert horizon_from_histogram(scaled, 0.9) == pytest.approx(60.0 * h)
+        h = horizon_from_histogram(seq)
+        assert horizon_from_histogram(scaled) == pytest.approx(60.0 * h)
 
     def test_equal_huge_intervals_rejected(self):
         # numpy cannot split the unit-wide range around 1e17 into 100 bins
         seq = EventSequence(np.array([0.0, 1e17, 2e17, 3e17]), 3e17)
         with pytest.raises(ValueError, match=r"intervals \(1e\+17 to 1e\+17\) are all equal.*tau_max \(--tau-max\)"):
-            horizon_from_histogram(seq, 0.95)
+            horizon_from_histogram(seq)
         # equal intervals whose unit-wide range splits into 100 bins keep their horizon
-        assert horizon_from_histogram(EventSequence(np.arange(4.0), 3.0), 0.95) == pytest.approx(1.01)
-
-    def test_percentile_validation(self):
-        seq = EventSequence(np.array([0.1, 0.2, 1.1]), 3.0)
-        with pytest.raises(ValueError):
-            horizon_from_histogram(seq, 0.0)
-        with pytest.raises(ValueError):
-            horizon_from_histogram(seq, 1.0)
+        assert horizon_from_histogram(EventSequence(np.arange(4.0), 3.0)) == pytest.approx(1.01)
 
 
 _ONE_EVENT = EventSequence(np.array([0.5]), 3.0)
@@ -221,7 +233,7 @@ _ONE_EVENT = EventSequence(np.array([0.5]), 3.0)
         # T / delta = 3e302 bins overflowed the int64 bin index; 2^53 is the first refused
         (lambda: covariance_grid(_ONE_EVENT, 1e-302, 1e-300), "2\\^53 bins.*tau_max or lower resolution"),
         (lambda: covariance_grid(_ONE_EVENT, 3.0 / 2.0**53, 1e-3), "tau_max / resolution"),
-        (lambda: horizon_from_histogram(_ONE_EVENT, 0.9), "need at least two events"),
+        (lambda: horizon_from_histogram(_ONE_EVENT), "need at least two events"),
     ],
     ids=["negative lambda_hat", "grid of one event", "grid of 3e302 bins", "grid of 2^53 bins",
          "histogram of one event"],

@@ -20,6 +20,7 @@ from hawkesdecomp.io import (
     emit_report,
     extract_events_by_threshold,
     read_events,
+    read_text,
     read_ticks,
     result_to_dict,
     write_csv,
@@ -61,6 +62,11 @@ def package_errors() -> list[type]:
 
 
 class TestEventIo:
+    def test_read_text_reads_line_breaks_as_path_read_text(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_bytes("t\r\n1.0\r2.0\n\r\n3.0\u00e9".encode())
+        assert read_text(path) == path.read_text(encoding="utf-8") == "t\n1.0\n2.0\n\n3.0\u00e9"
+
     def test_round_trip_lossless(self, tmp_path, exp_events):
         path = tmp_path / "events.csv"
         write_events(exp_events, path)
@@ -496,7 +502,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["estimate", "decompose", "decompose-batch", "report"])
     def test_every_config_field_flag_reaches_command(self, tmp_path, exp_events, monkeypatch, command):
         full = DecompositionConfig(
-            resolution=37, horizon_percentile=0.9, tau_max=7.5, eta=1.7, holdout=0.6, gd_restarts=3
+            resolution=37, tau_max=7.5, eta=1.7, holdout=0.6, gd_restarts=3
         )
         # estimate has no flag for the fields past its grid; they keep their defaults
         names = [f.name for f in fields(DecompositionConfig)]
@@ -535,7 +541,7 @@ class TestCli:
         argv = ["score", "--model", str(self.model_file(tmp_path)), "--in", str(events_path)]
         config = tmp_path / "run.cfg"
         config.write_text(
-            "seed = 1\nunit = 1\nresolution = 50\nhorizon_percentile = 0.9\ntau_max = 5\n"
+            "seed = 1\nunit = 1\nresolution = 50\ntau_max = 5\n"
             "eta = 1.2\nholdout = 0.7\ngd_restarts = 2\n"
         )
         assert cli.main(["--config", str(config), *argv]) == 0
@@ -598,6 +604,23 @@ class TestCli:
         assert message in err
         assert err.startswith(f"error: {model_path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "kind,data,line,byte",
+        [("config", b"eta = 1.2\n\xff\xfe\x00", 2, "ff"), ("events", b"t\n\xff\xfe\n", 2, "ff"),
+         ("model", b'{"mu": 0.5,\n\n "kernel": "\xe9"}', 3, "e9")],
+        ids=["config", "events", "model"],
+    )
+    def test_file_not_utf8_names_file_and_line(self, tmp_path, exp_events, capsys, kind, data, line, byte):
+        # the config and the events printed only the codec's text; the model, no line
+        paths = {name: tmp_path / name for name in ("config", "events", "model")}
+        write_events(exp_events, paths["events"])
+        paths["model"].write_text(json.dumps({"mu": 0.5, "kernel": kernel_to_dict(Exp(0.5, 1.0))}))
+        paths["config"].write_text("eta = 1.2\n")
+        paths[kind].write_bytes(data)
+        argv = ["--config", str(paths["config"]), "score", "--model", str(paths["model"]), "--in", str(paths["events"])]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {paths[kind]}: line {line}: byte 0x{byte} is not UTF-8\n")
+
     def test_bad_config_exit_code(self, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("this is not key value\n")
@@ -621,7 +644,6 @@ class TestCli:
         "flag,value",
         [("--resolution", "0"), ("--resolution", "1"), ("--eta", "nan"), ("--eta", "0"), ("--eta", "inf"),
          ("--gd-restarts", "0"), ("--gd-restarts", "-3"), ("--gd-restarts", "9"),
-         ("--horizon-percentile", "7"), ("--horizon-percentile", "0"),
          ("--holdout", "1.5"), ("--holdout", "0"), ("--tau-max", "-2"), ("--tau-max", "inf"),
          ("--resolution", "1025"), ("--resolution", "3000000")],
     )
@@ -740,11 +762,11 @@ class TestCli:
         assert not out.exists()
 
 
-DECOMPOSE_FLAGS = ["--unit", "--resolution", "--horizon-percentile", "--tau-max", "--eta", "--holdout", "--gd-restarts"]
+DECOMPOSE_FLAGS = ["--unit", "--resolution", "--tau-max", "--eta", "--holdout", "--gd-restarts"]
 # each command: its required arguments, then its options, in declaration order
 INTERFACE = {
     "simulate": (["--model", "--horizon", "--out"], ["--seed"]),
-    "estimate": (["--in", "--out"], ["--unit", "--resolution", "--horizon-percentile", "--tau-max", "--holdout"]),
+    "estimate": (["--in", "--out"], ["--unit", "--resolution", "--tau-max", "--holdout"]),
     "decompose": (["--in", "--out"], DECOMPOSE_FLAGS),
     "decompose-batch": (["--in-dir", "--out-dir"], DECOMPOSE_FLAGS),
     "score": (["--model", "--in"], ["--unit"]),
@@ -834,6 +856,38 @@ class TestOptionText:
         assert run_cli(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--model", "--horizon", "--in", "--in-dir", "--out", "--out-dir"])
+    def test_argument_emptied_by_argparse(self, tmp_path, cli_inputs, monkeypatch, capsys, flag):
+        # argparse 3.10/3.11 hands `--in=--` over as []: the command exited 1
+        # with a TypeError traceback, and `--config=--` was ignored
+        root, _ = cli_inputs
+        monkeypatch.chdir(tmp_path)
+        values = {"--model": str(root / "model.json"), "--horizon": "5", "--in": str(root / "in" / "events.csv"),
+                  "--in-dir": str(root / "in"), "--out": str(tmp_path / "out.csv"), "--out-dir": str(tmp_path / "out")}
+        command = next(c for c, (arguments, _) in INTERFACE.items() if flag in arguments or flag == "--config")
+        argv = ["--config=--"] if flag == "--config" else []
+        argv += [command, *(f"{f}={'--' if f == flag else values[f]}" for f in INTERFACE[command][0])]
+        given = getattr(cli.build_parser().parse_args(argv), "infile" if flag == "--in" else option_name(flag))
+        code, (_, err) = run_cli(argv), capsys.readouterr()
+        if given == []:
+            assert (code, err) == (2, f"error: {flag}: expected text, got []\n")
+            assert list(tmp_path.iterdir()) == []
+        else:
+            # a later argparse keeps the text '--', which names a file like any other
+            assert given == "--" and code in (0, 2) and err.count("\n") == (code == 2)
+
+    @pytest.mark.parametrize("command", ["estimate", "decompose", "decompose-batch", "report"])
+    def test_horizon_percentile_is_gone(self, tmp_path, cli_inputs, capsys, command):
+        # the histogram heuristic's share is fixed: its flag and config key are unknown
+        _, arguments = cli_inputs
+        assert run_cli([command, *arguments[command], "--horizon-percentile", "0.9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments: --horizon-percentile 0.9" in err
+        config = tmp_path / "run.cfg"
+        config.write_text("horizon_percentile = 0.9\n")
+        assert run_cli(["--config", str(config), command, *arguments[command]]) == 2
+        assert capsys.readouterr() == ("", f"error: {config}:1: unknown key 'horizon_percentile'\n")
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(

@@ -62,13 +62,6 @@ class TestSelectLevel:
             select_level(fake_fit(1.0, True), fake_fit(1.0, True), eta=0.0)
 
 
-@pytest.mark.parametrize("percentile", [0.0, 1.0, 7.0, -0.5, math.nan])
-def test_config_rejects_horizon_percentile_outside_unit_interval(percentile):
-    # checked where the option enters, even when tau_max leaves the histogram unused
-    with pytest.raises(ValueError, match="horizon_percentile"):
-        DecompositionConfig(horizon_percentile=percentile, tau_max=3.0)
-
-
 @pytest.mark.parametrize("field", ["resolution", "gd_restarts"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", math.nan])
 def test_config_requires_integer_sizes(field, value):
