@@ -6,8 +6,9 @@ no stationary model is found.  Each command is one entry of ``_COMMANDS``:
 its handler, its help, the arguments it takes and the options it takes.
 Every option can also be supplied through a ``key = value`` config file
 (``--config``); explicit flags win, and a key that no command takes is
-invalid input.  An option's text, from its flag or its config line, is read
-with its type in one place, ``_parse``.
+invalid input.  An option's text, from its flag or its config line, and each
+argument's text, ``--config``'s included, are read with their type in one
+place, ``_parse``, which refuses empty text.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ _OPTIONS = {"seed": (int, 0), "unit": (float, 1.0)} | {
 }
 _DECOMPOSE_OPTIONS = ("unit", *(f.name for f in fields(DecompositionConfig)))
 
-# the arguments besides the options, each declared once: its dest and its flag
-_ARGUMENTS = {"model": "--model", "horizon": "--horizon", "infile": "--in", "in_dir": "--in-dir",
-              "out": "--out", "out_dir": "--out-dir"}
+# the arguments besides the options, each declared once: its dest, its flag
+# and its type, a path's text (``str``) or a number
+_ARGUMENTS = {"config": ("--config", str), "model": ("--model", str), "horizon": ("--horizon", float),
+              "infile": ("--in", str), "in_dir": ("--in-dir", str), "out": ("--out", str), "out_dir": ("--out-dir", str)}
 
 
 def _flag(name: str) -> str:
@@ -59,13 +61,16 @@ def _flag(name: str) -> str:
 
 
 def _parse(name: str, cast, text: str, source: str):
-    """``text`` read as ``cast``; text it refuses raises ``ValueError`` naming
-    the option and ``source``, the flag or ``path:line`` the text came from.
-    (argparse hands ``--name=--`` over as ``[]``, which ``cast`` refuses too.)"""
+    """``text`` read as ``cast``; empty text, or text ``cast`` refuses, raises
+    ``ValueError`` naming ``name`` and ``source``, the flag or ``path:line``
+    the text came from.  (argparse hands ``--name=--`` over as ``[]``, which
+    is not text.)"""
     try:
+        if not isinstance(text, str) or not text:
+            raise ValueError
         return cast(text)
-    except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
+    except ValueError:
+        kind = {int: "an integer", float: "a number"}.get(cast, "a path")
         raise ValueError(f"{source}: {name} must be {kind}, got {text!r}") from None
 
 
@@ -110,11 +115,10 @@ def _decomposition_config(args) -> DecompositionConfig:
 
 
 def _cmd_simulate(args) -> int:
-    horizon = _parse("horizon", float, args.horizon, _ARGUMENTS["horizon"])
     model = _read_model(args.model)
-    events = simulate(model, horizon, args.seed)
+    events = simulate(model, args.horizon, args.seed)
     hio.write_events(events, args.out)
-    print(f"simulated {len(events)} events on [0, {horizon:g}] -> {args.out}")
+    print(f"simulated {len(events)} events on [0, {args.horizon:g}] -> {args.out}")
     return EXIT_OK
 
 
@@ -214,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, about, arguments, options) in _COMMANDS.items():
         p = sub.add_parser(command, help=about, description=about)
         for dest in arguments:
-            p.add_argument(_ARGUMENTS[dest], dest=dest, required=True)
+            p.add_argument(_ARGUMENTS[dest][0], dest=dest, required=True)
         # a flag keeps its text, None when unset; main reads it
         for name in options:
             p.add_argument(_flag(name), help=f"default {_OPTIONS[name][1]}")
@@ -225,11 +229,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run, _, arguments, options = _COMMANDS[args.command]
     try:
-        # argparse 3.10/3.11 hands ``--in=--`` over as [], which no command can use
-        for dest, flag in [("config", "--config"), *((dest, _ARGUMENTS[dest]) for dest in arguments)]:
-            if not isinstance(getattr(args, dest), (str, type(None))):
-                raise ValueError(f"{flag}: expected text, got {getattr(args, dest)!r}")
-        config = _load_config(args.config) if args.config else {}
+        for dest in ("config", *arguments):  # before any file is read or written
+            (flag, cast), text = _ARGUMENTS[dest], getattr(args, dest)
+            setattr(args, dest, text if text is None else _parse(flag[2:], cast, text, flag))
+        config = {} if args.config is None else _load_config(args.config)
         # explicit flags win, then the config file, then the default; a config
         # value is parsed only by a command that takes its flag
         for name in options:

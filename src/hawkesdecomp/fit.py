@@ -16,11 +16,12 @@ curve, computed once per fit) and ``decode`` builds their kernel.  A
 product's two amplitudes would enter only as their product, so the added
 factor's amplitude is fixed at 1: its vector is K1's fields, then the added
 family's other fields.  The one tied encoding is written there and nowhere
-else: SQRxSNS, SNSxSQR and SNSxSNS are ``(K1 amplitude, omega)``, where
-``omega`` sets both supports (the pulse length is ``l = pi/omega``), so
-both factors end together.  ``curves`` takes the lags and the frozen curve
-as arguments, so it depends only on the fit's ``kind``: the single family,
-the addend family, or K1's family times the factor family.
+else: the pairs that ``Product.TIED_SUPPORTS`` names (SQRxSNS, SNSxSQR and
+SNSxSNS) are ``(K1 amplitude, omega)``, where ``omega`` sets both supports
+(the pulse length is ``l = pi/omega``), so both factors end together.
+``curves`` takes the lags and the frozen curve as arguments, so it depends
+only on the fit's ``kind``: the single family, the addend family, or K1's
+family times the factor family.
 
 The fits of one level (the four singles, or K1's eight expansions) are one
 search, and one search spans the sequences of a batch: ``fit_batch`` takes
@@ -225,8 +226,9 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
 
     A parameter vector holds the fields of ``family``.  A product's holds
     K1's fields, then the family's other than its amplitude, which is fixed
-    at 1, so K1's amplitude alone scales the product; the tied products
-    (SQRxSNS, SNSxSQR, SNSxSNS) hold ``(K1 amplitude, omega)`` instead.
+    at 1, so K1's amplitude alone scales the product; the tied products,
+    those ``Product.TIED_SUPPORTS`` names, hold ``(K1 amplitude, omega)``
+    instead.
     The starts are the family's with the fixed amplitude dropped, each
     distinct start once.  ``bounds`` is the pair of per-field bound
     vectors, ``curves(x, t, frozen)`` maps an (M, N) matrix of vectors,
@@ -254,7 +256,7 @@ def _candidate(estimate: KernelEstimate, family: str, op: str | None = None, bas
         def parts(x):
             return [(cls, x)]
 
-    elif {base.family, family} in ({"SQR", "SNS"}, {"SNS"}):
+    elif (base.family, family) in Product.TIED_SUPPORTS:
         # one support end: omega sets both, the pulse's as l = pi / omega
         names = ("amplitude", "omega")
         omegas = [base.omega] if isinstance(base, Sns) else [omega for _, omega in own]

@@ -41,10 +41,10 @@ sets both supports, a pulse's as ``l = pi/omega``.  A new family is a class
 here with its amplitude as its first field, its
 ``Product.compensator_within`` rows (and its ``terms``, when it is completely
 monotone), a start rule in ``fit._starts``, and, only if its products with
-another family must share a support end as SQR and SNS do, a place in the
-rule of ``Product.__post_init__`` and in the tied encoding of
-``fit._candidate``.  Every stationarity verdict, GD's included, reads the
-one rule ``is_stationary``.
+another family must share a support end as SQR and SNS do, its pairs in
+``Product.TIED_SUPPORTS``, which the product's support rule and the tied
+encoding of ``fit._candidate`` both read.  Every stationarity verdict, GD's
+included, reads the one rule ``is_stationary``.
 """
 
 from __future__ import annotations
@@ -176,10 +176,9 @@ class Pwl(_Family):
         return self.k * self.c**-q * -np.expm1(-q * np.log1p(s / self.c)) / q
 
     def terms(self, horizon: float):
-        # the trapezoid rule on the Laplace form of (c + t)^-p
-        h, x = _laplace_nodes(self.p, self.c, self.c, horizon)
-        s = np.exp(x)
-        return self.k * np.exp(math.log(h) + self.p * x - self.c * s - special.gammaln(self.p)), s
+        # (c + t)^-p is the Laplace transform of the gamma density
+        w, z = _gamma_terms(self.p, self.c, self.c, horizon)
+        return self.k * w, z
 
     def support_end(self) -> float:
         return math.inf
@@ -241,9 +240,16 @@ def _in_family_order(a: BaseKernel, b: BaseKernel) -> tuple[BaseKernel, BaseKern
     return tuple(sorted((a, b), key=lambda k: (list(FAMILIES).index(k.family), *vars(k).values())))
 
 
+@dataclass(frozen=True)
 class _Pair:
-    """Behaviour shared by ``Sum`` and ``Product``: the kernel grammar, which
-    raises ``ValueError`` unless both operands are base kernels."""
+    """The two operands of a ``Sum`` or ``Product``, and the kernel grammar,
+    which raises ``ValueError`` unless both are base kernels.  Each subclass
+    inherits the fields, so its repr, equality, hash and ``__match_args__``
+    read ``(left, right)`` under its own name, and a ``Sum`` never equals a
+    ``Product``."""
+
+    left: BaseKernel
+    right: BaseKernel
 
     def __post_init__(self):
         for side in ("left", "right"):
@@ -252,13 +258,9 @@ class _Pair:
                                  f"({', '.join(FAMILIES)}), got {getattr(self, side)!r}")
 
 
-@dataclass(frozen=True)
 class Sum(_Pair):
     """Pointwise sum of two base kernels; any other operand raises
     ``ValueError``."""
-
-    left: BaseKernel
-    right: BaseKernel
 
     def evaluate(self, t):
         return self.left.evaluate(t) + self.right.evaluate(t)
@@ -276,20 +278,20 @@ class Sum(_Pair):
 _SUPPORT_TOL = 0.05
 
 
-@dataclass(frozen=True)
 class Product(_Pair):
     """Pointwise product of two base kernels; support is the intersection of
-    the factor supports.  Any other operand raises ``ValueError``, and a
-    product of two discontinuous kernels (SQRxSNS, SNSxSNS) whose support
-    ends differ by more than ``_SUPPORT_TOL`` relative raises
-    :class:`SupportMismatchError`."""
+    the factor supports.  Any other operand raises ``ValueError``.  A
+    product of two families that ``TIED_SUPPORTS`` names raises
+    :class:`SupportMismatchError` when its support ends differ by more than
+    ``_SUPPORT_TOL`` relative."""
 
-    left: BaseKernel
-    right: BaseKernel
+    # the (left, right) family pairs of two discontinuous kernels, whose
+    # support ends must meet; the fits tie them with one omega
+    TIED_SUPPORTS = (("SQR", "SNS"), ("SNS", "SQR"), ("SNS", "SNS"))
 
     def __post_init__(self):
         super().__post_init__()
-        if {type(self.left), type(self.right)} in ({Sqr, Sns}, {Sns}):
+        if (self.left.family, self.right.family) in self.TIED_SUPPORTS:
             end1, end2 = self.left.support_end(), self.right.support_end()
             if abs(end1 - end2) > _SUPPORT_TOL * max(end1, end2):
                 raise SupportMismatchError(f"discontinuous-kernel product requires matching support endpoints "
@@ -306,10 +308,9 @@ class Product(_Pair):
         terms = self.terms(horizon)
         if terms is not None:  # EXPxEXP, EXPxPWL, PWLxPWL
             return partial(_term_sum, _exp_integral, *terms)
-        if isinstance(b, Sqr):  # the pulse is a constant on [0, l]
-            return lambda s: b.b * a.compensator(np.minimum(s, b.l))
-        if isinstance(a, Sqr):  # SQRxSNS
-            return lambda s: a.b * b.compensator(np.minimum(s, a.l))
+        pulse, other = (b, a) if isinstance(b, Sqr) else (a, b)
+        if isinstance(pulse, Sqr):  # the pulse is a constant on [0, l], on either side
+            return lambda s: pulse.b * other.compensator(np.minimum(s, pulse.l))
         if isinstance(a, Sns):  # SNSxSNS
             return partial(_sine_sine_integral, a, b, self.support_end())
         # EXPxSNS, PWLxSNS
@@ -413,6 +414,16 @@ def _laplace_nodes(shape: float, c_lo: float, c_hi: float, horizon: float):
     return h, np.arange(math.log(s_lo), math.log(s_hi) + h, h)
 
 
+def _gamma_terms(shape: float, c: float, c_hi: float, horizon: float):
+    """Trapezoid weights ``w`` and rates ``z`` of the density
+    ``s^(shape-1) e^(-c s) / Gamma(shape)`` on the nodes of
+    ``_laplace_nodes(shape, c, c_hi, horizon)``, so that ``sum_j w_j
+    exp(-z_j t)`` is its Laplace transform ``(c + t)^-shape``."""
+    h, x = _laplace_nodes(shape, c, c_hi, horizon)
+    s = np.exp(x)
+    return np.exp(math.log(h) + shape * x - c * s - special.gammaln(shape)), s
+
+
 def _kummer_decay(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """``1F1(a; b; -x)`` for ``x >= 0`` and ``0 < a < b``.
 
@@ -439,10 +450,8 @@ def _pwl_pwl_terms(a: Pwl, b: Pwl, horizon: float):
     if a.c < b.c:
         a, b = b, a
     shape = a.p + b.p
-    h, x = _laplace_nodes(shape, b.c, a.c, horizon)
-    s = np.exp(x)
-    density = np.exp(math.log(h) + shape * x - b.c * s - special.gammaln(shape))
-    return a.k * b.k * density * _kummer_decay(a.p, shape, (a.c - b.c) * s), s
+    w, z = _gamma_terms(shape, b.c, a.c, horizon)
+    return a.k * b.k * w * _kummer_decay(a.p, shape, (a.c - b.c) * z), z
 
 
 def _term_sum(integral, w: np.ndarray, z: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -503,11 +503,11 @@ def decompose_batch(sequences, config: DecompositionConfig = DecompositionConfig
     while answers:
         requests = {}
         for i, answer in answers.items():
+            if isinstance(answer, ValueError):  # fit_batch's error for this sequence's request
+                outcomes[i] = answer
+                continue
             try:
-                if isinstance(answer, ValueError):
-                    requests[i] = pipelines[i].throw(answer)
-                else:
-                    requests[i] = pipelines[i].send(answer)
+                requests[i] = pipelines[i].send(answer)
             except StopIteration as stop:
                 outcomes[i] = stop.value
             except (ValueError, NoStationaryModelError) as exc:

@@ -28,11 +28,11 @@ def quad_norm(kernel, upper=None) -> float:
 
 
 def tied_product(left, right) -> Product:
-    """``Product(left, right)``.  SQRxSNS and SNSxSNS factors must share a
-    support end, so for those pairs ``right``'s end is first moved to
+    """``Product(left, right)``.  The pairs ``Product.TIED_SUPPORTS`` names
+    must share a support end, so for those ``right``'s end is first moved to
     ``left``'s, as the fits tie them.  Nothing is drawn, so a random stream
     gives the same factors as before."""
-    if {type(left), type(right)} in ({Sqr, Sns}, {Sns}):
+    if (left.family, right.family) in Product.TIED_SUPPORTS:
         end = left.support_end()
         right = Sqr(right.b, end) if isinstance(right, Sqr) else Sns(right.a, math.pi / end)
     return Product(left, right)

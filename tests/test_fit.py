@@ -11,7 +11,18 @@ from hawkesdecomp import fit
 from hawkesdecomp.covariance import covariance_grid
 from hawkesdecomp.fit import FitResult, fit_expansion, fit_single, residue_of
 from hawkesdecomp.io import result_to_dict
-from hawkesdecomp.kernels import FAMILIES, Exp, Product, Pwl, Sns, Sqr, Sum, evaluate, stationarity_norm
+from hawkesdecomp.kernels import (
+    FAMILIES,
+    Exp,
+    Product,
+    Pwl,
+    Sns,
+    Sqr,
+    Sum,
+    SupportMismatchError,
+    evaluate,
+    stationarity_norm,
+)
 from hawkesdecomp.search import DecompositionConfig, decompose
 from hawkesdecomp.simulate import HawkesModel, simulate
 from hawkesdecomp.spectral import KernelEstimate, invert_to_kernel
@@ -484,6 +495,39 @@ class TestProductFits:
         assert astuple(kernel.right)[0] == 1.0
         if "SNS" in (tag1, tag) and {tag1, tag} <= {"SQR", "SNS"}:
             assert kernel.left.support_end() == kernel.right.support_end()
+
+
+class TestTiedSupports:
+    """One statement, ``Product.TIED_SUPPORTS``, names the family pairs whose
+    supports end together; the product rule and the fit's tied encoding both
+    read it."""
+
+    def test_names_the_discontinuous_pairs(self):
+        assert set(Product.TIED_SUPPORTS) == {("SQR", "SNS"), ("SNS", "SQR"), ("SNS", "SNS")}
+
+    @pytest.mark.parametrize("tag", FAMILIES)
+    @pytest.mark.parametrize("tag1", FAMILIES)
+    def test_tied_vector_exactly_for_named_pairs(self, spectral_estimate, k1_fits, tag1, tag):
+        base = k1_fits[tag1]
+        starts, (lo, _), _, decode, _, _ = fit._candidate(spectral_estimate, tag, "multiply", base)
+        tied = (tag1, tag) in Product.TIED_SUPPORTS
+        # the tied vector is (K1 amplitude, omega); every other holds K1's
+        # fields, then the factor's other than its amplitude
+        width = 2 if tied else len(astuple(base)) + len(FAMILIES[tag].__match_args__) - 1
+        assert lo.size == width and {len(start) for start in starts} == {width}
+        assert all(start[0] == astuple(base)[0] for start in starts)
+        for start in starts:
+            kernel = decode(np.array(start))  # a SupportMismatchError would raise here
+            assert (kernel.left.family, kernel.right.family) == (tag1, tag)
+            if tied:
+                assert kernel.left.support_end() == kernel.right.support_end()
+
+    def test_mismatched_named_pair_refused(self):
+        for left, right in [(Sqr(1.0, 2.0), Sns(1.0, 1.0)), (Sns(1.0, 1.0), Sqr(1.0, 2.0)),
+                            (Sns(1.0, 1.0), Sns(1.0, 2.0))]:
+            with pytest.raises(SupportMismatchError):
+                Product(left, right)
+        Product(Sqr(1.0, 2.0), Sqr(1.0, 5.0))  # SQRxSQR is not named: its ends may differ
 
 
 class TestLogging:

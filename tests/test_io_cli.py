@@ -871,11 +871,35 @@ class TestOptionText:
         given = getattr(cli.build_parser().parse_args(argv), "infile" if flag == "--in" else option_name(flag))
         code, (_, err) = run_cli(argv), capsys.readouterr()
         if given == []:
-            assert (code, err) == (2, f"error: {flag}: expected text, got []\n")
+            kind = "a number" if flag == "--horizon" else "a path"
+            assert (code, err) == (2, f"error: {flag}: {flag[2:]} must be {kind}, got []\n")
             assert list(tmp_path.iterdir()) == []
         else:
             # a later argparse keeps the text '--', which names a file like any other
             assert given == "--" and code in (0, 2) and err.count("\n") == (code == 2)
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(next(c for c, (arguments, _) in INTERFACE.items() if flag in arguments or flag == "--config"), flag)
+         for flag in ["--config", "--model", "--horizon", "--in", "--in-dir", "--out", "--out-dir"]]
+        + [("report", "--out-dir")],
+    )
+    def test_empty_argument_names_flag(self, tmp_path, cli_inputs, monkeypatch, capsys, command, flag):
+        # an empty path was read as the working directory: `--in-dir=` fitted every
+        # CSV there, `--out-dir=` wrote a report into it, `--config=` was ignored
+        root, _ = cli_inputs
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "e.csv").write_text("t\n0.5\n1.0\n2.0\n")
+        monkeypatch.chdir(work)
+        values = {"--model": str(root / "model.json"), "--horizon": "5", "--in": str(root / "in" / "events.csv"),
+                  "--in-dir": str(work), "--out": str(tmp_path / "out.csv"), "--out-dir": str(tmp_path / "out")}
+        argv = ["--config="] if flag == "--config" else []
+        argv += [command, *(f"{f}={'' if f == flag else values[f]}" for f in INTERFACE[command][0])]
+        kind = "a number" if flag == "--horizon" else "a path"
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag}: {flag[2:]} must be {kind}, got ''\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["e.csv", "work"]
 
     @pytest.mark.parametrize("command", ["estimate", "decompose", "decompose-batch", "report"])
     def test_horizon_percentile_is_gone(self, tmp_path, cli_inputs, capsys, command):

@@ -141,6 +141,24 @@ class TestGrammar:
         with pytest.raises(ValueError, match="operand of a (sum|product) must be a base kernel"):
             build()
 
+    @pytest.mark.parametrize("cls", [Sum, Product])
+    def test_operands_are_one_dataclass_pair(self, cls):
+        # the operands are declared once, on the shared base; each class keeps
+        # its own name in repr and equality
+        a, b = Exp(0.5, 1.0), Pwl(0.2, 0.5, 2.0)
+        k = cls(a, b)
+        assert cls.__match_args__ == ("left", "right") and (k.left, k.right) == (a, b)
+        assert repr(k) == f"{cls.__name__}(left={a!r}, right={b!r})"
+        assert k == cls(Exp(0.5, 1.0), Pwl(0.2, 0.5, 2.0)) and hash(k) == hash(cls(a, b))
+        assert k != cls(b, a) and len({k, cls(a, b), cls(b, a)}) == 2
+        with pytest.raises(AttributeError):
+            k.left = b
+
+    def test_sum_never_equals_product(self):
+        a, b = Exp(0.5, 1.0), Sqr(0.2, 2.0)
+        assert Sum(a, b) != Product(a, b) and Product(a, b) != Sum(a, b)
+        assert len({Sum(a, b), Product(a, b)}) == 2
+
     def test_nested_model_file_rejected(self):
         # score used to exit 1 on this model with an AttributeError
         inner = {"op": "sum", "left": kernel_to_dict(Exp(1, 1)), "right": kernel_to_dict(Exp(1, 2))}
@@ -351,6 +369,28 @@ class TestNormIsCompensatorAtSupportEnd:
     def test_sns_sns_off_support_is_exact(self):
         k = Product(Sns(0.3, 1.0), Sns(0.3, 1.04))
         assert stationarity_norm(k).norm_value == pytest.approx(quad_norm(k), rel=1e-12)
+
+
+class TestPulseProducts:
+    """A product with a pulse integrates as ``b * Phi_other(min(s, l))``,
+    whichever side the pulse is on."""
+
+    # (pulse, other): for SQRxSQR the pulse is the second factor in family
+    # and then parameter order
+    CASES = [
+        (Sqr(0.6, 2.0), Exp(0.8, 0.5)),
+        (Sqr(0.6, 2.0), Pwl(0.3, 0.5, 2.0)),
+        (Sqr(1.3, 2.0), Sqr(0.7, 3.0)),
+        (Sqr(0.8, math.pi / 1.5), Sns(0.9, 1.5)),
+    ]
+
+    @pytest.mark.parametrize("pulse,other", CASES, ids=str)
+    def test_either_order_is_pulse_times_other(self, pulse, other):
+        l = pulse.l
+        s = np.array([0.0, 1e-9, 0.3 * l, np.nextafter(l, 0.0), l, np.nextafter(l, 10.0), 1.7 * l, 40.0])
+        expected = pulse.b * other.compensator(np.minimum(s, l))
+        for k in (Product(pulse, other), Product(other, pulse)):
+            assert np.array_equal(k.compensator_within(s[-1])(s), expected), k
 
 
 class TestCompensatorWithin:
