@@ -4,6 +4,7 @@ inputs, so that two trees can be compared byte for byte.
 ::
 
     python tools/outputs.py SRC INPUTS OUT
+    python tools/outputs.py --pin
 
 ``SRC`` is the directory that holds the ``hawkesdecomp`` package (a
 checkout's ``src``); the package is imported from there and nowhere else.
@@ -29,6 +30,11 @@ The thread-count variables of BLAS default to 1 here and in the CLI
 processes, so that a summation order cannot depend on the thread count.
 Compare two trees with ``diff -r``; the parent of a change needs only its
 ``src`` (``git archive``).
+
+``--pin`` rewrites ``tests/outcome_pin.json`` from the checkout's own
+``src``: the ``result_to_dict`` fields of ``pin_text``'s inputs, which
+``tests/test_outcome_pin.py`` compares with a fresh run.  A change that
+moves an outcome shows what moved as the diff of that one file.
 """
 
 from __future__ import annotations
@@ -39,16 +45,52 @@ import subprocess
 import sys
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+ROOT = Path(__file__).resolve().parent.parent
+PIN = ROOT / "tests" / "outcome_pin.json"
 
 HOLDOUT = 0.8
+# the outcome pin's inputs: per truth its seed and kernel (constructor name
+# and arguments), each with mu = 0.5 and a norm of about 0.5, so that a
+# sequence over PIN_HORIZON holds about 2k events
+PIN_MU, PIN_HORIZON = 0.5, 2000.0
+PIN_TRUTHS = {
+    "exp": (1, ("Exp", 0.5, 1.0)),
+    "pwl": (2, ("Pwl", 0.15, 0.3, 2.0)),
+    "sqr": (3, ("Sqr", 0.2, 2.5)),
+    "sns": (4, ("Sns", 0.375, 1.5)),
+    "exp+sqr": (5, ("Sum", ("Exp", 0.4, 4.0), ("Sqr", 0.2, 2.0))),
+    "exp*sns": (6, ("Product", ("Exp", 1.0, 0.5), ("Sns", 0.6, 1.5))),
+}
 
 
 def _json(outcome, result_to_dict) -> str:
     if isinstance(outcome, Exception):
         return json.dumps({"error": f"{type(outcome).__name__}: {outcome}"}) + "\n"
     return json.dumps(result_to_dict(outcome), sort_keys=True) + "\n"
+
+
+def _kernel(hd, spec):
+    name, *args = spec
+    return getattr(hd, name)(*(_kernel(hd, a) if isinstance(a, tuple) else a for a in args))
+
+
+def pin_text(hd) -> str:
+    """The outcome pin of the package ``hd``: the numpy and scipy versions,
+    and per ``PIN_TRUTHS`` sequence the ``result_to_dict`` JSON (or error)
+    of ``decompose`` with the default config and with ``holdout = 0.8``,
+    one value per line."""
+    import numpy
+    import scipy
+
+    sequences = [hd.simulate(hd.HawkesModel(PIN_MU, _kernel(hd, spec)), PIN_HORIZON, seed)
+                 for seed, spec in PIN_TRUTHS.values()]
+    configs = {"default": hd.DecompositionConfig(), "holdout": hd.DecompositionConfig(holdout=HOLDOUT)}
+    outcomes = {name: {} for name in PIN_TRUTHS}
+    for label, config in configs.items():
+        for name, outcome in zip(PIN_TRUTHS, hd.decompose_batch(sequences, config)):
+            outcomes[name][label] = json.loads(_json(outcome, hd.io.result_to_dict))
+    doc = {"numpy": numpy.__version__, "scipy": scipy.__version__, "outcomes": outcomes}
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def _decompose_dir(hd, inputs: Path, items: list, out: Path) -> None:
@@ -92,10 +134,12 @@ def _cli_dir(src: Path, csvs: list, out: Path) -> None:
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 3:
+    if len(args) not in (1, 3) or (len(args) == 1) != (args[0] == "--pin"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    src, inputs, out = (Path(a).resolve() for a in args)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    src = ROOT / "src" if len(args) == 1 else Path(args[0]).resolve()
     sys.path.insert(0, str(src))
     import hawkesdecomp as hd
     import hawkesdecomp.io  # noqa: F401 -- read as hd.io
@@ -103,6 +147,10 @@ def main(argv=None) -> int:
     if src not in Path(hd.__file__).resolve().parents:
         print(f"hawkesdecomp imported from {hd.__file__}, not from {src}", file=sys.stderr)
         return 2
+    if len(args) == 1:
+        PIN.write_text(pin_text(hd))
+        return 0
+    inputs, out = (Path(a).resolve() for a in args[1:])
     out.mkdir(parents=True, exist_ok=True)
     for directory in sorted(p for p in inputs.iterdir() if (p / "inputs.json").is_file()):
         doc = json.loads((directory / "inputs.json").read_text())
