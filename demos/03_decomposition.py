@@ -39,9 +39,9 @@ for entry in result.audit:
     )
 
 print()
-print(f"K1 = {result.k1.kernel}")
-print(f"K2 = {result.k2.kernel}")
-print(f"held-out llh: K1 {result.llh_k1:.1f}, K2 {result.llh_k2:.1f}, "
-      f"GD baseline {result.gd.llh:.1f}")
+# the three candidates are Levels: each holds its kernel, its background
+# rate and its held-out log-likelihood (-inf when not stationary)
+for name, level in (("K1", result.k1), ("K2", result.k2), ("GD", result.gd)):
+    print(f"{name} = {level.kernel}, held-out llh {level.llh:.1f}")
 print(f"chosen: {result.chosen} -> {result.chosen_kernel}")
-print(f"mu_hat = {result.mu_hat:.4f} (true 0.5)")
+print(f"mu_hat = {result.chosen_level.mu:.4f} (true 0.5)")

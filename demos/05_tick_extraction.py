@@ -31,6 +31,6 @@ print(f"ticks: {times.size}, true jumps: {len(jumps)}, extracted events: {len(ev
 
 result = decompose(events, DecompositionConfig(tau_max=8.0))
 print(f"K1 = {result.k1.kernel}")
-print(f"chosen: {result.chosen} -> {result.chosen_kernel}")
+print(f"chosen: {result.chosen} -> {result.chosen_model}")
 norm = result.k1.verdict.norm_value
 print(f"branching ratio of K1: {norm:.3f} (jump generator used 0.5)")

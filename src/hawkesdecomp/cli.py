@@ -8,7 +8,9 @@ Every option can also be supplied through a ``key = value`` config file
 (``--config``); explicit flags win, and a key that no command takes is
 invalid input.  An option's text, from its flag or its config line, and each
 argument's text, ``--config``'s included, are read with their type in one
-place, ``_parse``, which refuses empty text.
+place, ``_parse``, which refuses empty text.  Every file is written by
+``io``, which first makes the directory it goes in, so ``--out`` and
+``--out-dir`` may name a directory that does not exist yet.
 """
 
 from __future__ import annotations
@@ -148,8 +150,6 @@ def _cmd_decompose_batch(args) -> int:
     files = sorted(in_dir.glob("*.csv"))
     if not files:
         raise ValueError(f"no .csv sequences in {in_dir}")
-    # only once the options and the inputs check out, so exit 2 leaves no empty directory
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     codes = set()
     for first in range(0, len(files), BATCH_FILES):

@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fit import FitResult
-from .kernels import evaluate, kernel_to_dict
+from .kernels import evaluate, finite_positive, kernel_to_dict
 from .likelihood import compensator_increments
 from .search import DecompositionResult
 from .simulate import EventSequence
@@ -127,8 +126,7 @@ def read_events(path, unit: float = 1.0, horizon: float | None = None) -> EventS
     (timestamps are divided by it); the horizon defaults to the last event
     time.  A timestamp that is not finite is named by its line.
     """
-    if not (math.isfinite(unit) and unit > 0):
-        raise ValueError(f"unit must be finite and positive, got {unit!r}")
+    finite_positive("unit", unit)
     raw = _read_csv(path, "t")[0]
     with np.errstate(over="ignore"):
         ts = raw / unit  # exact when unit is 1
@@ -137,9 +135,17 @@ def read_events(path, unit: float = 1.0, horizon: float | None = None) -> EventS
     return EventSequence(ts, float(ts[-1]) if horizon is None else horizon)
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, first making the directory it goes in:
+    every file the package writes is written here."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def write_events(events: EventSequence, path) -> None:
     lines = ["t"] + [repr(float(t)) for t in events.timestamps]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_ticks(path) -> TickSeries:
@@ -192,25 +198,30 @@ def extract_events_by_threshold(
 # result serialization
 
 
-def _fit_to_dict(fit: FitResult) -> dict:
+def _fit_to_dict(fit) -> dict:
+    """A fit's kernel, residue and verdict: a K1 or K2 ``Level``, or an audit ``FitResult``."""
     return {"kernel": kernel_to_dict(fit.kernel), "residue": fit.residue, "stationarity": asdict(fit.verdict)}
 
 
+def _finite(x: float) -> float | None:
+    return x if math.isfinite(x) else None
+
+
 def result_to_dict(result: DecompositionResult) -> dict:
+    """The result as JSON fields.  ``k1`` and ``k2`` are those levels' fits
+    and ``llh_k1``/``llh_k2`` their log-likelihoods; ``gd`` is the GD
+    level; ``mu_hat`` is the chosen level's ``mu``.  A log-likelihood of
+    ``-inf`` is written as null."""
     return {
         "chosen": result.chosen,
         "eta": result.eta,
         "k1": _fit_to_dict(result.k1),
         "k2": _fit_to_dict(result.k2),
-        "gd": {
-            "mu": result.gd.model.mu,
-            "kernel": kernel_to_dict(result.gd.model.kernel),
-            "llh": result.gd.llh if math.isfinite(result.gd.llh) else None,
-        },
-        "llh_k_chosen": result.llh_k_chosen if math.isfinite(result.llh_k_chosen) else None,
-        "llh_k1": result.llh_k1 if math.isfinite(result.llh_k1) else None,
-        "llh_k2": result.llh_k2 if math.isfinite(result.llh_k2) else None,
-        "mu_hat": result.mu_hat,
+        "gd": {"mu": result.gd.mu, "kernel": kernel_to_dict(result.gd.kernel), "llh": _finite(result.gd.llh)},
+        "llh_k_chosen": _finite(result.llh_k_chosen),
+        "llh_k1": _finite(result.k1.llh),
+        "llh_k2": _finite(result.k2.llh),
+        "mu_hat": result.chosen_level.mu,
         "lambda_hat": result.grid.lambda_hat,
         "grid": {
             "delta": result.grid.delta,
@@ -222,7 +233,7 @@ def result_to_dict(result: DecompositionResult) -> dict:
 
 
 def write_result(result: DecompositionResult, path) -> None:
-    Path(path).write_text(json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(result_to_dict(result), sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +263,7 @@ def write_csv(path, header: str, *columns) -> None:
     """Write equal-length ``columns`` side by side under ``header``, each value
     in ``_fmt``'s 12 significant digits."""
     rows = [header] + [",".join(map(_fmt, row)) for row in zip(*columns)]
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write_text(path, "\n".join(rows) + "\n")
 
 
 def _svg_polyline(xs, ys, box, xlim, ylim, color: str) -> str:
@@ -331,9 +342,8 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
     """
     out = Path(out_dir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
-        probe.write_text("")
+        _write_text(probe, "")
         probe.unlink()
     except OSError as exc:
         raise OSError(f"report directory not writable: {out}") from exc
@@ -354,7 +364,7 @@ def emit_report(bundle: ReportBundle, out_dir) -> list[Path]:
     files.append(path)
 
     path = out / "report.svg"
-    path.write_text(_render_svg(bundle))
+    _write_text(path, _render_svg(bundle))
     files.append(path)
 
     return files

@@ -77,6 +77,7 @@ __all__ = [
     "kernel_to_dict",
     "kernel_from_dict",
     "number_entry",
+    "finite_positive",
 ]
 
 
@@ -561,6 +562,13 @@ def _entry(d: dict, key: str, owner: str):
         return d[key]
     except KeyError:
         raise ValueError(f"{owner} is missing {key!r}") from None
+
+
+def finite_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
+    positive; written so that NaN fails."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def number_entry(d: dict, key: str, owner: str) -> float:

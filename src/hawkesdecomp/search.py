@@ -36,14 +36,14 @@ import logging
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401 -- the benchmark tracer patches this name
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .covariance import CovarianceGrid, covariance_grid, estimate_lambda, horizon_from_histogram
 from .fit import FitResult, fit_batch
 from .fit import fit_expansion, fit_single  # noqa: F401 -- the benchmark tracer patches these names
-from .kernels import FAMILIES, Exp, Kernel, is_stationary
+from .kernels import FAMILIES, Exp, Kernel, StationarityVerdict, finite_positive, is_stationary
 from .likelihood import _exp_sums, log_likelihood
 from .simulate import EventSequence, HawkesModel
 from .spectral import KernelEstimate, invert_to_kernel
@@ -52,7 +52,7 @@ __all__ = [
     "MAX_RESOLUTION",
     "DecompositionConfig",
     "DecompositionResult",
-    "GdFit",
+    "Level",
     "NoStationaryModelError",
     "AuditEntry",
     "decompose",
@@ -111,21 +111,34 @@ class DecompositionConfig:
         # written so that NaN fails each test
         if not 2 <= _integer("resolution", self.resolution) <= MAX_RESOLUTION:
             raise ValueError(f"resolution must be between 2 and {MAX_RESOLUTION}, got {self.resolution!r}")
-        if self.tau_max is not None and not (math.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ValueError(f"tau_max must be finite and positive, got {self.tau_max!r}")
+        if self.tau_max is not None:
+            finite_positive("tau_max", self.tau_max)
         if self.holdout is not None and not 0 < self.holdout < 1:
             raise ValueError(f"holdout must lie in (0, 1), got {self.holdout!r}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
+        finite_positive("eta", self.eta)
         _gd_restarts("gd_restarts", self.gd_restarts)
 
 
 @dataclass(frozen=True)
-class GdFit:
-    """Directly optimized exponential Hawkes model and its log-likelihood."""
+class Level:
+    """One candidate model of the level choice: K1, K2 or the GD baseline.
 
-    model: HawkesModel
+    ``llh`` is the log-likelihood of the model on the scored events, and
+    ``-inf`` when the level is not stationary.  K1 and K2 carry the
+    ``residue`` and ``verdict`` of their fit, which GD has not, and their
+    ``mu`` is the mean event rate times one minus the kernel's norm, which
+    is positive when the level is stationary.
+    """
+
+    kernel: Kernel
+    mu: float
     llh: float
+    residue: float | None = None
+    verdict: StationarityVerdict | None = None
+
+    @property
+    def model(self) -> HawkesModel:
+        return HawkesModel(self.mu, self.kernel)
 
 
 @dataclass(frozen=True)
@@ -137,34 +150,26 @@ class AuditEntry:
 @dataclass(frozen=True)
 class DecompositionResult:
     chosen: str  # "K1" | "K2" | "GD"
-    k1: FitResult
-    k2: FitResult
-    gd: GdFit
+    k1: Level
+    k2: Level
+    gd: Level
     eta: float
-    llh_k_chosen: float
-    llh_k1: float
-    llh_k2: float
-    mu_hat: float
+    llh_k_chosen: float  # the level rule's choice's llh; -inf when it chose neither
     audit: tuple[AuditEntry, ...]
     grid: CovarianceGrid
     estimate: KernelEstimate
 
     @property
+    def chosen_level(self) -> Level:
+        return getattr(self, self.chosen.lower())
+
+    @property
     def chosen_kernel(self) -> Kernel:
-        if self.chosen == "GD":
-            return self.gd.model.kernel
-        return (self.k1 if self.chosen == "K1" else self.k2).kernel
+        return self.chosen_level.kernel
 
     @property
     def chosen_model(self) -> HawkesModel:
-        return HawkesModel(self.mu_hat, self.chosen_kernel)
-
-
-def _level_mu(fit: FitResult, lambda_hat: float) -> float:
-    """Background rate of a stationary decomposition level: the mean event
-    rate times one minus the kernel's norm, which its verdict keeps at least
-    ``STATIONARITY_MARGIN``."""
-    return lambda_hat * (1.0 - fit.verdict.norm_value)
+        return self.chosen_level.model
 
 
 def train_test_split(events: EventSequence, fraction: float) -> tuple[EventSequence, EventSequence]:
@@ -187,15 +192,15 @@ def train_test_split(events: EventSequence, fraction: float) -> tuple[EventSeque
     return train, test
 
 
-def select_level(k1: FitResult, k2: FitResult, eta: float) -> str | None:
+def select_level(k1: Level | FitResult, k2: Level | FitResult, eta: float) -> str | None:
     """Stationarity-gated level choice between K1 and K2.
 
     Keeps K1 unless K2 is stationary and its residue improvement beats the
     regularization factor (``MR1 >= eta * MR2``); returns None when neither
-    level is stationary.  ``eta >= 1`` biases toward the simpler K1.
+    level is stationary.  ``eta >= 1`` biases toward the simpler K1; an
+    ``eta`` that is not finite and positive raises ``ValueError``.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    finite_positive("eta", eta)
     output = None
     if k1.verdict.stationary:
         output = "K1"
@@ -326,7 +331,7 @@ def _gd_search(profile, x: float, searched: list) -> tuple[float, int, str | Non
     return x, evals, why
 
 
-def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
+def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> Level:
     """Maximum-likelihood exponential Hawkes fit on the profile likelihood
     over the decay rate ``beta``.
 
@@ -392,11 +397,11 @@ def fit_gd_exponential(events: EventSequence, restarts: int = 5) -> GdFit:
     finite = [item for item in seen.items() if math.isfinite(item[1][0])]
     if not finite:
         # no rate gave a finite point: report the generic start, unusable
-        return GdFit(model=HawkesModel(mu=estimate_lambda(events), kernel=Exp(1.0, 1.0)), llh=-math.inf)
+        return Level(kernel=Exp(1.0, 1.0), mu=estimate_lambda(events), llh=-math.inf)
     # a stationary point first, then the higher likelihood
     x, (value, _, s, alpha) = max(finite, key=lambda item: (stationary(item[0]), item[1][0]))
-    model = HawkesModel(mu=len(events) * s / events.horizon_T, kernel=Exp(alpha, math.exp(x)))
-    return GdFit(model=model, llh=value if stationary(x) else -math.inf)
+    mu = len(events) * s / events.horizon_T
+    return Level(kernel=Exp(alpha, math.exp(x)), mu=mu, llh=value if stationary(x) else -math.inf)
 
 
 def kernel_estimate(
@@ -444,43 +449,28 @@ def _decomposition(events: EventSequence, config: DecompositionConfig):
         ]
     )
 
-    level = select_level(k1, k2, config.eta)
+    def level(fit: FitResult) -> Level:
+        mu = grid.lambda_hat * (1.0 - fit.verdict.norm_value)
+        llh = log_likelihood(HawkesModel(mu, fit.kernel), scored).value if fit.verdict.stationary else -math.inf
+        return Level(fit.kernel, mu, llh, fit.residue, fit.verdict)
 
-    def level_llh(fit: FitResult) -> float:
-        if not fit.verdict.stationary:
-            return -math.inf
-        model = HawkesModel(mu=_level_mu(fit, grid.lambda_hat), kernel=fit.kernel)
-        return log_likelihood(model, scored).value
+    k1, k2 = level(k1), level(k2)
+    rule = select_level(k1, k2, config.eta)
+    llh_k_chosen = {"K1": k1.llh, "K2": k2.llh, None: -math.inf}[rule]
 
-    llh_k1 = level_llh(k1)
-    llh_k2 = level_llh(k2)
-    llh_level = {"K1": llh_k1, "K2": llh_k2, None: -math.inf}[level]
-
-    gd_train = fit_gd_exponential(train, config.gd_restarts)
-    if math.isfinite(gd_train.llh):
-        gd_llh = log_likelihood(gd_train.model, scored).value
-    else:
-        gd_llh = -math.inf
-    gd = GdFit(model=gd_train.model, llh=gd_llh)
-
-    if level is None and not math.isfinite(gd.llh):
+    gd = fit_gd_exponential(train, config.gd_restarts)
+    if math.isfinite(gd.llh):
+        gd = replace(gd, llh=log_likelihood(gd.model, scored).value)
+    if rule is None and not math.isfinite(gd.llh):
         raise NoStationaryModelError("no stationary model found")
 
-    chosen = level if level is not None else "GD"
-    if gd.llh > llh_level:
-        chosen = "GD"
-    mu_hat = gd.model.mu if chosen == "GD" else _level_mu(k1 if chosen == "K1" else k2, grid.lambda_hat)
-
     return DecompositionResult(
-        chosen=chosen,
+        chosen="GD" if gd.llh > llh_k_chosen else rule,
         k1=k1,
         k2=k2,
         gd=gd,
         eta=config.eta,
-        llh_k_chosen=llh_level,
-        llh_k1=llh_k1,
-        llh_k2=llh_k2,
-        mu_hat=mu_hat,
+        llh_k_chosen=llh_k_chosen,
         audit=audit,
         grid=grid,
         estimate=estimate,

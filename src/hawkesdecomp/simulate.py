@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import STATIONARITY_MARGIN, Kernel, stationarity_norm
+from .kernels import STATIONARITY_MARGIN, Kernel, finite_positive, stationarity_norm
 
 
 class NonStationaryError(ValueError):
@@ -151,8 +151,7 @@ def simulate(
     and positive, and non-stationary models, and aborts when the expected
     (or realized) event count exceeds ``max_events``.
     """
-    if not (math.isfinite(horizon_T) and horizon_T > 0):
-        raise ValueError(f"horizon_T must be finite and positive, got {horizon_T!r}")
+    finite_positive("horizon_T", horizon_T)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     verdict = stationarity_norm(model.kernel)

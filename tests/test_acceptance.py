@@ -242,8 +242,8 @@ def test_criterion_6_level2_improvement(report):
     for seed in range(10):
         events = simulate(model, 1e4, seed=100 + seed)
         result = decompose(events, config)
-        margins.append(round(result.llh_k2 - result.llh_k1, 1))
-        wins += result.llh_k2 > result.llh_k1
+        margins.append(round(result.k2.llh - result.k1.llh, 1))
+        wins += result.k2.llh > result.k1.llh
     ok = wins >= 7
     report(6, ok, f"{wins}/10 held-out llh(K2) > llh(K1) (margins {margins})")
     assert wins >= 7

@@ -290,14 +290,14 @@ class TestReport:
         result = replace(exp_result, chosen=level)
         fit = result.k1 if level == "K1" else result.k2
         assert result.chosen_kernel == fit.kernel
-        assert result.chosen_model == HawkesModel(result.mu_hat, fit.kernel)
+        assert result.chosen_model == HawkesModel(fit.mu, fit.kernel)
 
     def test_report_on_k1_result(self, tmp_path, pwl_events):
         result = decompose(pwl_events, DecompositionConfig(tau_max=8.0))
         assert result.chosen == "K1"
         bundle = build_report(result, pwl_events)
         assert np.array_equal(bundle.curve_fitted, evaluate(result.k1.kernel, result.estimate.times))
-        model = HawkesModel(result.mu_hat, result.k1.kernel)
+        model = HawkesModel(result.k1.mu, result.k1.kernel)
         assert np.array_equal(bundle.qq_observed, np.sort(compensator_increments(model, pwl_events)))
         files = emit_report(bundle, tmp_path / "k1")
         assert json.loads(files[0].read_text())["chosen"] == "K1"
@@ -334,6 +334,22 @@ class TestCli:
                 ["simulate", "--model", str(model), "--horizon", "200", "--seed", "9", "--out", str(out)]
             )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "decompose"])
+    def test_out_in_a_missing_directory_is_made(self, tmp_path, exp_events, command):
+        # a missing directory once failed with exit 2, after the whole fit
+        model, events_path = self.model_file(tmp_path), tmp_path / "events.csv"
+        write_events(exp_events, events_path)
+        args = {"simulate": ["--model", str(model), "--horizon", "200"],
+                "estimate": ["--in", str(events_path)],
+                "decompose": ["--in", str(events_path), "--tau-max", "10"]}[command]
+        here, there = tmp_path / "here", tmp_path / "missing" / "deeper"
+        here.mkdir()
+        for directory in (here, there):
+            assert cli.main([command, *args, "--out", str(directory / "out.csv")]) == 0
+        written = sorted(p.name for p in here.iterdir())
+        assert written and sorted(p.name for p in there.iterdir()) == written
+        assert all((there / name).read_bytes() == (here / name).read_bytes() for name in written)
 
     def test_estimate_writes_covariance_and_kernel(self, tmp_path, exp_events):
         events_path = tmp_path / "events.csv"
@@ -419,6 +435,7 @@ class TestCli:
             write_events(exp_events, in_dir / name)
         monkeypatch.setattr(cli, "decompose_batch", refuse)
         assert cli.main(argv) == 3
+        assert not out_dir.exists()  # a directory is made only for a file written into it
 
     def test_report_command(self, tmp_path, exp_events):
         events_path = tmp_path / "events.csv"

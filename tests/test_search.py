@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hawkesdecomp import fit, search
 from hawkesdecomp.fit import FitResult
 from hawkesdecomp.io import result_to_dict
 from hawkesdecomp.kernels import STATIONARITY_MARGIN, Exp, Pwl, StationarityVerdict, Sqr, Sum
+from hawkesdecomp.likelihood import log_likelihood
 from hawkesdecomp.search import (
     DecompositionConfig,
     NoStationaryModelError,
@@ -60,6 +62,14 @@ class TestSelectLevel:
     def test_invalid_eta(self):
         with pytest.raises(ValueError):
             select_level(fake_fit(1.0, True), fake_fit(1.0, True), eta=0.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -1.0])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        # NaN once kept K1 against a K2 of residue 1e-9, and inf passed
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            select_level(fake_fit(1.0, True), fake_fit(1e-9, True), eta=eta)
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            DecompositionConfig(eta=eta)
 
 
 @pytest.mark.parametrize("field", ["resolution", "gd_restarts"])
@@ -261,35 +271,47 @@ class TestDecompose:
         assert a.chosen == b.chosen
         assert a.k1 == b.k1 and a.k2 == b.k2
         assert a.gd == b.gd
-        assert a.llh_k1 == b.llh_k1 and a.llh_k2 == b.llh_k2
+        assert a.k1.llh == b.k1.llh and a.k2.llh == b.k2.llh
 
     def test_holdout_scoring(self, exp_events):
         cfg = DecompositionConfig(tau_max=10.0, holdout=0.8)
         result = decompose(exp_events, cfg)
         assert result.chosen in ("K1", "K2", "GD")
-        assert math.isfinite(result.llh_k1)
+        assert math.isfinite(result.k1.llh)
 
     def test_k2_improves_or_matches_k1_residue(self, exp_events):
         result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
         assert result.k2.residue <= result.k1.residue + 1e-9
 
-    def test_mu_hat_consistent_with_norm(self, exp_events):
+    def test_stationary_level_mu_keeps_the_mean_rate(self, exp_events):
         result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
-        level = result.chosen if result.chosen != "GD" else "K1"
-        fit = result.k1 if level == "K1" else result.k2
-        expected = max(result.grid.lambda_hat * (1.0 - fit.verdict.norm_value), 1e-12)
-        assert search._level_mu(fit, result.grid.lambda_hat) == pytest.approx(expected)
+        stationary = [level for level in (result.k1, result.k2) if level.verdict.stationary]
+        assert stationary
+        for level in stationary:
+            assert level.mu == result.grid.lambda_hat * (1.0 - level.verdict.norm_value)
+            assert level.llh == log_likelihood(level.model, exp_events).value
 
     def test_mu_hat_is_the_chosen_models_when_gd_is_chosen(self, exp_events, monkeypatch):
         # with neither level usable, the GD model is chosen
         monkeypatch.setattr(search, "select_level", lambda k1, k2, eta: None)
         result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
         assert result.chosen == "GD"
-        assert result.mu_hat == result.gd.model.mu == result.chosen_model.mu
+        assert result_to_dict(result)["mu_hat"] == result.gd.mu == result.chosen_model.mu
 
     def test_mu_hat_is_the_chosen_models(self, exp_events):
         result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
-        assert result.mu_hat == result.chosen_model.mu
+        assert result_to_dict(result)["mu_hat"] == result.chosen_model.mu
+
+    def test_chosen_model_is_the_chosen_levels(self, exp_events):
+        # a separate mu_hat field once kept the first choice's rate
+        result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
+        levels = {"K1": result.k1, "K2": result.k2, "GD": result.gd}
+        usable = [name for name, level in levels.items() if math.isfinite(level.llh)]
+        assert len(usable) >= 2
+        for name in usable:
+            moved = replace(result, chosen=name)
+            assert moved.chosen_model == levels[name].model
+            assert moved.chosen_model.mu == levels[name].mu == result_to_dict(moved)["mu_hat"]
 
     def test_composite_data_prefers_k2(self):
         # a clearly two-part kernel: exponential plus a long pulse
