@@ -285,12 +285,14 @@ class TestReport:
         root = ET.parse(svg).getroot()
         assert root.tag.endswith("svg")
 
-    @pytest.mark.parametrize("level", ["K1", "K2"])
+    @pytest.mark.parametrize("level", ["K1", "K2", "GD"])
     def test_chosen_kernel_follows_level(self, exp_result, level):
+        # a separate mu_hat field once kept the rate of the level first chosen
         result = replace(exp_result, chosen=level)
-        fit = result.k1 if level == "K1" else result.k2
+        fit = getattr(result, level.lower())
         assert result.chosen_kernel == fit.kernel
         assert result.chosen_model == HawkesModel(fit.mu, fit.kernel)
+        assert result_to_dict(result)["mu_hat"] == fit.mu
 
     def test_report_on_k1_result(self, tmp_path, pwl_events):
         result = decompose(pwl_events, DecompositionConfig(tau_max=8.0))

@@ -1,7 +1,6 @@
 import json
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,17 +300,6 @@ class TestDecompose:
     def test_mu_hat_is_the_chosen_models(self, exp_events):
         result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
         assert result_to_dict(result)["mu_hat"] == result.chosen_model.mu
-
-    def test_chosen_model_is_the_chosen_levels(self, exp_events):
-        # a separate mu_hat field once kept the first choice's rate
-        result = decompose(exp_events, DecompositionConfig(tau_max=10.0))
-        levels = {"K1": result.k1, "K2": result.k2, "GD": result.gd}
-        usable = [name for name, level in levels.items() if math.isfinite(level.llh)]
-        assert len(usable) >= 2
-        for name in usable:
-            moved = replace(result, chosen=name)
-            assert moved.chosen_model == levels[name].model
-            assert moved.chosen_model.mu == levels[name].mu == result_to_dict(moved)["mu_hat"]
 
     def test_composite_data_prefers_k2(self):
         # a clearly two-part kernel: exponential plus a long pulse
